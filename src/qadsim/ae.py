@@ -15,10 +15,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import MAX_PHASE_BITS, qubit_cap
+from .config import MAX_PHASE_BITS
 from .dataio import QueryLedger
 from .simcore import (
-    HadamardBlock,
+    _SQRT2_INV,
     Operation,
     Qft,
     ReflectAboutZero,
@@ -27,9 +27,10 @@ from .simcore import (
     SimulationError,
     StateVector,
     marginal_probs,
-    measure,
     new_state,
+    operation_matrix,
     probability_of,
+    sample,
 )
 
 PHASE_REGISTER = "__phase"
@@ -85,14 +86,17 @@ class GroverOperator:
 
     def __init__(self, prep: StatePreparation):
         self.prep = prep
-        self._s_chi = ReflectWhere(prep.good_register, prep.good_predicate)
-        self._s_zero = ReflectAboutZero(prep.reflection_registers)
+        # Schi, then Adag, S0 and A, in the order they act on a state.
+        self.ops = (
+            ReflectWhere(prep.good_register, prep.good_predicate),
+            *(op.dagger() for op in reversed(prep.ops)),
+            ReflectAboutZero(prep.reflection_registers),
+            *prep.ops,
+        )
 
     def apply(self, state: StateVector, ledger: QueryLedger | None = None) -> StateVector:
-        self._s_chi.apply(state)
-        self.prep.apply_dagger(state)
-        self._s_zero.apply(state)
-        self.prep.apply(state)
+        for op in self.ops:
+            op.apply(state)
         state.amps *= -1.0
         if ledger is not None:
             ledger.add(grover=1)
@@ -100,18 +104,7 @@ class GroverOperator:
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of Q on the preparation's layout (small layouts)."""
-        dim = self.prep.layout.dim
-        mat = np.zeros((dim, dim), dtype=complex)
-        for col in range(dim):
-            amps = np.zeros(dim, dtype=complex)
-            amps[col] = 1.0
-            sv = StateVector(self.prep.layout, amps)
-            self._s_chi.apply(sv)
-            self.prep.apply_dagger(sv)
-            self._s_zero.apply(sv)
-            self.prep.apply(sv)
-            mat[:, col] = -sv.amps
-        return mat
+        return -operation_matrix(self.ops, self.prep.layout)
 
 
 def build_grover(prep: StatePreparation) -> GroverOperator:
@@ -198,28 +191,27 @@ def _grid_amplitude(y: int, t: int) -> float:
 def qpe_state(prep: StatePreparation, t: int) -> StateVector:
     """Full phase-estimation state right before the phase-register measurement.
 
-    Controlled powers of Q are applied via repeated squaring of its dense
-    matrix; the ledger cost model still counts 2^t - 1 elementary applications.
+    Before the inverse QFT, row y of the (2^t, dim) amplitude array is
+    Q^y A|0> / sqrt(2^t). A runs on the 2^n register only; row 0 is A|0>
+    times (1/sqrt 2)^t, t multiplies as the t Hadamards would make, and rows
+    [2^k, 2^(k+1)) are rows [0, 2^k) times Q^(2^k), the repeated square of
+    Q's dense matrix, so each row gets its powers in the circuit's order.
+    The ledger cost model still counts 2^t - 1 elementary applications.
     """
-    layout = prep.layout.extended(PHASE_REGISTER, t)
-    if layout.n_qubits > qubit_cap():
-        raise SimulationError(
-            f"phase estimation needs {layout.n_qubits} qubits, exceeding the cap"
-        )
-    state = new_state(layout)
-    prep.apply(state)
-    HadamardBlock(PHASE_REGISTER).apply(state)
+    layout = prep.layout.extended(PHASE_REGISTER, t)  # enforces the qubit cap
+    psi = prep.prepare().amps
+    for _ in range(t):
+        psi = psi * _SQRT2_INV
+    rows = np.empty((1 << t, prep.layout.dim), dtype=complex)
+    rows[0] = psi
 
-    q_mat = build_grover(prep).matrix()
-    inner_dim = prep.layout.dim
-    amps = state.amps.reshape(1 << t, inner_dim)
-    power = q_mat
+    power = build_grover(prep).matrix()
     for k in range(t):
-        rows = (np.arange(1 << t) >> k) & 1 == 1
-        amps[rows] = amps[rows] @ power.T
+        half = 1 << k
+        np.matmul(rows[:half], power.T, out=rows[half : 2 * half])
         if k + 1 < t:
             power = power @ power
-    state.amps = amps.reshape(-1)
+    state = StateVector(layout, rows.reshape(-1))
     Qft(PHASE_REGISTER, inverse=True).apply(state)
     state.check_norm()
     return state
@@ -251,9 +243,7 @@ def estimate_amplitude(
         raw = None
         amplitude = _grid_amplitude(y, t)
     else:
-        state = qpe_state(prep, t)
-        rng = np.random.default_rng(config.seed)
-        raw, _ = measure(state, PHASE_REGISTER, rng)
+        raw = sample(qpe_state(prep, t), PHASE_REGISTER, config.seed)
         theta_hat = _fold_outcome(raw, t)
         amplitude = _grid_amplitude(raw, t)
     return AEResult(

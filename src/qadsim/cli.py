@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -56,6 +57,14 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fp-int-bits", type=int, default=8)
     p.add_argument("--fp-frac-bits", type=int, default=16)
     p.add_argument("--policy", choices=("error", "epsilon-floor"), default="error")
+
+
+def _require_finite(args: argparse.Namespace, *flags: str) -> None:
+    """Reject nan/inf in the named float flags (ValueError, exit 2)."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value}")
 
 
 def _pipeline_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> PipelineConfig:
@@ -187,6 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _require_finite(args, "--epsilon", "--delta")
         if args.command == "fit":
             return _cmd_fit(args)
         if args.command == "detect":

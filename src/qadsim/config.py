@@ -10,9 +10,6 @@ import os
 # Statevector norm must stay within this of 1 after every operation.
 NORM_TOL = 1e-10
 
-# Componentwise tolerance for G^-1(G(psi)) == psi round trips.
-UNITARY_TOL = 1e-12
-
 # Reduced purity required before a register may be discarded.
 PURITY_TOL = 1e-9
 

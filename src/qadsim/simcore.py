@@ -13,7 +13,6 @@ norm invariant.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,7 +46,12 @@ _SQRT2_INV = 1.0 / np.sqrt(2.0)
 class RegisterLayout:
     """Ordered collection of named registers; first register is the LSB."""
 
-    def __init__(self, registers: Mapping[str, int] | Iterable[tuple[str, int]]):
+    def __init__(
+        self,
+        registers: Mapping[str, int] | Iterable[tuple[str, int]],
+        *,
+        capped: bool = True,
+    ):
         if isinstance(registers, Mapping):
             items = list(registers.items())
         else:
@@ -65,7 +69,7 @@ class RegisterLayout:
             self._offsets[name] = offset
             offset += width
         cap = qubit_cap()
-        if offset > cap:
+        if capped and offset > cap:
             raise LayoutError(f"layout needs {offset} qubits, exceeding the cap of {cap}")
         self.n_qubits = offset
         self.dim = 1 << offset
@@ -93,11 +97,15 @@ class RegisterLayout:
         """Full label(s) with the named register's field overwritten."""
         return (labels & ~self.mask(name)) | (field << self.offset(name))
 
-    def extended(self, name: str, width: int) -> "RegisterLayout":
-        """New layout with one more register appended above the existing ones."""
+    def extended(self, name: str, width: int, *, capped: bool = True) -> "RegisterLayout":
+        """New layout with one more register appended above the existing ones.
+
+        `capped=False` exempts the new layout from the qubit cap; only the
+        batched matrix build uses it, for its column-label register.
+        """
         items = [(n, self._widths[n]) for n in self.names]
         items.append((name, width))
-        return RegisterLayout(items)
+        return RegisterLayout(items, capped=capped)
 
     def _require(self, name: str) -> None:
         if name not in self._widths:
@@ -403,24 +411,6 @@ class ReflectWhere(Operation):
 # ---------------------------------------------------------------------------
 # functional surface
 
-def apply_hadamard_block(state: StateVector, register: str) -> StateVector:
-    return HadamardBlock(register).apply(state)
-
-
-def apply_qft(state: StateVector, register: str, inverse: bool = False) -> StateVector:
-    return Qft(register, inverse=inverse).apply(state)
-
-
-def apply_basis_transform(state: StateVector, transform: BasisTransform) -> StateVector:
-    return transform.apply(state)
-
-
-def apply_controlled(
-    state: StateVector, control: str, control_value: int, inner: Operation
-) -> StateVector:
-    return Controlled(control, control_value, inner).apply(state)
-
-
 def marginal_probs(state: StateVector, register: str) -> np.ndarray:
     """Probability of each label of one register (length 2^width)."""
     lay = state.layout
@@ -439,15 +429,20 @@ def probability_of(
     return float(sum(p for label, p in enumerate(probs) if predicate(label)))
 
 
-def measure(
-    state: StateVector, register: str, rng: np.random.Generator | int
-) -> tuple[int, StateVector]:
-    """Sample one outcome for a register and collapse the state onto it."""
+def sample(state: StateVector, register: str, rng: np.random.Generator | int) -> int:
+    """Draw one measurement outcome for a register; the state is left as is."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     probs = marginal_probs(state, register)
     probs = probs / probs.sum()
-    outcome = int(rng.choice(probs.size, p=probs))
+    return int(rng.choice(probs.size, p=probs))
+
+
+def measure(
+    state: StateVector, register: str, rng: np.random.Generator | int
+) -> tuple[int, StateVector]:
+    """Sample one outcome for a register and collapse the state onto it."""
+    outcome = sample(state, register, rng)
     lay = state.layout
     labels = np.arange(lay.dim)
     keep = lay.extract(labels, register) == outcome
@@ -489,32 +484,45 @@ def discard(state: StateVector, register: str) -> StateVector:
     return out
 
 
+_COLUMN_REGISTER = "__col"
+
+
+class _ColumnBatch(StateVector):
+    """Every basis column of a layout in one state.
+
+    The columns are told apart by an extra register `__col` above the layout's
+    own, so an operation, which addresses registers by name, acts on all of
+    them in one call. Each column must keep unit norm on its own: a weight
+    shift between columns that leaves the total intact still fails the check.
+    """
+
+    def __init__(self, layout: RegisterLayout):
+        super().__init__(
+            layout.extended(_COLUMN_REGISTER, layout.n_qubits, capped=False),
+            np.eye(layout.dim, dtype=complex).reshape(-1),
+        )
+        self.columns = layout.dim
+
+    def check_norm(self) -> None:
+        drift = np.sum(np.abs(self.amps.reshape(self.columns, -1)) ** 2, axis=1) - 1.0
+        worst = int(np.argmax(np.abs(drift)))
+        if abs(drift[worst]) > NORM_TOL:
+            raise SimulationError(f"column {worst} norm drifted: |psi|^2 = {1.0 + drift[worst]}")
+
+
 def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout) -> np.ndarray:
-    """Dense matrix of a composed operation sequence (small layouts only)."""
+    """Dense matrix of a composed operation sequence (small layouts only).
+
+    The ops run once on all basis columns together (see `_ColumnBatch`), and
+    every column's norm is checked after every op. The batch holds dim^2
+    amplitudes; it is exempt from the qubit cap, which the layout itself
+    already passed.
+    """
     dim = layout.dim
     if dim > 1 << 12:
         raise SimulationError("operation_matrix supports at most 12 qubits")
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[col] = 1.0
-        sv = StateVector(layout, amps)
-        for op in ops:
-            # Norm checks assume unit vectors, which basis columns are.
-            op.apply(sv)
-        mat[:, col] = sv.amps
-    return mat
-
-
-@dataclass(frozen=True)
-class GlobalPhase(Operation):
-    """Multiply the whole state by a fixed phase (used by the Grover operator)."""
-
-    phase: complex
-
-    def apply(self, state: StateVector) -> StateVector:
-        state.amps *= self.phase
-        return state
-
-    def dagger(self) -> "GlobalPhase":
-        return GlobalPhase(np.conj(self.phase))
+    batch = _ColumnBatch(layout)
+    for op in ops:
+        op.apply(batch)
+        batch.check_norm()
+    return np.ascontiguousarray(batch.amps.reshape(dim, dim).T)

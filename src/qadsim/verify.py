@@ -28,6 +28,9 @@ from .ae import PHASE_REGISTER, StatePreparation, qpe_state
 
 SUITES = ("bounds", "equivalence", "scaling", "flaws")
 
+# Draws random_instance makes before it gives up on its settings.
+RANDOM_INSTANCE_TRIES = 10_000
+
 
 def random_instance(
     seed: int,
@@ -39,9 +42,13 @@ def random_instance(
 ) -> tuple[DataMatrix, QueryPoint]:
     """Non-degenerate random instance: entries uniform in [-scale, scale],
     per-feature variance >= min_sigma2, query offset from the mean by a
-    per-feature amount in scale * query_span (random sign)."""
+    per-feature amount in scale * query_span (random sign).
+
+    Draws are retried until they meet the variance and spread conditions;
+    after RANDOM_INSTANCE_TRIES misses the settings are taken as infeasible
+    (e.g. `scale` too small for `min_sigma2`) and ValueError is raised."""
     rng = np.random.default_rng(seed)
-    while True:
+    for _ in range(RANDOM_INSTANCE_TRIES):
         m = int(rng.integers(m_range[0], m_range[1] + 1))
         d = int(rng.integers(d_range[0], d_range[1] + 1))
         x = rng.uniform(-scale, scale, size=(m, d))
@@ -53,6 +60,10 @@ def random_instance(
         offset *= rng.choice([-1.0, 1.0], size=d)
         x0 = mu + offset
         return DataMatrix(x), QueryPoint(x0)
+    raise ValueError(
+        f"no instance with variance >= {min_sigma2} at scale {scale} "
+        f"in {RANDOM_INSTANCE_TRIES} draws (seed {seed})"
+    )
 
 
 def bounds_suite(seeds: int = 100, t_bits: int = 10, base_seed: int = 0) -> dict:

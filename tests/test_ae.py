@@ -13,11 +13,14 @@ from qadsim.ae import (
     grid_epsilon,
     overlap_from_result,
     phase_distribution,
+    qpe_state,
 )
 from qadsim.dataio import QueryLedger
+from qadsim.pipelines import interference_prep, squared_mean_prep
 from qadsim.simcore import (
     RegisterLayout,
     SimulationError,
+    StateVector,
     ValueKeyedRotation,
 )
 
@@ -228,3 +231,99 @@ def test_error_bound_formula():
     res = AEResult(theta=0.0, amplitude=0.5, t_bits=4, mode="ideal", grover_count=15)
     want = 2 * math.pi * 0.5 / 16 + math.pi**2 / 256
     assert res.error_bound == pytest.approx(want)
+
+
+# ---------------------------------------------------------------------------
+# independent references: dense linear algebra and the closed form of BHMT
+
+
+def reference_preps() -> list[tuple[StatePreparation, float]]:
+    """Preparations on 4 to 32 amplitudes with their good probability, worked
+    out from the rotation values rather than by the simulator."""
+    rng = np.random.default_rng(17)
+    out = [(const_prep(0.3), 0.3)]
+    for size in (2, 4, 8, 16):
+        v = rng.uniform(-0.9, 0.9, size)
+        out.append((squared_mean_prep(f"sq{size}", v, {}), float(np.mean(v * v))))
+    for size in (2, 4, 8):
+        v = rng.uniform(-0.9, 0.9, size)
+        out.append((interference_prep(f"int{size}", v, {}), 0.5 + 0.5 * float(np.mean(v))))
+    return out
+
+
+def prep_matrix(prep: StatePreparation) -> np.ndarray:
+    """A as a dense matrix, one replay of the ops per basis column."""
+    dim = prep.layout.dim
+    cols = [prep.apply(StateVector(prep.layout, np.eye(dim, dtype=complex)[c])).amps
+            for c in range(dim)]
+    return np.stack(cols, axis=1)
+
+
+def reference_grover(prep: StatePreparation) -> np.ndarray:
+    """-A diag(S0) Adag diag(Schi)."""
+    lay = prep.layout
+    labels = np.arange(lay.dim)
+    good = [prep.good_predicate(int(v)) for v in lay.extract(labels, prep.good_register)]
+    at_zero = np.all([lay.extract(labels, r) == 0 for r in prep.reflection_registers], axis=0)
+    a = prep_matrix(prep)
+    return -a @ np.diag(np.where(at_zero, -1.0, 1.0)) @ a.conj().T @ np.diag(
+        np.where(good, -1.0, 1.0)
+    )
+
+
+def reference_qpe(prep: StatePreparation, t: int) -> np.ndarray:
+    """Row y = Q^y A|0> / sqrt(N), then the inverse DFT over the phase label."""
+    n = 1 << t
+    q = reference_grover(prep)
+    psi = prep_matrix(prep)[:, 0]
+    rows = np.stack([np.linalg.matrix_power(q, y) @ psi for y in range(n)]) / math.sqrt(n)
+    y = np.arange(n)
+    dft = np.exp(-2j * np.pi * (np.outer(y, y) % n) / n) / math.sqrt(n)
+    return (dft @ rows).reshape(-1)
+
+
+def bhmt_distribution(a: float, t: int) -> np.ndarray:
+    """P(y) = 1/2 [F(y, theta/pi) + F(y, -theta/pi)] with
+    F(y, w) = sin^2(N pi d) / (N^2 sin^2(pi d)), d = w - y/N
+    (Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055)."""
+    n = 1 << t
+    w0 = math.asin(math.sqrt(a)) / math.pi
+
+    def f(w: float) -> np.ndarray:
+        # d in turns: y/N and N d are exact, so d is as accurate as w.
+        d = w - np.arange(n) / n
+        den = n * n * np.sin(np.pi * d) ** 2
+        return np.divide(np.sin(np.pi * (n * d)) ** 2, den, out=np.ones(n), where=den > 0)
+
+    return 0.5 * (f(w0) + f(-w0))
+
+
+class TestIndependentReferences:
+    def test_grover_matrix_equals_dense_product(self):
+        for prep, _ in reference_preps():
+            np.testing.assert_allclose(
+                build_grover(prep).matrix(), reference_grover(prep), rtol=0, atol=1e-12
+            )
+
+    def test_qpe_state_equals_naive_powers_and_dft(self):
+        for prep, _ in reference_preps():
+            for t in (1, 2, 5, 8):
+                np.testing.assert_allclose(
+                    qpe_state(prep, t).amps, reference_qpe(prep, t), rtol=0, atol=1e-12
+                )
+
+    def test_phase_distribution_equals_bhmt_closed_form(self):
+        for prep, a in reference_preps():
+            assert prep.good_probability() == pytest.approx(a, abs=1e-12)
+            for t in (1, 3, 6, 9, 11):
+                np.testing.assert_allclose(
+                    phase_distribution(prep, t), bhmt_distribution(a, t), rtol=0, atol=1e-12
+                )
+
+    def test_qpe_charges_the_cap_on_the_preparation(self, monkeypatch):
+        monkeypatch.setenv("QADSIM_QUBIT_CAP", "8")
+        prep = interference_prep("cap", np.linspace(-0.7, 0.7, 8), {})
+        assert prep.layout.n_qubits == 5
+        assert qpe_state(prep, 3).layout.n_qubits == 8
+        with pytest.raises(SimulationError):
+            qpe_state(prep, 4)

@@ -77,6 +77,17 @@ class TestDetect:
             ])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--delta", "nan"), ("--delta", "inf"), ("--epsilon", "nan")]
+    )
+    def test_non_finite_flag_exit_2(self, data_csv, query_csv, capsys, flag, value):
+        precision = [] if flag == "--epsilon" else ["--t-bits", "8"]
+        argv = ["detect", "--data", data_csv, "--query", query_csv, *precision, flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be a finite number, got {value}\n"
+
     def test_report_deterministic_modulo_timestamp(self, data_csv, query_csv, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):
@@ -102,6 +113,11 @@ class TestKpca:
         report = json.loads(out.read_text())
         assert report["command"] == "kpca"
         assert "f_hat" in report
+
+    def test_non_finite_epsilon_exit_2(self, data_csv, query_csv, capsys):
+        argv = ["kpca", "--data", data_csv, "--query", query_csv, "--epsilon", "inf"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --epsilon must be a finite number, got inf\n"
 
 
 class TestFlaws:

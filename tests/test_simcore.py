@@ -8,6 +8,7 @@ from qadsim.simcore import (
     HadamardBlock,
     LayoutError,
     NonInvertibleTransformError,
+    Operation,
     Qft,
     ReflectAboutZero,
     ReflectWhere,
@@ -22,6 +23,7 @@ from qadsim.simcore import (
     new_state,
     operation_matrix,
     probability_of,
+    sample,
 )
 
 
@@ -224,6 +226,17 @@ class TestMeasurement:
             assert collapsed.amps[outcome] == pytest.approx(1.0)
         assert len(outcomes) == 1
 
+    def test_sample_draws_like_measure_without_collapse(self):
+        lay = RegisterLayout([("a", 2), ("b", 1)])
+        rng = np.random.default_rng(5)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps /= np.linalg.norm(amps)
+        for seed in range(20):
+            state = StateVector(lay, amps.copy())
+            drawn = sample(state, "a", seed)
+            np.testing.assert_array_equal(state.amps, amps)
+            assert drawn == measure(state, "a", seed)[0]
+
     def test_discard_product_register(self):
         lay = RegisterLayout([("a", 1), ("b", 1)])
         state = new_state(lay)
@@ -245,6 +258,47 @@ def test_operation_matrix_unitary():
     ops = [HadamardBlock("k"), ValueKeyedRotation(["k"], "t", np.array([0.3, -0.9]))]
     mat = operation_matrix(ops, lay)
     np.testing.assert_allclose(mat @ mat.conj().T, np.eye(4), atol=1e-12)
+
+
+def test_operation_matrix_columns_match_single_replays():
+    lay = RegisterLayout([("k", 2), ("t", 1), ("c", 1)])
+    ops = [
+        HadamardBlock("k"),
+        HadamardBlock("c"),
+        Controlled("c", 1, ValueKeyedRotation(["k"], "t", np.array([0.3, -0.9, 0.1, 1.0]))),
+        Qft("k", inverse=True),
+        ReflectWhere("t", lambda v: v == 1),
+        ReflectAboutZero(["k"]),
+    ]
+    mat = operation_matrix(ops, lay)
+    for col in range(lay.dim):
+        state = StateVector(lay, np.eye(lay.dim, dtype=complex)[col])
+        for op in ops:
+            op.apply(state)
+        np.testing.assert_array_equal(mat[:, col], state.amps)
+
+
+class _Squeeze(Operation):
+    """diag(sqrt 2, 0) on one qubit. Not unitary, but its Frobenius norm is that
+    of the identity, so a batch of every basis column keeps its total norm
+    while weight moves from the columns with the qubit at 1 to the others."""
+
+    def __init__(self, register: str):
+        self.register = register
+
+    def apply(self, state: StateVector) -> StateVector:
+        lay = state.layout
+        bit = lay.extract(np.arange(lay.dim), self.register)
+        state.amps = np.where(bit == 0, np.sqrt(2.0) * state.amps, 0.0)
+        return state
+
+
+def test_operation_matrix_checks_every_column():
+    lay = RegisterLayout([("a", 1), ("b", 1)])
+    squeezed = np.kron(np.eye(2), np.diag([np.sqrt(2.0), 0.0]))
+    assert np.sum(np.abs(squeezed) ** 2) == pytest.approx(lay.dim)
+    with pytest.raises(SimulationError, match="column"):
+        operation_matrix([HadamardBlock("b"), _Squeeze("a")], lay)
 
 
 def test_norm_invariant_enforced():

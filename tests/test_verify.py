@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qadsim.verify import (
@@ -25,6 +26,30 @@ class TestRandomInstance:
         d2, q2 = random_instance(7)
         assert (d1.values == d2.values).all()
         assert (q1.real_values == q2.real_values).all()
+
+    def test_infeasible_settings_raise(self):
+        # uniform[-0.1, 0.1] has variance 1/300, never the required 0.05
+        with pytest.raises(ValueError, match="variance"):
+            random_instance(0, scale=0.1)
+
+    def test_draws_match_the_unbounded_retry_loop(self):
+        def unbounded(seed, scale=2.0, min_sigma2=0.05):
+            rng = np.random.default_rng(seed)
+            while True:
+                m = int(rng.integers(2, 9))
+                d = int(rng.integers(1, 5))
+                x = rng.uniform(-scale, scale, size=(m, d))
+                if np.min(np.var(x, axis=0)) < min_sigma2 or np.max(np.abs(x)) < 0.4 * scale:
+                    continue
+                offset = rng.uniform(0.25 * scale, scale, size=d)
+                offset *= rng.choice([-1.0, 1.0], size=d)
+                return x, x.mean(axis=0) + offset
+
+        for seed in range(40):
+            data, query = random_instance(seed)
+            x, x0 = unbounded(seed)
+            np.testing.assert_array_equal(data.real_values, x)
+            np.testing.assert_array_equal(query.real_values, x0)
 
 
 class TestSuites:
