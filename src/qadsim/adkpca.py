@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ae import AEResult, bits_for_epsilon, grid_epsilon, overlap_from_result
+from .config import QadsimError
 from .dataio import (
     Constants,
     DataMatrix,
@@ -26,11 +27,11 @@ from .pipelines import EstimatorRun, PipelineConfig, interference_prep, squared_
 from .adde import classical_fit, estimate_means
 
 
-class InsufficientDataError(Exception):
+class InsufficientDataError(QadsimError):
     """Covariance needs at least two training points."""
 
 
-class ConstantViolationError(Exception):
+class ConstantViolationError(QadsimError):
     """A rotation normalizer bound was violated beyond repairable tolerance."""
 
 

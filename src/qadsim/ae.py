@@ -26,6 +26,7 @@ from .simcore import (
     RegisterLayout,
     SimulationError,
     StateVector,
+    check_unit_columns,
     marginal_probs,
     new_state,
     operation_matrix,
@@ -34,6 +35,9 @@ from .simcore import (
 )
 
 PHASE_REGISTER = "__phase"
+
+# Widest phase grid in either mode: 4^t must stay a finite double.
+MAX_GRID_BITS = 511
 
 
 @dataclass(frozen=True)
@@ -82,15 +86,24 @@ class StatePreparation:
 
 
 class GroverOperator:
-    """Q = -A S0 Adag Schi for a state preparation."""
+    """Q = -A S0 Adag Schi for a state preparation.
+
+    `apply` runs Q on a state op by op: Schi, then A's ops undone in reverse,
+    S0, and A's ops. `matrix` builds Q from a single replay of A: with A's
+    dense matrix and the +-1 diagonals of the two reflections,
+    Q = -(A diag(S0)) Adag diag(Schi), and every column of the product is
+    checked for unit norm.
+    """
 
     def __init__(self, prep: StatePreparation):
         self.prep = prep
+        self.good_flip = ReflectWhere(prep.good_register, prep.good_predicate)
+        self.zero_flip = ReflectAboutZero(prep.reflection_registers)
         # Schi, then Adag, S0 and A, in the order they act on a state.
         self.ops = (
-            ReflectWhere(prep.good_register, prep.good_predicate),
+            self.good_flip,
             *(op.dagger() for op in reversed(prep.ops)),
-            ReflectAboutZero(prep.reflection_registers),
+            self.zero_flip,
             *prep.ops,
         )
 
@@ -104,7 +117,12 @@ class GroverOperator:
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of Q on the preparation's layout (small layouts)."""
-        return -operation_matrix(self.ops, self.prep.layout)
+        layout = self.prep.layout
+        a = operation_matrix(self.prep.ops, layout)
+        q = (a * -self.zero_flip.diagonal(layout)) @ a.conj().T
+        q *= self.good_flip.diagonal(layout)
+        check_unit_columns(q)
+        return q
 
 
 def build_grover(prep: StatePreparation) -> GroverOperator:
@@ -120,8 +138,8 @@ class AEConfig:
     def __post_init__(self):
         if self.mode not in ("circuit", "ideal"):
             raise ValueError(f"unknown AE mode {self.mode!r}")
-        if self.t_bits < 1:
-            raise ValueError("t_bits must be >= 1")
+        if not 1 <= self.t_bits <= MAX_GRID_BITS:
+            raise ValueError(f"t_bits must be in 1..{MAX_GRID_BITS}, got {self.t_bits}")
         if self.mode == "circuit":
             if self.t_bits > MAX_PHASE_BITS:
                 raise ValueError(
@@ -270,7 +288,9 @@ def bits_for_epsilon(eps_target: float) -> tuple[int, str | None]:
     if eps_target <= 0.0:
         raise ValueError("epsilon target must be positive")
     t = 1
-    while math.pi / (1 << t) + math.pi**2 / (1 << (2 * t)) > eps_target:
+    while grid_epsilon(t) > eps_target:
+        if t == MAX_GRID_BITS:
+            raise ValueError(f"epsilon target {eps_target} is finer than a {t}-bit grid")
         t += 1
     hint = "ideal" if t > MAX_PHASE_BITS else None
     return t, hint
@@ -278,4 +298,6 @@ def bits_for_epsilon(eps_target: float) -> tuple[int, str | None]:
 
 def grid_epsilon(t: int) -> float:
     """Worst-case amplitude error bound delivered by a t-bit grid."""
+    if not 1 <= t <= MAX_GRID_BITS:
+        raise ValueError(f"t_bits must be in 1..{MAX_GRID_BITS}, got {t}")
     return math.pi / (1 << t) + math.pi**2 / (1 << (2 * t))

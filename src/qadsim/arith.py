@@ -14,15 +14,15 @@ from typing import Callable
 
 import numpy as np
 
-from .config import SIGMA_MIN
+from .config import SIGMA_MIN, QadsimError
 from .simcore import BasisTransform, StateVector
 
 
-class RangeError(Exception):
+class RangeError(QadsimError):
     """A real value does not fit the fixed-point format."""
 
 
-class DomainError(Exception):
+class DomainError(QadsimError):
     """A gate input lies outside its function's domain (e.g. ln of <= 0)."""
 
 

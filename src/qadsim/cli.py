@@ -16,11 +16,11 @@ import numpy as np
 
 from .adde import classical_fit, run_adde
 from .adkpca import classical_moments, run_adkpca
-from .arith import FixedPointFormat, RangeError, DomainError
-from .dataio import DataError, DegenerateDataError, load_csv, load_query_csv
-from .flawlab import FlawLabError, run_flaw_suite
+from .arith import FixedPointFormat
+from .config import QadsimError
+from .dataio import load_csv, load_query_csv
+from .flawlab import run_flaw_suite
 from .pipelines import PipelineConfig
-from .simcore import SimulationError
 from .verify import SUITES, run_suite
 
 SCHEMA_VERSION = 1
@@ -208,16 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         parser.error(f"unknown command {args.command!r}")
-    except (
-        DataError,
-        DegenerateDataError,
-        RangeError,
-        DomainError,
-        SimulationError,
-        FlawLabError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (QadsimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -1,4 +1,4 @@
-"""Shared numeric tolerances and global limits.
+"""Shared numeric tolerances, global limits and the package's error base.
 
 All tolerance constants used across the simulator live here so that tests
 and modules agree on one set of numbers.
@@ -10,9 +10,6 @@ import os
 # Statevector norm must stay within this of 1 after every operation.
 NORM_TOL = 1e-10
 
-# Reduced purity required before a register may be discarded.
-PURITY_TOL = 1e-9
-
 # Hard limit on total qubits in a single statevector (overridable via env).
 DEFAULT_QUBIT_CAP = 26
 
@@ -21,6 +18,10 @@ SIGMA_MIN = 1e-6
 
 # Largest phase-register width allowed in circuit-mode amplitude estimation.
 MAX_PHASE_BITS = 14
+
+
+class QadsimError(Exception):
+    """Base of every error qadsim raises on purpose (bad input, broken invariant)."""
 
 
 def qubit_cap() -> int:

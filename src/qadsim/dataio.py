@@ -15,15 +15,15 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .arith import FixedPointFormat, RangeError
-from .config import SIGMA_MIN
+from .config import SIGMA_MIN, QadsimError
 from .simcore import BasisTransform, StateVector
 
 
-class DataError(Exception):
+class DataError(QadsimError):
     """Malformed input data (ragged rows, non-numeric cells, empty file)."""
 
 
-class DegenerateDataError(Exception):
+class DegenerateDataError(QadsimError):
     """A data-dependent constant vanished under the `error` policy."""
 
 

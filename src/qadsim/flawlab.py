@@ -15,11 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import QadsimError
 from .dataio import DataMatrix, QueryPoint
 from .simcore import HadamardBlock, RegisterLayout, StateVector, probability_of
 
 
-class FlawLabError(Exception):
+class FlawLabError(QadsimError):
     pass
 
 
@@ -115,8 +116,7 @@ def interfere_and_postselect(sup: SuperpositionState) -> dict:
         raise FlawLabError("post-selection probability is zero")
 
     lay = sv.layout
-    labels = np.arange(lay.dim)
-    keep = lay.extract(labels, "flag") == 1
+    keep = lay.field("flag") == 1
     actual = sv.amps[keep] / math.sqrt(p1)
 
     m, d = sup.rows.shape

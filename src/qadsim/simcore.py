@@ -7,20 +7,22 @@ Operations address registers by name, so the same operation object can be
 applied to any state whose layout contains registers of matching widths.
 
 Operations either act as dense linear maps on one register's label space
-(Hadamard blocks, QFT) or as basis-label permutations (:class:`BasisTransform`),
-which are exactly norm-preserving.  Every mutating entry point re-checks the
-norm invariant.
+(Hadamard blocks, QFT, keyed rotations) or as basis-label permutations
+(:class:`BasisTransform`), and each of these re-checks the norm invariant.
+The reflections are exact sign flips (a +-1 diagonal), which cannot change
+the norm, so they are not re-checked.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import NORM_TOL, PURITY_TOL, qubit_cap
+from .config import NORM_TOL, QadsimError, qubit_cap
 
 
-class SimulationError(Exception):
+class SimulationError(QadsimError):
     """Base class for simulator contract violations."""
 
 
@@ -34,10 +36,6 @@ class UnknownRegisterError(SimulationError):
 
 class NonInvertibleTransformError(SimulationError):
     """A basis transform's label table is not a bijection."""
-
-
-class EntangledDiscardError(SimulationError):
-    """Attempted to drop a register that is still entangled with the rest."""
 
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -74,6 +72,7 @@ class RegisterLayout:
         self.n_qubits = offset
         self.dim = 1 << offset
         self.names = tuple(name for name, _ in items)
+        self.registers = tuple((name, width) for name, width in items)
 
     def __contains__(self, name: str) -> bool:
         return name in self._widths
@@ -92,6 +91,17 @@ class RegisterLayout:
     def extract(self, labels, name: str):
         """Register field of full basis label(s); vectorized over arrays."""
         return (labels >> self.offset(name)) & ((1 << self.width(name)) - 1)
+
+    def field(self, *names: str) -> np.ndarray:
+        """Joint field of the named registers for every basis label.
+
+        The first name is the least significant part of the joint value. The
+        array is read-only and shared: it comes from a cache keyed on the
+        layout's registers, so equal layouts share it.
+        """
+        for name in names:
+            self._require(name)
+        return _label_field(self.registers, names)
 
     def replace(self, labels, name: str, field):
         """Full label(s) with the named register's field overwritten."""
@@ -112,6 +122,24 @@ class RegisterLayout:
             raise UnknownRegisterError(f"no register named {name!r} (have {self.names})")
 
 
+@lru_cache(maxsize=64)
+def _label_field(registers: tuple[tuple[str, int], ...], names: tuple[str, ...]) -> np.ndarray:
+    widths = dict(registers)
+    offsets = {}
+    n_qubits = 0
+    for name, width in registers:
+        offsets[name] = n_qubits
+        n_qubits += width
+    labels = np.arange(1 << n_qubits)
+    joint = np.zeros(labels.size, dtype=labels.dtype)
+    shift = 0
+    for name in names:
+        joint |= ((labels >> offsets[name]) & ((1 << widths[name]) - 1)) << shift
+        shift += widths[name]
+    joint.flags.writeable = False
+    return joint
+
+
 class StateVector:
     """Complex amplitudes over a register layout. Norm is an invariant."""
 
@@ -127,7 +155,7 @@ class StateVector:
         return StateVector(self.layout, self.amps.copy())
 
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
+        return float(np.vdot(self.amps, self.amps).real)
 
     def check_norm(self) -> None:
         if abs(self.norm_sq() - 1.0) > NORM_TOL:
@@ -154,14 +182,17 @@ class Operation:
         raise NotImplementedError
 
 
-def _apply_bit_matrix(state: StateVector, bitpos: int, mat: np.ndarray) -> None:
-    dim = state.amps.size
-    lo = 1 << bitpos
-    a = state.amps.reshape(dim // (2 * lo), 2, lo)
-    state.amps = np.einsum("ab,hbl->hal", mat, a).reshape(-1)
-
-
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
+
+
+@lru_cache(maxsize=16)
+def _walsh(width: int) -> np.ndarray:
+    """H on each of `width` qubits as one 2^width x 2^width matrix (read-only)."""
+    mat = np.ones((1, 1), dtype=complex)
+    for _ in range(width):
+        mat = np.kron(mat, _H2)
+    mat.flags.writeable = False
+    return mat
 
 
 class HadamardBlock(Operation):
@@ -172,9 +203,10 @@ class HadamardBlock(Operation):
 
     def apply(self, state: StateVector) -> StateVector:
         lay = state.layout
-        off = lay.offset(self.register)
-        for k in range(lay.width(self.register)):
-            _apply_bit_matrix(state, off + k, _H2)
+        w = lay.width(self.register)
+        lo = 1 << lay.offset(self.register)
+        a = state.amps.reshape(-1, 1 << w, lo)
+        state.amps = np.matmul(_walsh(w), a).reshape(-1)
         state.check_norm()
         return state
 
@@ -194,15 +226,11 @@ class Qft(Operation):
 
     def apply(self, state: StateVector) -> StateVector:
         lay = state.layout
-        w = lay.width(self.register)
-        blk = 1 << w
+        blk = 1 << lay.width(self.register)
         lo = 1 << lay.offset(self.register)
-        a = state.amps.reshape(state.amps.size // (blk * lo), blk, lo)
-        if self.inverse:
-            a = np.fft.fft(a, axis=1) / np.sqrt(blk)
-        else:
-            a = np.fft.ifft(a, axis=1) * np.sqrt(blk)
-        state.amps = np.ascontiguousarray(a).reshape(-1)
+        a = state.amps.reshape(-1, blk, lo)
+        transform = np.fft.fft if self.inverse else np.fft.ifft
+        state.amps = transform(a, axis=1, norm="ortho").reshape(-1)
         state.check_norm()
         return state
 
@@ -269,14 +297,8 @@ class BasisTransform(Operation):
                 raise UnknownRegisterError(
                     f"register {name!r} has width {lay.width(name)}, transform expects {w}"
                 )
-        labels = np.arange(lay.dim)
-        key = np.zeros(lay.dim, dtype=np.int64)
-        shift = 0
-        for name, w in zip(self.registers, self.widths):
-            key |= lay.extract(labels, name) << shift
-            shift += w
-        new_key = self.table[key]
-        new_labels = labels
+        new_key = self.table[lay.field(*self.registers)]
+        new_labels = np.arange(lay.dim)
         shift = 0
         for name, w in zip(self.registers, self.widths):
             field = (new_key >> shift) & ((1 << w) - 1)
@@ -318,20 +340,15 @@ class ValueKeyedRotation(Operation):
         lay = state.layout
         if lay.width(self.target) != 1:
             raise UnknownRegisterError(f"rotation target {self.target!r} must be 1 qubit")
-        tmask = 1 << lay.offset(self.target)
-        labels = np.arange(lay.dim)
-        base = labels[(labels & tmask) == 0]
-        key = np.zeros(base.size, dtype=np.int64)
-        shift = 0
-        for name in self.key_registers:
-            key |= lay.extract(base, name) << shift
-            shift += lay.width(name)
-        v = self.values[key]
+        lo = 1 << lay.offset(self.target)
+        # Axis 1 is the target bit; the key is read where the target is 0.
+        v = self.values[lay.field(*self.key_registers).reshape(-1, 2, lo)[:, 0, :]]
         s = np.sqrt(np.clip(1.0 - v * v, 0.0, None))
-        a0 = state.amps[base].copy()
-        a1 = state.amps[base | tmask].copy()
-        state.amps[base] = v * a0 + s * a1
-        state.amps[base | tmask] = s * a0 - v * a1
+        a = state.amps.reshape(-1, 2, lo)
+        out = np.empty_like(a)
+        out[:, 0, :] = v * a[:, 0, :] + s * a[:, 1, :]
+        out[:, 1, :] = s * a[:, 0, :] - v * a[:, 1, :]
+        state.amps = out.reshape(-1)
         state.check_norm()
         return state
 
@@ -357,9 +374,7 @@ class Controlled(Operation):
             raise SimulationError(f"control register {self.control!r} overlaps the target")
         old = state.amps.copy()
         self.inner.apply(state)
-        labels = np.arange(lay.dim)
-        off_branch = lay.extract(labels, self.control) != self.control_value
-        state.amps[off_branch] = old[off_branch]
+        np.copyto(state.amps, old, where=lay.field(self.control) != self.control_value)
         state.check_norm()
         return state
 
@@ -373,13 +388,12 @@ class ReflectAboutZero(Operation):
     def __init__(self, registers: Sequence[str]):
         self.registers = tuple(registers)
 
+    def diagonal(self, layout: RegisterLayout) -> np.ndarray:
+        """The +-1 diagonal: -1 where every named register reads 0."""
+        return np.where(layout.field(*self.registers) == 0, -1.0, 1.0)
+
     def apply(self, state: StateVector) -> StateVector:
-        lay = state.layout
-        labels = np.arange(lay.dim)
-        at_zero = np.ones(lay.dim, dtype=bool)
-        for name in self.registers:
-            at_zero &= lay.extract(labels, name) == 0
-        state.amps[at_zero] *= -1.0
+        state.amps *= self.diagonal(state.layout)
         return state
 
     def dagger(self) -> "ReflectAboutZero":
@@ -393,15 +407,16 @@ class ReflectWhere(Operation):
         self.register = register
         self.predicate = predicate
 
-    def apply(self, state: StateVector) -> StateVector:
-        lay = state.layout
-        labels = np.arange(lay.dim)
-        field = lay.extract(labels, self.register)
+    def diagonal(self, layout: RegisterLayout) -> np.ndarray:
+        """The +-1 diagonal: -1 where the register's label satisfies the predicate."""
         hits = np.fromiter(
-            (self.predicate(int(v)) for v in range(1 << lay.width(self.register))),
+            (self.predicate(v) for v in range(1 << layout.width(self.register))),
             dtype=bool,
         )
-        state.amps[hits[field]] *= -1.0
+        return np.where(hits[layout.field(self.register)], -1.0, 1.0)
+
+    def apply(self, state: StateVector) -> StateVector:
+        state.amps *= self.diagonal(state.layout)
         return state
 
     def dagger(self) -> "ReflectWhere":
@@ -414,11 +429,10 @@ class ReflectWhere(Operation):
 def marginal_probs(state: StateVector, register: str) -> np.ndarray:
     """Probability of each label of one register (length 2^width)."""
     lay = state.layout
-    w = lay.width(register)
-    blk = 1 << w
+    blk = 1 << lay.width(register)
     lo = 1 << lay.offset(register)
-    p = np.abs(state.amps.reshape(state.amps.size // (blk * lo), blk, lo)) ** 2
-    return p.sum(axis=(0, 2))
+    f = np.ascontiguousarray(state.amps).reshape(-1, blk, lo).view(np.float64)
+    return np.einsum("hbl,hbl->b", f, f)
 
 
 def probability_of(
@@ -443,45 +457,13 @@ def measure(
 ) -> tuple[int, StateVector]:
     """Sample one outcome for a register and collapse the state onto it."""
     outcome = sample(state, register, rng)
-    lay = state.layout
-    labels = np.arange(lay.dim)
-    keep = lay.extract(labels, register) == outcome
-    state.amps[~keep] = 0.0
-    norm = np.sqrt(np.sum(np.abs(state.amps) ** 2))
+    state.amps[state.layout.field(register) != outcome] = 0.0
+    norm = np.sqrt(state.norm_sq())
     if norm == 0.0:
         raise SimulationError("collapsed onto a zero-probability outcome")
     state.amps /= norm
     state.check_norm()
     return outcome, state
-
-
-def discard(state: StateVector, register: str) -> StateVector:
-    """Drop an unentangled register, or raise if it is still entangled.
-
-    The register must be in a product state with the rest (reduced purity
-    >= 1 - PURITY_TOL); silent partial trace is deliberately not offered.
-    """
-    lay = state.layout
-    w = lay.width(register)
-    blk = 1 << w
-    lo = 1 << lay.offset(register)
-    hi = state.amps.size // (blk * lo)
-    a = state.amps.reshape(hi, blk, lo).transpose(1, 0, 2).reshape(blk, hi * lo)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    purity = float(np.sum(s**4))
-    if purity < 1.0 - PURITY_TOL:
-        raise EntangledDiscardError(
-            f"register {register!r} is entangled (reduced purity {purity})"
-        )
-    rest = vh[0] * s[0]
-    # Fix the global phase so the dominant register amplitude is real positive.
-    lead = u[np.argmax(np.abs(u[:, 0])), 0]
-    rest = rest * (lead / abs(lead))
-    items = [(n, lay.width(n)) for n in lay.names if n != register]
-    new_layout = RegisterLayout(items)
-    out = StateVector(new_layout, rest.reshape(hi, lo).reshape(-1))
-    out.check_norm()
-    return out
 
 
 _COLUMN_REGISTER = "__col"
@@ -504,10 +486,16 @@ class _ColumnBatch(StateVector):
         self.columns = layout.dim
 
     def check_norm(self) -> None:
-        drift = np.sum(np.abs(self.amps.reshape(self.columns, -1)) ** 2, axis=1) - 1.0
-        worst = int(np.argmax(np.abs(drift)))
-        if abs(drift[worst]) > NORM_TOL:
-            raise SimulationError(f"column {worst} norm drifted: |psi|^2 = {1.0 + drift[worst]}")
+        check_unit_columns(self.amps.reshape(self.columns, -1).T)
+
+
+def check_unit_columns(mat: np.ndarray) -> None:
+    """Raise SimulationError unless every column of a matrix has unit norm."""
+    rows = np.ascontiguousarray(mat.T).view(np.float64)
+    drift = np.einsum("ij,ij->i", rows, rows) - 1.0
+    worst = int(np.argmax(np.abs(drift)))
+    if abs(drift[worst]) > NORM_TOL:
+        raise SimulationError(f"column {worst} norm drifted: |psi|^2 = {1.0 + drift[worst]}")
 
 
 def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout) -> np.ndarray:

@@ -146,16 +146,13 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
     c_const = 1.0
     mono = _monolithic_mean_prep(data, c_const)
     state = qpe_state(mono, t_bits)
-    lay = state.layout
-    labels = np.arange(lay.dim)
-    j_field = lay.extract(labels, "j")
-    phase_field = lay.extract(labels, PHASE_REGISTER)
+    j_field = state.layout.field("j")
+    phase_field = state.layout.field(PHASE_REGISTER)
     probs = np.abs(state.amps) ** 2
 
     prepared = mono.prepare()
-    plabels = np.arange(prepared.layout.dim)
-    pj = prepared.layout.extract(plabels, "j")
-    ps = prepared.layout.extract(plabels, "s")
+    pj = prepared.layout.field("j")
+    ps = prepared.layout.field("s")
     pprobs = np.abs(prepared.amps) ** 2
 
     failures = []

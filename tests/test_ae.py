@@ -6,6 +6,7 @@ import pytest
 from qadsim.ae import (
     AEConfig,
     AEResult,
+    GroverOperator,
     StatePreparation,
     bits_for_epsilon,
     build_grover,
@@ -15,14 +16,18 @@ from qadsim.ae import (
     phase_distribution,
     qpe_state,
 )
-from qadsim.dataio import QueryLedger
+from qadsim.dataio import DataMatrix, QueryLedger
 from qadsim.pipelines import interference_prep, squared_mean_prep
 from qadsim.simcore import (
+    HadamardBlock,
+    Operation,
     RegisterLayout,
     SimulationError,
     StateVector,
     ValueKeyedRotation,
+    operation_matrix,
 )
+from qadsim.verify import _monolithic_mean_prep
 
 
 def const_prep(a: float) -> StatePreparation:
@@ -298,12 +303,55 @@ def bhmt_distribution(a: float, t: int) -> np.ndarray:
     return 0.5 * (f(w0) + f(-w0))
 
 
+class _Merge(Operation):
+    """|0> and |1> of one qubit both go to |0>: every basis column keeps unit
+    norm, but the map is not unitary."""
+
+    def __init__(self, register: str):
+        self.register = register
+
+    def apply(self, state: StateVector) -> StateVector:
+        lay = state.layout
+        lo = 1 << lay.offset(self.register)
+        a = state.amps.reshape(-1, 2, lo)
+        out = np.zeros_like(a)
+        out[:, 0, :] = a[:, 0, :] + a[:, 1, :]
+        state.amps = out.reshape(-1)
+        return state
+
+    def dagger(self) -> "_Merge":
+        return self
+
+
 class TestIndependentReferences:
     def test_grover_matrix_equals_dense_product(self):
         for prep, _ in reference_preps():
             np.testing.assert_allclose(
                 build_grover(prep).matrix(), reference_grover(prep), rtol=0, atol=1e-12
             )
+
+    def test_grover_matrix_equals_dagger_replay(self):
+        # matrix() builds Q from one replay of A; apply() runs S_chi, the
+        # daggers of A's ops, S0 and A op by op. The two must agree.
+        mono = _monolithic_mean_prep(DataMatrix(np.array([[0.3, -0.7], [0.9, 0.1]])), 1.0)
+        assert "j" not in mono.reflection_registers
+        for prep in [p for p, _ in reference_preps()] + [mono]:
+            replay = -operation_matrix(GroverOperator(prep).ops, prep.layout)
+            np.testing.assert_allclose(build_grover(prep).matrix(), replay, rtol=0, atol=1e-12)
+
+    def test_grover_matrix_checks_its_columns(self):
+        # Every column of A keeps unit norm, so the per-op checks pass, but A
+        # is not unitary; Q's own column check must catch it.
+        prep = StatePreparation(
+            name="merge",
+            layout=RegisterLayout([("a", 1), ("b", 1)]),
+            ops=(HadamardBlock("b"), _Merge("a")),
+            good_register="b",
+            good_predicate=lambda label: label == 0,
+        )
+        operation_matrix(prep.ops, prep.layout)
+        with pytest.raises(SimulationError, match="column"):
+            build_grover(prep).matrix()
 
     def test_qpe_state_equals_naive_powers_and_dft(self):
         for prep, _ in reference_preps():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qadsim.cli import SCHEMA_VERSION, main
+from qadsim.verify import random_instance
 
 
 @pytest.fixture
@@ -148,3 +149,115 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+
+def _one_line_error(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestErrorContract:
+    def test_every_qadsim_error_derives_from_the_base(self):
+        import inspect
+
+        from qadsim import adde, adkpca, ae, arith, cli, config, dataio, flawlab, simcore
+        from qadsim.config import QadsimError
+
+        mods = (adde, adkpca, ae, arith, cli, config, dataio, flawlab, simcore)
+        errors = {
+            obj for mod in mods for _, obj in inspect.getmembers(mod, inspect.isclass)
+            if issubclass(obj, Exception) and obj.__module__.startswith("qadsim")
+        }
+        assert {e.__name__ for e in errors} >= {
+            "ConstantViolationError", "InsufficientDataError", "SimulationError",
+            "DataError", "RangeError", "FlawLabError",
+        }
+        assert all(issubclass(e, QadsimError) for e in errors)
+
+    def test_kpca_constant_violation_exit_2(self, tmp_path, capsys):
+        data, query = random_instance(7)
+        np.savetxt(tmp_path / "d.csv", data.real_values, delimiter=",")
+        np.savetxt(tmp_path / "q.csv", query.real_values[None], delimiter=",")
+        argv = ["kpca", "--data", str(tmp_path / "d.csv"), "--query", str(tmp_path / "q.csv"),
+                "--t-bits", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert _one_line_error(err) and "exceeds constant" in err
+
+    def test_kpca_one_row_exit_2(self, tmp_path, query_csv, capsys):
+        (tmp_path / "one.csv").write_text("1,2\n")
+        argv = ["kpca", "--data", str(tmp_path / "one.csv"), "--query", query_csv, "--t-bits", "4"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert _one_line_error(err) and "at least 2 training points" in err
+
+
+# Each case is (training CSV text, query CSV text).
+FUZZ_CSVS = {
+    "ragged": ("1,2\n3\n", "1,3\n"),
+    "non-numeric": ("1,2\nx,4\n", "1,3\n"),
+    "empty": ("", "1,3\n"),
+    "non-finite": ("1,nan\n2,3\n", "1,3\n"),
+    "constant-column": ("1,2\n1,4\n1,3\n", "1,3\n"),
+    "one-row": ("1,2\n", "1,3\n"),
+    "large-values": ("50,-49\n-50,48\n49.5,50\n", "51,-50\n"),
+    "query-width": ("1,2\n3,4\n0,3\n", "1,2,3\n"),
+    "query-two-rows": ("1,2\n3,4\n0,3\n", "1,2\n3,4\n"),
+    "plain": ("1,2\n3,4\n0,3\n2,1\n", "1,3\n"),
+}
+SMALL_T = [["--t-bits", str(t), *mode] for t in (1, 2, 3)
+           for mode in ([], ["--mode", "circuit", "--seed", "3"])]
+EXTREME_FLAGS = [
+    ["--t-bits", "0"],
+    ["--t-bits", "-3"],
+    ["--t-bits", "2000"],
+    ["--t-bits", "15", "--mode", "circuit", "--seed", "1"],
+    ["--t-bits", "2", "--mode", "circuit", "--seed", "-5"],
+    ["--epsilon", "1e-310"],
+    ["--epsilon", "0.999"],
+    ["--epsilon", "5"],
+    ["--epsilon", "-1"],
+    ["--t-bits", "2", "--fp-int-bits", "0"],
+    ["--t-bits", "2", "--fp-frac-bits", "0"],
+    ["--t-bits", "2", "--fp-int-bits", "-1"],
+    ["--t-bits", "2", "--policy", "epsilon-floor"],
+    ["--t-bits", "2", "--delta", "-1"],
+    ["--t-bits", "2", "--delta", "1e300"],
+]
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the flags
+        return exc.code
+
+
+class TestFuzz:
+    """Every input ends in exit 0, 1 or 2 without a traceback; 1 only from detect."""
+
+    def _check(self, argv, capsys):
+        code = _exit_code(argv)
+        err = capsys.readouterr().err
+        assert code in ({0, 1, 2} if argv[0] == "detect" else {0, 2}), (argv, code)
+        assert "Traceback" not in err, argv
+        if code == 2 and err.startswith("error: "):
+            assert err.count("\n") == 1, (argv, err)
+
+    @pytest.mark.parametrize("case", sorted(FUZZ_CSVS))
+    def test_csv_inputs(self, case, tmp_path, capsys):
+        data, query = (tmp_path / "d.csv", tmp_path / "q.csv")
+        data.write_text(FUZZ_CSVS[case][0])
+        query.write_text(FUZZ_CSVS[case][1])
+        files = ["--data", str(data), "--query", str(query)]
+        self._check(["fit", *files[:2]], capsys)
+        self._check(["flaws", *files], capsys)
+        for flags in SMALL_T:
+            for command in ("detect", "kpca"):
+                self._check([command, *files, *flags], capsys)
+
+    @pytest.mark.parametrize("flags", EXTREME_FLAGS, ids=" ".join)
+    def test_extreme_flags(self, flags, data_csv, query_csv, capsys):
+        for command in ("detect", "kpca"):
+            if "--delta" in flags and command == "kpca":
+                continue
+            self._check([command, "--data", data_csv, "--query", query_csv, *flags], capsys)

@@ -4,7 +4,6 @@ import pytest
 from qadsim.simcore import (
     BasisTransform,
     Controlled,
-    EntangledDiscardError,
     HadamardBlock,
     LayoutError,
     NonInvertibleTransformError,
@@ -17,7 +16,6 @@ from qadsim.simcore import (
     StateVector,
     UnknownRegisterError,
     ValueKeyedRotation,
-    discard,
     marginal_probs,
     measure,
     new_state,
@@ -71,8 +69,34 @@ class TestRegisterLayout:
         assert lay.offset("p") == 2
         assert lay.names == ("a", "p")
 
+    def test_field_matches_extract_and_is_read_only(self):
+        lay = RegisterLayout([("a", 2), ("b", 1), ("c", 3)])
+        labels = np.arange(lay.dim)
+        for name in lay.names:
+            field = lay.field(name)
+            np.testing.assert_array_equal(field, lay.extract(labels, name))
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 1
+        joint = lay.extract(labels, "c") | (lay.extract(labels, "a") << 3)
+        np.testing.assert_array_equal(lay.field("c", "a"), joint)
+
+    def test_field_is_shared_by_equal_layouts(self):
+        one = RegisterLayout([("a", 2), ("b", 1)])
+        two = RegisterLayout({"a": 2, "b": 1})
+        assert one.field("b") is two.field("b")
+        with pytest.raises(UnknownRegisterError):
+            one.field("zz")
+
 
 class TestHadamard:
+    def test_equals_kronecker_product_of_single_qubit_h(self):
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        lay = RegisterLayout([("a", 1), ("b", 3), ("c", 1)])
+        mat = operation_matrix([HadamardBlock("b")], lay)
+        want = np.kron(np.eye(2), np.kron(h, np.kron(h, np.kron(h, np.eye(2)))))
+        np.testing.assert_allclose(mat, want, rtol=0, atol=1e-15)
+
     def test_uniform_superposition(self):
         state = new_state(RegisterLayout([("a", 3)]))
         HadamardBlock("a").apply(state)
@@ -215,6 +239,20 @@ class TestMeasurement:
         state = StateVector(lay, np.array([0.6, 0.0, 0.0, 0.8], dtype=complex))
         np.testing.assert_allclose(marginal_probs(state, "b"), [0.36, 0.64])
 
+    def test_reductions_equal_abs_squared_forms(self):
+        lay = RegisterLayout([("a", 2), ("b", 3), ("c", 1)])
+        rng = np.random.default_rng(9)
+        amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
+        amps /= np.linalg.norm(amps)
+        state = StateVector(lay, amps)
+        probs = (np.abs(amps) ** 2).reshape(2, 8, 4)
+        assert state.norm_sq() == pytest.approx(np.sum(np.abs(amps) ** 2), rel=0, abs=1e-15)
+        for name, axis in (("a", 2), ("b", 1), ("c", 0)):
+            others = tuple(k for k in range(3) if k != axis)
+            np.testing.assert_allclose(
+                marginal_probs(state, name), probs.sum(axis=others), rtol=0, atol=1e-15
+            )
+
     def test_measure_deterministic_under_seed(self):
         lay = RegisterLayout([("a", 2)])
         amps = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
@@ -236,21 +274,6 @@ class TestMeasurement:
             drawn = sample(state, "a", seed)
             np.testing.assert_array_equal(state.amps, amps)
             assert drawn == measure(state, "a", seed)[0]
-
-    def test_discard_product_register(self):
-        lay = RegisterLayout([("a", 1), ("b", 1)])
-        state = new_state(lay)
-        HadamardBlock("a").apply(state)
-        out = discard(state, "a")
-        assert out.layout.names == ("b",)
-        assert abs(out.amps[0]) == pytest.approx(1.0)
-
-    def test_discard_entangled_raises(self):
-        lay = RegisterLayout([("a", 1), ("b", 1)])
-        amps = np.zeros(4, dtype=complex)
-        amps[0b00] = amps[0b11] = 1 / np.sqrt(2)
-        with pytest.raises(EntangledDiscardError):
-            discard(StateVector(lay, amps), "a")
 
 
 def test_operation_matrix_unitary():
