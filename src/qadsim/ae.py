@@ -283,14 +283,13 @@ def bits_for_epsilon(eps_target: float) -> tuple[int, str | None]:
     """Smallest t with pi/2^t + pi^2/2^(2t) <= eps_target.
 
     Returns (t, mode_hint); the hint is "ideal" when t exceeds the circuit-mode
-    phase-register cap.
+    phase-register cap. Raises ValueError, from grid_epsilon, when no grid of
+    at most MAX_GRID_BITS bits is that fine.
     """
     if eps_target <= 0.0:
         raise ValueError("epsilon target must be positive")
     t = 1
     while grid_epsilon(t) > eps_target:
-        if t == MAX_GRID_BITS:
-            raise ValueError(f"epsilon target {eps_target} is finer than a {t}-bit grid")
         t += 1
     hint = "ideal" if t > MAX_PHASE_BITS else None
     return t, hint

@@ -96,11 +96,14 @@ class RegisterLayout:
         """Joint field of the named registers for every basis label.
 
         The first name is the least significant part of the joint value. The
-        array is read-only and shared: it comes from a cache keyed on the
-        layout's registers, so equal layouts share it.
+        array is read-only. For layouts of at most _FIELD_CACHE_MAX_DIM labels
+        it is shared: it comes from a cache keyed on the layout's registers, so
+        equal layouts share it. Larger layouts compute it on every call.
         """
         for name in names:
             self._require(name)
+        if self.dim > _FIELD_CACHE_MAX_DIM:
+            return _label_field.__wrapped__(self.registers, names)
         return _label_field(self.registers, names)
 
     def replace(self, labels, name: str, field):
@@ -120,6 +123,11 @@ class RegisterLayout:
     def _require(self, name: str) -> None:
         if name not in self._widths:
             raise UnknownRegisterError(f"no register named {name!r} (have {self.names})")
+
+
+# Cached label fields are int64 arrays of at most this many labels, and at most
+# 64 of them are kept, so the cache never holds more than 2 MiB.
+_FIELD_CACHE_MAX_DIM = 1 << 12
 
 
 @lru_cache(maxsize=64)
@@ -185,7 +193,12 @@ class Operation:
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
 
 
-@lru_cache(maxsize=16)
+# HadamardBlock contracts a register in slices of at most this many qubits, so
+# its Walsh matrices stay at most 16 x 16 and its cost linear in the width.
+_WALSH_MAX_BITS = 4
+
+
+@lru_cache(maxsize=_WALSH_MAX_BITS)
 def _walsh(width: int) -> np.ndarray:
     """H on each of `width` qubits as one 2^width x 2^width matrix (read-only)."""
     mat = np.ones((1, 1), dtype=complex)
@@ -196,7 +209,12 @@ def _walsh(width: int) -> np.ndarray:
 
 
 class HadamardBlock(Operation):
-    """H on every qubit of one register."""
+    """H on every qubit of one register.
+
+    The register is split, from its least significant qubit up, into slices of
+    at most _WALSH_MAX_BITS qubits, and each slice's Walsh matrix is applied in
+    one matmul; a register of up to four qubits takes one.
+    """
 
     def __init__(self, register: str):
         self.register = register
@@ -204,9 +222,11 @@ class HadamardBlock(Operation):
     def apply(self, state: StateVector) -> StateVector:
         lay = state.layout
         w = lay.width(self.register)
-        lo = 1 << lay.offset(self.register)
-        a = state.amps.reshape(-1, 1 << w, lo)
-        state.amps = np.matmul(_walsh(w), a).reshape(-1)
+        off = lay.offset(self.register)
+        for k in range(0, w, _WALSH_MAX_BITS):
+            bits = min(_WALSH_MAX_BITS, w - k)
+            a = state.amps.reshape(-1, 1 << bits, 1 << (off + k))
+            state.amps = np.matmul(_walsh(bits), a).reshape(-1)
         state.check_norm()
         return state
 

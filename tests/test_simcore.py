@@ -16,6 +16,7 @@ from qadsim.simcore import (
     StateVector,
     UnknownRegisterError,
     ValueKeyedRotation,
+    _label_field,
     marginal_probs,
     measure,
     new_state,
@@ -88,6 +89,15 @@ class TestRegisterLayout:
         with pytest.raises(UnknownRegisterError):
             one.field("zz")
 
+    def test_field_of_large_layout_is_not_cached(self):
+        lay = RegisterLayout([("a", 6), ("b", 7)])
+        before = _label_field.cache_info().currsize
+        field = lay.field("b")
+        np.testing.assert_array_equal(field, lay.extract(np.arange(lay.dim), "b"))
+        assert not field.flags.writeable
+        assert lay.field("b") is not field
+        assert _label_field.cache_info().currsize == before
+
 
 class TestHadamard:
     def test_equals_kronecker_product_of_single_qubit_h(self):
@@ -96,6 +106,29 @@ class TestHadamard:
         mat = operation_matrix([HadamardBlock("b")], lay)
         want = np.kron(np.eye(2), np.kron(h, np.kron(h, np.kron(h, np.eye(2)))))
         np.testing.assert_allclose(mat, want, rtol=0, atol=1e-15)
+
+    def test_register_wider_than_one_slice(self):
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        lay = RegisterLayout([("a", 1), ("b", 6), ("c", 1)])
+        mat = operation_matrix([HadamardBlock("b")], lay)
+        want = np.ones((1, 1))
+        for _ in range(6):
+            want = np.kron(h, want)
+        want = np.kron(np.eye(2), np.kron(want, np.eye(2)))
+        np.testing.assert_allclose(mat, want, rtol=0, atol=1e-15)
+
+    def test_wide_register_matches_per_qubit_form(self):
+        lay = RegisterLayout([("a", 1), ("b", 16), ("c", 1)])
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
+        amps /= np.linalg.norm(amps)
+        want = amps
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        for k in range(16):
+            lo = 1 << (lay.offset("b") + k)
+            want = np.einsum("ab,hbl->hal", h, want.reshape(-1, 2, lo)).reshape(-1)
+        state = HadamardBlock("b").apply(StateVector(lay, amps))
+        np.testing.assert_allclose(state.amps, want, rtol=0, atol=1e-15)
 
     def test_uniform_superposition(self):
         state = new_state(RegisterLayout([("a", 3)]))
