@@ -1,8 +1,8 @@
 """Desk-scale simulation toolkit for amplitude-estimation-based anomaly detection.
 
 Layers, bottom up: `simcore` (dense statevector simulator over named
-registers), `arith` (fixed-point reversible arithmetic as basis-label maps),
-`dataio` (data loading, QRAM-emulating oracles, query ledger, normalizing
+registers), `arith` (the fixed-point format of digitally stored estimates),
+`dataio` (data loading, query ledger, variance floor, normalizing
 constants), `ae` (canonical amplitude estimation), `adde` / `adkpca` (the two
 detection pipelines with their error budgets), `flawlab` (numeric exhibits of
 the prior analog-encoded scheme's defects), `verify` (aggregate verification

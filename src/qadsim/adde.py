@@ -10,19 +10,18 @@ hidden classical information leaks into the quantum stages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ae import AEResult, bits_for_epsilon, grid_epsilon, overlap_from_result
-from .config import SIGMA_MIN
+from .ae import AEResult, bits_for_epsilon, overlap_from_result
 from .dataio import (
     Constants,
     DataMatrix,
-    DegenerateDataError,
     QueryLedger,
     QueryPoint,
     compute_constants,
+    floor_variance,
     power_of_two_at_least,
 )
 from .pipelines import EstimatorRun, PipelineConfig, interference_prep, squared_mean_prep
@@ -56,31 +55,14 @@ class ErrorBudget:
     planned_grover: int
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "eps_mean": self.eps_mean,
-            "eps_var": self.eps_var,
-            "eps_tail": self.eps_tail,
-            "t_mean": self.t_mean,
-            "t_var": self.t_var,
-            "t_tail": self.t_tail,
-            "mode_hint": self.mode_hint,
-            "planned_grover": self.planned_grover,
-        }
+        return asdict(self)
 
 
 def classical_fit(data: DataMatrix, policy: str = "error") -> GaussianModel:
     """Population mean and variance per feature (divisor M)."""
     x = data.real_values
     mu = x.mean(axis=0)
-    sigma2 = np.mean((x - mu) ** 2, axis=0)
-    low = sigma2 < SIGMA_MIN
-    if np.any(low):
-        if policy == "error":
-            raise DegenerateDataError(
-                f"variance below floor for features {np.flatnonzero(low).tolist()}"
-            )
-        sigma2 = np.where(low, SIGMA_MIN, sigma2)
+    sigma2 = floor_variance(np.mean((x - mu) ** 2, axis=0), policy, "variance")
     return GaussianModel(mu=mu, sigma2=sigma2, source="classical")
 
 
@@ -202,17 +184,6 @@ def estimate_variances(
     return sigma2_hat, d_used, results
 
 
-def _guarded_sigma(sigma2_hat: np.ndarray, policy: str) -> np.ndarray:
-    low = sigma2_hat < SIGMA_MIN
-    if np.any(low):
-        if policy == "error":
-            raise DegenerateDataError(
-                f"estimated variance below floor for features {np.flatnonzero(low).tolist()}"
-            )
-        sigma2_hat = np.where(low, SIGMA_MIN, sigma2_hat)
-    return sigma2_hat
-
-
 def estimate_p(
     query: QueryPoint,
     mu_hat: np.ndarray,
@@ -227,7 +198,7 @@ def estimate_p(
     mean/variance break the rotation bound for the initial T, T is recomputed
     from the estimates and the stage retried once.
     """
-    sigma2_hat = _guarded_sigma(sigma2_hat, runner.config.policy)
+    sigma2_hat = floor_variance(sigma2_hat, runner.config.policy, "estimated variance")
     sigma_hat = np.sqrt(sigma2_hat)
     x0 = query.real_values
     d = x0.size
@@ -261,7 +232,7 @@ def estimate_q(
     Returns (q_hat, E actually used, AE diagnostics); the normalizer E is
     inflated when an estimated log-variance exceeds the classical maximum.
     """
-    sigma2_hat = _guarded_sigma(sigma2_hat, runner.config.policy)
+    sigma2_hat = floor_variance(sigma2_hat, runner.config.policy, "estimated variance")
     logs = np.log(sigma2_hat)
     e_used = max(e_const, float(np.max(np.abs(logs))))
     if e_used == 0.0:
@@ -339,9 +310,8 @@ def run_adde(
 
     ledger = QueryLedger()
     runner = EstimatorRun(config, ledger)
-    t_mean = runner.t_for(budget.eps_mean if budget else None)
-    t_var = runner.t_for(budget.eps_var if budget else None)
-    t_tail = runner.t_for(budget.eps_tail if budget else None)
+    shares = (budget.eps_mean, budget.eps_var, budget.eps_tail) if budget else (None,) * 3
+    (t_mean, eps_mean), (t_var, eps_var), (t_tail, eps_tail) = map(runner.precision, shares)
 
     mu_hat, _ = estimate_means(data, constants, runner, t_mean)
     sigma2_hat, _d_used, _ = estimate_variances(data, mu_hat, constants, runner, t_var)
@@ -351,9 +321,6 @@ def run_adde(
     )
     ln_p_hat = log_density_estimate(p_hat, q_hat, d, t_used, e_used)
 
-    eps_mean = budget.eps_mean if budget else grid_epsilon(t_mean)
-    eps_var = budget.eps_var if budget else grid_epsilon(t_var)
-    eps_tail = budget.eps_tail if budget else grid_epsilon(t_tail)
     bounds = {
         "mu": 2.0 * constants.C * eps_mean,
         "sigma2": 2.0 * constants.D * eps_var + 8.0 * constants.C**2 * eps_mean,
@@ -365,11 +332,11 @@ def run_adde(
     if budget is not None:
         bounds["lnP"] = budget.epsilon
 
-    sigma_hat_guarded = _guarded_sigma(sigma2_hat, "epsilon-floor")
+    sigma2_floored = floor_variance(sigma2_hat, "epsilon-floor", "estimated variance")
     p_formula = float(
-        np.mean(((query.real_values - mu_hat) / (np.sqrt(sigma_hat_guarded) * t_used)) ** 2)
+        np.mean(((query.real_values - mu_hat) / (np.sqrt(sigma2_floored) * t_used)) ** 2)
     )
-    q_formula = float(np.mean(np.log(sigma_hat_guarded))) / e_used if e_used else 0.0
+    q_formula = float(np.mean(np.log(sigma2_floored))) / e_used if e_used else 0.0
     observed = {
         "mu": float(np.max(np.abs(mu_hat - model.mu))),
         "sigma2": float(np.max(np.abs(sigma2_hat - model.sigma2))),

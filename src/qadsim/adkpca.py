@@ -10,11 +10,11 @@ estimation round.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ae import AEResult, bits_for_epsilon, grid_epsilon, overlap_from_result
+from .ae import AEResult, bits_for_epsilon, overlap_from_result
 from .config import QadsimError
 from .dataio import (
     Constants,
@@ -57,18 +57,7 @@ class KPCABudget:
     mode_hint: str | None
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "eps_mean": self.eps_mean,
-            "eps_dist": self.eps_dist,
-            "eps_omega": self.eps_omega,
-            "eps_bsum": self.eps_bsum,
-            "t_mean": self.t_mean,
-            "t_dist": self.t_dist,
-            "t_omega": self.t_omega,
-            "t_bsum": self.t_bsum,
-            "mode_hint": self.mode_hint,
-        }
+        return asdict(self)
 
 
 def classical_moments(data: DataMatrix) -> MomentModel:
@@ -255,10 +244,14 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
 
     ledger = QueryLedger()
     runner = EstimatorRun(config, ledger)
-    t_mean = runner.t_for(budget.eps_mean if budget else None)
-    t_dist = runner.t_for(budget.eps_dist if budget else None)
-    t_omega = runner.t_for(budget.eps_omega if budget else None)
-    t_bsum = runner.t_for(budget.eps_bsum if budget else None)
+    shares = (
+        (budget.eps_mean, budget.eps_dist, budget.eps_omega, budget.eps_bsum)
+        if budget
+        else (None,) * 4
+    )
+    (t_mean, eps_mean), (t_dist, eps_dist), (t_omega, eps_omega), (t_bsum, eps_bsum) = map(
+        runner.precision, shares
+    )
 
     mu_hat, _ = estimate_means(data, constants, runner, t_mean)
     a_hat, cp_used, _ = estimate_a(query, mu_hat, constants.C_prime, runner, t_dist)
@@ -268,10 +261,6 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     b_hat, _ = estimate_b(omegas_hat, data.padded_rows, runner, t_bsum)
     f_hat = proximity_estimate(a_hat, b_hat, d, m, cp_used, cdp_used)
 
-    eps_mean = budget.eps_mean if budget else grid_epsilon(t_mean)
-    eps_dist = budget.eps_dist if budget else grid_epsilon(t_dist)
-    eps_omega = budget.eps_omega if budget else grid_epsilon(t_omega)
-    eps_bsum = budget.eps_bsum if budget else grid_epsilon(t_bsum)
     C, cp, cdp = constants.C, constants.C_prime, constants.C_dprime
     bounds = {
         "distance_sq": d * cp**2 * eps_dist + 4.0 * d * cp * C * eps_mean,

@@ -72,11 +72,6 @@ class StatePreparation:
             op.apply(state)
         return state
 
-    def apply_dagger(self, state: StateVector) -> StateVector:
-        for op in reversed(self.ops):
-            op.dagger().apply(state)
-        return state
-
     def prepare(self) -> StateVector:
         return self.apply(new_state(self.layout))
 
@@ -123,10 +118,6 @@ class GroverOperator:
         q *= self.good_flip.diagonal(layout)
         check_unit_columns(q)
         return q
-
-
-def build_grover(prep: StatePreparation) -> GroverOperator:
-    return GroverOperator(prep)
 
 
 @dataclass(frozen=True)
@@ -223,7 +214,7 @@ def qpe_state(prep: StatePreparation, t: int) -> StateVector:
     rows = np.empty((1 << t, prep.layout.dim), dtype=complex)
     rows[0] = psi
 
-    power = build_grover(prep).matrix()
+    power = GroverOperator(prep).matrix()
     for k in range(t):
         half = 1 << k
         np.matmul(rows[:half], power.T, out=rows[half : 2 * half])

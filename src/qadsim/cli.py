@@ -18,7 +18,7 @@ from .adde import classical_fit, run_adde
 from .adkpca import classical_moments, run_adkpca
 from .arith import FixedPointFormat
 from .config import QadsimError
-from .dataio import load_csv, load_query_csv
+from .dataio import POLICIES, load_csv, load_query_csv
 from .flawlab import run_flaw_suite
 from .pipelines import PipelineConfig
 from .verify import SUITES, run_suite
@@ -56,7 +56,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="RNG seed (required in circuit mode)")
     p.add_argument("--fp-int-bits", type=int, default=8)
     p.add_argument("--fp-frac-bits", type=int, default=16)
-    p.add_argument("--policy", choices=("error", "epsilon-floor"), default="error")
+    p.add_argument("--policy", choices=POLICIES, default="error")
 
 
 def _require_finite(args: argparse.Namespace, *flags: str) -> None:
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="classical Gaussian fit of the training data")
     _add_data_flags(p_fit, query=False)
-    p_fit.add_argument("--policy", choices=("error", "epsilon-floor"), default="error")
+    p_fit.add_argument("--policy", choices=POLICIES, default="error")
     p_fit.add_argument("--out", help="JSON report path")
 
     p_detect = sub.add_parser("detect", help="density-estimation anomaly detection")

@@ -1,4 +1,5 @@
-"""Training data / query point storage, QRAM-emulating oracles, constants.
+"""Training data and query point storage, the query ledger, the variance
+floor and the normalizing constants.
 
 Data matrices are zero-padded up to power-of-two shapes (minimum 2 per axis so
 every index register has at least one qubit).  A mask of real rows/columns is
@@ -14,9 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .arith import FixedPointFormat, RangeError
 from .config import SIGMA_MIN, QadsimError
-from .simcore import BasisTransform, StateVector
 
 
 class DataError(QadsimError):
@@ -143,73 +142,30 @@ def load_query_csv(path: str, has_header: bool = False, padded_dim: int | None =
 
 
 # ---------------------------------------------------------------------------
-# oracles
-
-def _lookup_oracle(
-    registers: list[str],
-    index_bits: list[int],
-    value_register: str,
-    fmt: FixedPointFormat,
-    table_values: np.ndarray,
-) -> BasisTransform:
-    widths = index_bits + [fmt.word_bits]
-    flat = table_values.reshape(-1, order="F")  # first index register least significant
-    encoded = np.array([fmt.encode(float(v)) for v in flat], dtype=np.int64)
-
-    def label_map(fields):
-        *idx, word = fields
-        key = 0
-        shift = 0
-        for k, w in zip(idx, index_bits):
-            key |= k << shift
-            shift += w
-        return (*idx, word ^ int(encoded[key]))
-
-    return BasisTransform.from_function(registers + [value_register], widths, label_map)
-
-
-def oracle_OX(
-    data: DataMatrix,
-    i_register: str,
-    j_register: str,
-    value_register: str,
-    fmt: FixedPointFormat,
-) -> BasisTransform:
-    """Data oracle |i>|j>|v> -> |i>|j>|v XOR encode(x_j^i)> as a label map.
-
-    Ledger charging happens at application time via :func:`apply_oracle`.
-    """
-    try:
-        return _lookup_oracle(
-            [i_register, j_register],
-            [data.row_bits, data.col_bits],
-            value_register,
-            fmt,
-            data.values,  # row index i least significant in the key
-        )
-    except RangeError as exc:
-        raise RangeError(f"data entry overflows the value format: {exc}") from exc
-
-
-def oracle_Ox(
-    query: QueryPoint,
-    j_register: str,
-    value_register: str,
-    fmt: FixedPointFormat,
-) -> BasisTransform:
-    """Query oracle |j>|v> -> |j>|v XOR encode(x0_j)>."""
-    bits = query.padded_dim.bit_length() - 1
-    return _lookup_oracle([j_register], [bits], value_register, fmt, query.values)
-
-
-def apply_oracle(state: StateVector, transform: BasisTransform, ledger: QueryLedger | None = None, kind: str = "oracle_data") -> StateVector:
-    if ledger is not None:
-        ledger.add(**{kind: 1})
-    return transform.apply(state)
-
-
-# ---------------------------------------------------------------------------
 # data-dependent constants
+
+POLICIES = ("error", "epsilon-floor")
+
+
+def floor_variance(sigma2: np.ndarray, policy: str, label: str) -> np.ndarray:
+    """Variances with every entry below SIGMA_MIN handled by the policy.
+
+    policy: "error" raises DegenerateDataError naming the features (the
+    message starts with `label`); "epsilon-floor" substitutes SIGMA_MIN.
+    Callers take sigma as the square root of the result, so the floored
+    sigma and sigma^2 always agree.
+    """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown degenerate-data policy {policy!r}")
+    low = sigma2 < SIGMA_MIN
+    if not np.any(low):
+        return sigma2
+    if policy == "error":
+        raise DegenerateDataError(
+            f"{label} below floor for features {np.flatnonzero(low).tolist()}"
+        )
+    return np.where(low, SIGMA_MIN, sigma2)
+
 
 @dataclass(frozen=True)
 class Constants:
@@ -241,23 +197,14 @@ def compute_constants(
     """Evaluate the defining max-identities on the unpadded data.
 
     policy: "error" raises on any zero constant / degenerate variance;
-    "epsilon-floor" substitutes SIGMA_MIN instead.
+    "epsilon-floor" substitutes SIGMA_MIN instead (see floor_variance).
     """
-    if policy not in ("error", "epsilon-floor"):
-        raise ValueError(f"unknown degenerate-data policy {policy!r}")
     x = data.real_values
     x0 = query.real_values
     mu = np.asarray(mu, dtype=float)
-    sigma2 = np.asarray(sigma2, dtype=float)
     if x0.size != x.shape[1] or mu.size != x.shape[1]:
         raise DataError("query/model dimension does not match the data matrix")
-
-    low = sigma2 < SIGMA_MIN
-    if np.any(low):
-        if policy == "error":
-            bad = np.flatnonzero(low).tolist()
-            raise DegenerateDataError(f"variance below floor for features {bad}")
-        sigma2 = np.where(low, SIGMA_MIN, sigma2)
+    sigma2 = floor_variance(np.asarray(sigma2, dtype=float), policy, "variance")
     sigma = np.sqrt(sigma2)
 
     def floored(value: float, label: str) -> float:

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ae import AEConfig, AEResult, StatePreparation, bits_for_epsilon, estimate_amplitude
+from .ae import (
+    AEConfig,
+    AEResult,
+    StatePreparation,
+    bits_for_epsilon,
+    estimate_amplitude,
+    grid_epsilon,
+)
 from .arith import FixedPointFormat
 from .dataio import QueryLedger
 from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation
@@ -102,19 +109,25 @@ def squared_mean_prep(name: str, values: np.ndarray, costs: dict) -> StatePrepar
 
 
 class EstimatorRun:
-    """Chooses phase-register widths and hands out per-run AE configs."""
+    """Chooses each stage's phase grid and error charge, and hands out
+    per-run AE configs."""
 
     def __init__(self, config: PipelineConfig, ledger: QueryLedger | None = None):
         self.config = config
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._run_index = 0
 
-    def t_for(self, eps_target: float | None) -> int:
-        """Phase bits for one estimator: configured t, or derived from epsilon."""
+    def precision(self, eps_target: float | None) -> tuple[int, float]:
+        """(phase bits, amplitude error charged) for one estimator stage.
+
+        A configured t wins and is charged its grid's worst-case error;
+        otherwise the stage gets the coarsest grid meeting its budget share
+        eps_target and is charged that share.
+        """
         if self.config.t_bits is not None:
-            return self.config.t_bits
+            return self.config.t_bits, grid_epsilon(self.config.t_bits)
         t, _hint = bits_for_epsilon(eps_target)
-        return t
+        return t, eps_target
 
     def run(self, prep: StatePreparation, t_bits: int) -> AEResult:
         seed = None

@@ -6,11 +6,13 @@ register after it sits above the previous one (little-endian throughout).
 Operations address registers by name, so the same operation object can be
 applied to any state whose layout contains registers of matching widths.
 
-Operations either act as dense linear maps on one register's label space
-(Hadamard blocks, QFT, keyed rotations) or as basis-label permutations
-(:class:`BasisTransform`), and each of these re-checks the norm invariant.
-The reflections are exact sign flips (a +-1 diagonal), which cannot change
-the norm, so they are not re-checked.
+Operations act as dense linear maps on one register's label space (Hadamard
+blocks, QFT, keyed rotations, and controlled versions of these), and each of
+them re-checks the norm invariant. The reflections are exact sign flips (a
++-1 diagonal), which cannot change the norm, so they are not re-checked.
+Digital arithmetic is not simulated gate by gate: an oracle write, a
+controlled rotation on the written value and the uncompute collapse into one
+:class:`ValueKeyedRotation` on the index.
 """
 from __future__ import annotations
 
@@ -32,10 +34,6 @@ class LayoutError(SimulationError):
 
 class UnknownRegisterError(SimulationError):
     """An operation referenced a register the layout does not contain."""
-
-
-class NonInvertibleTransformError(SimulationError):
-    """A basis transform's label table is not a bijection."""
 
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -85,9 +83,6 @@ class RegisterLayout:
         self._require(name)
         return self._offsets[name]
 
-    def mask(self, name: str) -> int:
-        return ((1 << self.width(name)) - 1) << self.offset(name)
-
     def extract(self, labels, name: str):
         """Register field of full basis label(s); vectorized over arrays."""
         return (labels >> self.offset(name)) & ((1 << self.width(name)) - 1)
@@ -105,10 +100,6 @@ class RegisterLayout:
         if self.dim > _FIELD_CACHE_MAX_DIM:
             return _label_field.__wrapped__(self.registers, names)
         return _label_field(self.registers, names)
-
-    def replace(self, labels, name: str, field):
-        """Full label(s) with the named register's field overwritten."""
-        return (labels & ~self.mask(name)) | (field << self.offset(name))
 
     def extended(self, name: str, width: int, *, capped: bool = True) -> "RegisterLayout":
         """New layout with one more register appended above the existing ones.
@@ -258,84 +249,6 @@ class Qft(Operation):
         return Qft(self.register, inverse=not self.inverse)
 
 
-class BasisTransform(Operation):
-    """Invertible map on the joint label space of the named registers.
-
-    The map is given as a lookup table over the joint label, with the first
-    named register in the least significant position of the key.  Acts as a
-    permutation matrix on the full state, so norms are preserved exactly.
-    """
-
-    def __init__(self, registers: Sequence[str], widths: Sequence[int], table: np.ndarray):
-        table = np.asarray(table, dtype=np.int64)
-        size = 1 << sum(widths)
-        if table.shape != (size,):
-            raise NonInvertibleTransformError(
-                f"table has shape {table.shape}, expected ({size},)"
-            )
-        if not np.array_equal(np.sort(table), np.arange(size)):
-            raise NonInvertibleTransformError("label table is not a bijection")
-        self.registers = tuple(registers)
-        self.widths = tuple(widths)
-        self.table = table
-
-    @classmethod
-    def from_function(
-        cls,
-        registers: Sequence[str],
-        widths: Sequence[int],
-        fn: Callable[[tuple[int, ...]], tuple[int, ...]],
-    ) -> "BasisTransform":
-        """Build the table from a python function on per-register label tuples."""
-        size = 1 << sum(widths)
-        table = np.empty(size, dtype=np.int64)
-        for key in range(size):
-            fields = []
-            rest = key
-            for w in widths:
-                fields.append(rest & ((1 << w) - 1))
-                rest >>= w
-            out = fn(tuple(fields))
-            if len(out) != len(widths):
-                raise NonInvertibleTransformError("map returned wrong number of fields")
-            new_key = 0
-            shift = 0
-            for val, w in zip(out, widths):
-                if not 0 <= val < (1 << w):
-                    raise NonInvertibleTransformError(
-                        f"field value {val} out of range for width {w}"
-                    )
-                new_key |= val << shift
-                shift += w
-            table[key] = new_key
-        return cls(registers, widths, table)
-
-    def apply(self, state: StateVector) -> StateVector:
-        lay = state.layout
-        for name, w in zip(self.registers, self.widths):
-            if lay.width(name) != w:
-                raise UnknownRegisterError(
-                    f"register {name!r} has width {lay.width(name)}, transform expects {w}"
-                )
-        new_key = self.table[lay.field(*self.registers)]
-        new_labels = np.arange(lay.dim)
-        shift = 0
-        for name, w in zip(self.registers, self.widths):
-            field = (new_key >> shift) & ((1 << w) - 1)
-            new_labels = lay.replace(new_labels, name, field)
-            shift += w
-        out = np.empty_like(state.amps)
-        out[new_labels] = state.amps
-        state.amps = out
-        state.check_norm()
-        return state
-
-    def dagger(self) -> "BasisTransform":
-        inv = np.empty_like(self.table)
-        inv[self.table] = np.arange(self.table.size)
-        return BasisTransform(self.registers, self.widths, inv)
-
-
 class ValueKeyedRotation(Operation):
     """Rotation of a one-qubit target keyed by the label of the key registers.
 
@@ -344,7 +257,9 @@ class ValueKeyedRotation(Operation):
     v|0> + s|1>.  Hermitian, hence self-inverse.  This is the exact label-level
     emulation of an oracle write / digital controlled rotation / oracle
     uncompute sandwich: the digital value register starts and ends in |0>, so
-    the composite acts only on the key registers and the target.
+    the composite acts only on the key registers and the target. For an
+    oracle writing the fixed-point word of x_k and a rotation by the decoded
+    word over C, the matching values are values[k] = quantize(x_k) / C.
     """
 
     def __init__(self, key_registers: Sequence[str], target: str, values: np.ndarray):
@@ -521,9 +436,10 @@ def check_unit_columns(mat: np.ndarray) -> None:
 def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout) -> np.ndarray:
     """Dense matrix of a composed operation sequence (small layouts only).
 
-    The ops run once on all basis columns together (see `_ColumnBatch`), and
-    every column's norm is checked after every op. The batch holds dim^2
-    amplitudes; it is exempt from the qubit cap, which the layout itself
+    The ops run once on all basis columns together (see `_ColumnBatch`), so
+    each op's own norm check checks every column's norm. The result is
+    checked once more, for ops that do not check themselves. The batch holds
+    dim^2 amplitudes; it is exempt from the qubit cap, which the layout itself
     already passed.
     """
     dim = layout.dim
@@ -532,5 +448,5 @@ def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout) -> np.nda
     batch = _ColumnBatch(layout)
     for op in ops:
         op.apply(batch)
-        batch.check_norm()
+    batch.check_norm()
     return np.ascontiguousarray(batch.amps.reshape(dim, dim).T)

@@ -68,6 +68,8 @@ def random_instance(
 
 def bounds_suite(seeds: int = 100, t_bits: int = 10, base_seed: int = 0) -> dict:
     """Per-stage error-bound compliance in ideal mode over random instances."""
+    if seeds < 1:
+        raise ValueError(f"the bounds suite needs at least 1 seed, got {seeds}")
     failures = []
     for k in range(seeds):
         data, query = random_instance(base_seed + k)

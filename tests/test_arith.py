@@ -1,23 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from qadsim.arith import (
-    ArithmeticGate,
-    DomainError,
-    FixedPointFormat,
-    RangeError,
-    a_gate,
-    apply_arithmetic,
-    ln_gate,
-    reciprocal_scale_gate,
-    square_gate,
-    subtract_gate,
-)
-from qadsim.simcore import RegisterLayout, StateVector, new_state
+from qadsim.arith import FixedPointFormat, RangeError
 
-FMT = FixedPointFormat(int_bits=2, frac_bits=3)  # 6-bit words keep tables small
+FMT = FixedPointFormat(int_bits=2, frac_bits=3)  # 6-bit words
 
 
 class TestFixedPointFormat:
@@ -52,80 +38,12 @@ class TestFixedPointFormat:
         for v in rng.uniform(-3.5, 3.5, size=50):
             assert abs(FMT.quantize(v) - v) <= FMT.resolution / 2
 
-
-def _run_gate(gate, layout, inputs):
-    """Apply a gate to a basis state with the given register values (words)."""
-    state = new_state(layout)
-    label = 0
-    for name, word in inputs.items():
-        label = layout.replace(label, name, word)
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[label] = 1.0
-    state = StateVector(layout, amps)
-    apply_arithmetic(state, gate)
-    out = int(np.argmax(np.abs(state.amps)))
-    return {name: int(layout.extract(out, name)) for name in layout.names}
-
-
-class TestGates:
-    def test_subtract(self):
-        lay = RegisterLayout([("a", 6), ("b", 6), ("r", 6)])
-        gate = subtract_gate("a", "b", "r", FMT)
-        out = _run_gate(gate, lay, {"a": FMT.encode(1.5), "b": FMT.encode(0.375)})
-        assert FMT.decode(out["r"]) == 1.125
-
-    def test_xor_write_involution(self):
-        lay = RegisterLayout([("a", 6), ("r", 6)])
-        gate = square_gate("a", "r", FMT)
-        state = new_state(lay)
-        label = lay.replace(0, "a", FMT.encode(1.25))
-        amps = np.zeros(lay.dim, dtype=complex)
-        amps[label] = 1.0
-        state = StateVector(lay, amps)
-        apply_arithmetic(state, gate)
-        apply_arithmetic(state, gate)
-        assert state.amps[label] == pytest.approx(1.0)
-
-    def test_square_quantizes_result(self):
-        lay = RegisterLayout([("a", 6), ("r", 6)])
-        out = _run_gate(square_gate("a", "r", FMT), lay, {"a": FMT.encode(1.5)})
-        assert FMT.decode(out["r"]) == 2.25
-
-    def test_ln_gate(self):
-        lay = RegisterLayout([("a", 6), ("r", 6)])
-        out = _run_gate(ln_gate("a", "r", FMT), lay, {"a": FMT.encode(2.0)})
-        assert FMT.decode(out["r"]) == pytest.approx(math.log(2.0), abs=FMT.resolution / 2)
-
-    def test_ln_domain_error(self):
-        lay = RegisterLayout([("a", 6), ("r", 6)])
-        with pytest.raises(DomainError):
-            _run_gate(ln_gate("a", "r", FMT), lay, {"a": FMT.encode(0.0)})
-
-    def test_reciprocal_scale(self):
-        lay = RegisterLayout([("n", 6), ("d", 6), ("r", 6)])
-        gate = reciprocal_scale_gate("n", "d", "r", scale=2.0, fmt=FMT)
-        out = _run_gate(gate, lay, {"n": FMT.encode(3.0), "d": FMT.encode(0.75)})
-        assert FMT.decode(out["r"]) == 2.0
-
-    def test_reciprocal_divisor_floor(self):
-        lay = RegisterLayout([("n", 6), ("d", 6), ("r", 6)])
-        gate = reciprocal_scale_gate("n", "d", "r", scale=1.0, fmt=FMT)
-        with pytest.raises(DomainError):
-            _run_gate(gate, lay, {"n": FMT.encode(1.0), "d": FMT.encode(0.0)})
-
-    def test_a_gate_recovers_overlap(self):
-        # angle 1/4 (as a fraction of pi) encodes overlap 2 sin^2(pi/4) - 1 = 0
-        lay = RegisterLayout([("a", 6), ("r", 6)])
-        out = _run_gate(a_gate("a", "r", scale=2.0, fmt=FMT), lay, {"a": FMT.encode(0.25)})
-        assert FMT.decode(out["r"]) == pytest.approx(0.0, abs=FMT.resolution / 2)
-
-    def test_result_overflow_raises(self):
-        lay = RegisterLayout([("a", 6), ("r", 6)])
-        with pytest.raises(RangeError):
-            _run_gate(square_gate("a", "r", FMT), lay, {"a": FMT.encode(2.5)})
-
-    def test_target_overlapping_sources_rejected(self):
-        gate = ArithmeticGate("bad", ("a",), "a", lambda x: x, (FMT,), FMT)
-        lay = RegisterLayout([("a", 6)])
+    @pytest.mark.parametrize("widths", [(-1, 16), (8, -1), (100_000_000_000, 16), (48, 16)])
+    def test_bad_widths_rejected(self, widths):
         with pytest.raises(ValueError):
-            apply_arithmetic(new_state(lay), gate)
+            FixedPointFormat(*widths)
+
+    def test_widest_word_accepted(self):
+        fmt = FixedPointFormat(47, 16)
+        assert fmt.word_bits == 64
+        assert fmt.quantize(-1.5) == -1.5

@@ -156,6 +156,15 @@ def _one_line_error(err: str) -> bool:
 
 
 class TestErrorContract:
+    @pytest.mark.parametrize("flag", ["--fp-int-bits", "--fp-frac-bits"])
+    def test_unusable_fixed_point_width_exit_2(self, flag, data_csv, query_csv, capsys):
+        for value in ("100000000000", "-1"):
+            argv = ["detect", "--data", data_csv, "--query", query_csv, "--t-bits", "2",
+                    flag, value]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert _one_line_error(err) and "fixed-point" in err
+
     def test_every_qadsim_error_derives_from_the_base(self):
         import inspect
 
@@ -219,6 +228,7 @@ EXTREME_FLAGS = [
     ["--t-bits", "2", "--fp-int-bits", "0"],
     ["--t-bits", "2", "--fp-frac-bits", "0"],
     ["--t-bits", "2", "--fp-int-bits", "-1"],
+    ["--t-bits", "2", "--fp-int-bits", "100000000000"],
     ["--t-bits", "2", "--policy", "epsilon-floor"],
     ["--t-bits", "2", "--delta", "-1"],
     ["--t-bits", "2", "--delta", "1e300"],
@@ -254,6 +264,14 @@ class TestFuzz:
         for flags in SMALL_T:
             for command in ("detect", "kpca"):
                 self._check([command, *files, *flags], capsys)
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_verify_without_seeds(self, seeds, capsys):
+        # An empty bounds suite would pass vacuously; it must be rejected.
+        assert main(["verify", "--suite", "bounds", "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert _one_line_error(captured.err) and "at least 1 seed" in captured.err
 
     @pytest.mark.parametrize("flags", EXTREME_FLAGS, ids=" ".join)
     def test_extreme_flags(self, flags, data_csv, query_csv, capsys):

@@ -1,24 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
-from qadsim.arith import FixedPointFormat
+from qadsim.config import SIGMA_MIN
 from qadsim.dataio import (
     DataError,
     DataMatrix,
     DegenerateDataError,
     QueryLedger,
     QueryPoint,
-    apply_oracle,
     compute_constants,
     load_csv,
+    floor_variance,
     load_query_csv,
-    oracle_OX,
-    oracle_Ox,
     power_of_two_at_least,
 )
-from qadsim.simcore import RegisterLayout, StateVector, new_state
-
-FMT = FixedPointFormat(int_bits=2, frac_bits=3)
 
 
 class TestDataMatrix:
@@ -84,54 +81,6 @@ class TestCsv:
             load_csv(str(p))
 
 
-class TestOracles:
-    def test_data_oracle_writes_encoded_entry(self):
-        x = np.array([[1.0, -0.5], [2.0, 0.25]])
-        data = DataMatrix(x)
-        lay = RegisterLayout([("i", 1), ("j", 1), ("v", FMT.word_bits)])
-        oracle = oracle_OX(data, "i", "j", "v", FMT)
-        for i in range(2):
-            for j in range(2):
-                amps = np.zeros(lay.dim, dtype=complex)
-                label = lay.replace(lay.replace(0, "i", i), "j", j)
-                amps[label] = 1.0
-                state = StateVector(lay, amps)
-                oracle.apply(state)
-                out = int(np.argmax(np.abs(state.amps)))
-                assert FMT.decode(int(lay.extract(out, "v"))) == x[i, j]
-
-    def test_oracle_is_self_inverse(self):
-        data = DataMatrix(np.array([[1.0, -0.5], [2.0, 0.25]]))
-        lay = RegisterLayout([("i", 1), ("j", 1), ("v", FMT.word_bits)])
-        oracle = oracle_OX(data, "i", "j", "v", FMT)
-        state = new_state(lay)
-        oracle.apply(state)
-        oracle.apply(state)
-        assert state.amps[0] == pytest.approx(1.0)
-
-    def test_query_oracle(self):
-        q = QueryPoint(np.array([0.5, -1.0]))
-        lay = RegisterLayout([("j", 1), ("v", FMT.word_bits)])
-        oracle = oracle_Ox(q, "j", "v", FMT)
-        amps = np.zeros(lay.dim, dtype=complex)
-        amps[lay.replace(0, "j", 1)] = 1.0
-        state = StateVector(lay, amps)
-        oracle.apply(state)
-        out = int(np.argmax(np.abs(state.amps)))
-        assert FMT.decode(int(lay.extract(out, "v"))) == -1.0
-
-    def test_ledger_charged_at_apply_time(self):
-        data = DataMatrix(np.array([[1.0, -0.5], [2.0, 0.25]]))
-        lay = RegisterLayout([("i", 1), ("j", 1), ("v", FMT.word_bits)])
-        oracle = oracle_OX(data, "i", "j", "v", FMT)
-        ledger = QueryLedger()
-        state = new_state(lay)
-        apply_oracle(state, oracle, ledger, kind="oracle_data")
-        apply_oracle(state, oracle, ledger, kind="oracle_data")
-        assert ledger.oracle_data == 2
-        assert ledger.grover == 0
-
-
 class TestLedger:
     def test_monotone(self):
         ledger = QueryLedger()
@@ -190,11 +139,34 @@ class TestConstants:
         c = compute_constants(data, query, x.mean(axis=0), np.zeros(1), policy="epsilon-floor")
         assert c.C == 1.0
         assert c.D == 1e-6  # floored: all residuals vanish
+        # E and T read the floored variance: ln SIGMA_MIN, and |2 - 1| / sqrt(SIGMA_MIN)
+        assert c.E == abs(math.log(SIGMA_MIN))
+        assert c.T == power_of_two_at_least(1.0 / math.sqrt(SIGMA_MIN)) == 1024.0
 
     def test_unknown_policy(self):
         data = DataMatrix(np.array([[1.0], [2.0]]))
         with pytest.raises(ValueError):
             compute_constants(data, QueryPoint(np.array([1.0])), np.array([1.5]), np.array([0.25]), policy="??")
+
+
+class TestFloorVariance:
+    def test_floor_substitutes_sigma_min(self):
+        sigma2 = np.array([0.5, 0.0, 1e-7])
+        out = floor_variance(sigma2, "epsilon-floor", "variance")
+        np.testing.assert_array_equal(out, [0.5, SIGMA_MIN, SIGMA_MIN])
+        np.testing.assert_array_equal(sigma2, [0.5, 0.0, 1e-7])  # input untouched
+
+    def test_error_policy_names_features(self):
+        with pytest.raises(DegenerateDataError, match=r"^estimated variance below floor for features \[1\]"):
+            floor_variance(np.array([0.5, 0.0]), "error", "estimated variance")
+
+    def test_healthy_variances_pass_through(self):
+        sigma2 = np.array([0.5, 2.0])
+        assert floor_variance(sigma2, "error", "variance") is sigma2
+
+    def test_unknown_policy(self):
+        with pytest.raises(ValueError):
+            floor_variance(np.array([0.5]), "??", "variance")
 
 
 def test_power_of_two_at_least():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qadsim.ae import grid_epsilon
 from qadsim.arith import FixedPointFormat
 from qadsim.dataio import QueryLedger
 from qadsim.pipelines import (
@@ -56,12 +57,15 @@ class TestPreparations:
 class TestEstimatorRun:
     def test_t_for_fixed(self):
         runner = EstimatorRun(PipelineConfig(t_bits=7))
-        assert runner.t_for(None) == 7
-        assert runner.t_for(0.001) == 7  # configured t wins
+        # The configured t wins and is charged its grid's worst-case error.
+        assert runner.precision(None) == (7, grid_epsilon(7))
+        assert runner.precision(0.001) == (7, grid_epsilon(7))
 
     def test_t_for_epsilon(self):
         runner = EstimatorRun(PipelineConfig(epsilon=0.1))
-        assert runner.t_for(0.5) == 4
+        # The coarsest grid meeting the share, charged the share itself.
+        assert runner.precision(0.5) == (4, 0.5)
+        assert grid_epsilon(4) <= 0.5 < grid_epsilon(3)
 
     def test_run_sequence_reproducible(self):
         prep = squared_mean_prep("t", np.array([0.4, 0.7]), costs={})

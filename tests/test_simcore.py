@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from qadsim.arith import FixedPointFormat
 from qadsim.simcore import (
-    BasisTransform,
     Controlled,
     HadamardBlock,
     LayoutError,
-    NonInvertibleTransformError,
     Operation,
     Qft,
     ReflectAboutZero,
@@ -39,7 +38,8 @@ class TestRegisterLayout:
         label = (5 << 2) | 3  # b=5, a=3
         assert lay.extract(label, "a") == 3
         assert lay.extract(label, "b") == 5
-        assert lay.replace(label, "a", 0) == 5 << 2
+        rebuilt = sum(int(lay.extract(label, n)) << lay.offset(n) for n in lay.names)
+        assert rebuilt == label
 
     def test_extract_vectorized(self):
         lay = RegisterLayout([("a", 1), ("b", 1)])
@@ -174,36 +174,6 @@ class TestQft:
         assert probability_of(state, "a", lambda v: v == 0) == pytest.approx(1.0)
 
 
-class TestBasisTransform:
-    def test_permutation_applies(self):
-        lay = RegisterLayout([("a", 2)])
-        xform = BasisTransform.from_function(["a"], [2], lambda f: ((f[0] + 1) % 4,))
-        state = new_state(lay)
-        xform.apply(state)
-        assert state.amps[1] == 1.0
-
-    def test_non_bijection_rejected(self):
-        with pytest.raises(NonInvertibleTransformError):
-            BasisTransform(["a"], [1], np.array([0, 0]))
-
-    def test_dagger_inverts(self):
-        lay = RegisterLayout([("a", 3)])
-        xform = BasisTransform.from_function(["a"], [3], lambda f: (f[0] ^ 5,))
-        rng = np.random.default_rng(2)
-        amps = rng.normal(size=8) + 0j
-        amps /= np.linalg.norm(amps)
-        state = StateVector(lay, amps.copy())
-        xform.apply(state)
-        xform.dagger().apply(state)
-        np.testing.assert_allclose(state.amps, amps, atol=1e-14)
-
-    def test_width_mismatch_rejected(self):
-        lay = RegisterLayout([("a", 2)])
-        xform = BasisTransform.from_function(["a"], [1], lambda f: f)
-        with pytest.raises(UnknownRegisterError):
-            xform.apply(new_state(lay))
-
-
 class TestValueKeyedRotation:
     def test_amplitude_placement(self):
         lay = RegisterLayout([("k", 1), ("t", 1)])
@@ -230,6 +200,35 @@ class TestValueKeyedRotation:
     def test_value_out_of_range_rejected(self):
         with pytest.raises(SimulationError):
             ValueKeyedRotation(["k"], "t", np.array([1.5, 0.0]))
+
+    def test_equals_oracle_rotation_uncompute_sandwich(self):
+        # The digital sequence the rotation stands for, simulated label by
+        # label: an oracle XOR-writes the fixed-point word of x[idx] into w, a
+        # rotation keyed on w turns by decode(w) / C, and the oracle runs
+        # again. It must equal one index-keyed rotation by quantize(x) / C and
+        # leave w back at 0.
+        fmt = FixedPointFormat(int_bits=2, frac_bits=3)  # 1 + 2 + 3 bits
+        x = np.array([1.23, -2.71, 0.06, 3.3])
+        assert not np.array_equal([fmt.quantize(v) for v in x], x)
+        c = 4.0  # |decode(w)| <= 4 for every word, so every table value is <= 1
+        lay = RegisterLayout([("idx", 2), ("w", fmt.word_bits), ("anc", 1)])
+        words = np.array([fmt.encode(v) for v in x])
+        # The oracle as a label permutation; XOR makes it its own inverse.
+        oracle = np.arange(lay.dim) ^ (words[lay.field("idx")] << lay.offset("w"))
+        by_word = np.array([fmt.decode(w) for w in range(1 << fmt.word_bits)]) / c
+
+        state = new_state(lay)
+        HadamardBlock("idx").apply(state)
+        state.amps = state.amps[oracle]
+        ValueKeyedRotation(["w"], "anc", by_word).apply(state)
+        state.amps = state.amps[oracle]
+
+        expected = new_state(lay)
+        HadamardBlock("idx").apply(expected)
+        by_index = np.array([fmt.quantize(v) for v in x]) / c
+        ValueKeyedRotation(["idx"], "anc", by_index).apply(expected)
+        np.testing.assert_allclose(state.amps, expected.amps, rtol=0, atol=1e-12)
+        assert marginal_probs(state, "w")[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestControlled:
