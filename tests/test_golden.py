@@ -25,6 +25,7 @@ CONFIGS = {
     "ideal-eps0.2": dict(epsilon=0.2),
     "circuit-t4": dict(t_bits=4, mode="circuit", seed=40),
     "circuit-t6": dict(t_bits=6, mode="circuit", seed=60),
+    "circuit-t10": dict(t_bits=10, mode="circuit", seed=100),
 }
 
 
