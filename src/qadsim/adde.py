@@ -301,6 +301,7 @@ def run_adde(
     """Full detection run: fit, quantum estimation, budget checks, flag."""
     model = classical_fit(data, policy=config.policy)
     constants = compute_constants(data, query, model.mu, model.sigma2, policy=config.policy)
+    config.check_range(constants.C, constants.D**2, constants.T, constants.E)
     ln_p_classical = classical_log_density(model, query)
     d = data.n_cols
 

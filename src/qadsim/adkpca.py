@@ -234,6 +234,7 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     model = classical_moments(data)
     fit = classical_fit(data, policy="epsilon-floor")
     constants = compute_constants(data, query, fit.mu, fit.sigma2, policy="epsilon-floor")
+    config.check_range(constants.C)  # the means are the only unclipped values it quantizes
     f_classical = classical_proximity(model, query)
     d = data.n_cols
     m = data.n_rows

@@ -6,6 +6,10 @@ Grover operator Q = -A S0 Adag Schi is built from it, and the estimator runs
 either a faithful phase-estimation circuit (`circuit` mode, stochastic under a
 seed) or a deterministic nearest-grid rounding of the exact angle (`ideal`
 mode).  Both modes charge the same 2^t - 1 Grover applications to the ledger.
+
+A and Q are real orthogonal, so Q's eigenvalues pair up as e^{+-2i theta}
+(Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055) and the state before the
+inverse QFT is real; `simcore.Qft` reads the phase register off it exactly.
 """
 from __future__ import annotations
 
@@ -27,11 +31,10 @@ from .simcore import (
     SimulationError,
     StateVector,
     check_unit_columns,
-    marginal_probs,
+    draw,
     new_state,
     operation_matrix,
     probability_of,
-    sample,
 )
 
 PHASE_REGISTER = "__phase"
@@ -86,8 +89,9 @@ class GroverOperator:
     `apply` runs Q on a state op by op: Schi, then A's ops undone in reverse,
     S0, and A's ops. `matrix` builds Q from a single replay of A: with A's
     dense matrix and the +-1 diagonals of the two reflections,
-    Q = -(A diag(S0)) Adag diag(Schi), and every column of the product is
-    checked for unit norm.
+    Q = -(A diag(S0)) A^T diag(Schi), and every column of the product is
+    checked for unit norm. A's matrix is kept as `_a` for `qpe_state`, which
+    reads A|0> from its column 0 rather than replaying A once more.
     """
 
     def __init__(self, prep: StatePreparation):
@@ -113,8 +117,8 @@ class GroverOperator:
     def matrix(self) -> np.ndarray:
         """Dense matrix of Q on the preparation's layout (small layouts)."""
         layout = self.prep.layout
-        a = operation_matrix(self.prep.ops, layout)
-        q = (a * -self.zero_flip.diagonal(layout)) @ a.conj().T
+        self._a = a = operation_matrix(self.prep.ops, layout)
+        q = (a * -self.zero_flip.diagonal(layout)) @ a.T
         q *= self.good_flip.diagonal(layout)
         check_unit_columns(q)
         return q
@@ -152,26 +156,11 @@ class AEResult:
     raw_outcome: int | None = None
 
     @property
-    def grid_step(self) -> float:
-        return math.pi / (1 << self.t_bits)
-
-    @property
     def error_bound(self) -> float:
         """A-priori amplitude error bound at the estimated amplitude."""
         a = self.amplitude
         n = 1 << self.t_bits
         return 2.0 * math.pi * math.sqrt(max(a * (1.0 - a), 0.0)) / n + math.pi**2 / n**2
-
-    def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "amplitude": self.amplitude,
-            "t_bits": self.t_bits,
-            "mode": self.mode,
-            "grover_count": self.grover_count,
-            "grid_step": self.grid_step,
-            "error_bound": self.error_bound,
-        }
 
 
 def _fold_outcome(y: int, t: int) -> float:
@@ -198,37 +187,36 @@ def _grid_amplitude(y: int, t: int) -> float:
 
 
 def qpe_state(prep: StatePreparation, t: int) -> StateVector:
-    """Full phase-estimation state right before the phase-register measurement.
+    """Real phase-estimation state right before the inverse QFT.
 
-    Before the inverse QFT, row y of the (2^t, dim) amplitude array is
-    Q^y A|0> / sqrt(2^t). A runs on the 2^n register only; row 0 is A|0>
-    times (1/sqrt 2)^t, t multiplies as the t Hadamards would make, and rows
-    [2^k, 2^(k+1)) are rows [0, 2^k) times Q^(2^k), the repeated square of
-    Q's dense matrix, so each row gets its powers in the circuit's order.
-    The ledger cost model still counts 2^t - 1 elementary applications.
+    Row y of the (2^t, dim) amplitude array is Q^y A|0> / sqrt(2^t). A is
+    replayed once, on the 2^n register only, to build Q; its column 0 is
+    A|0>. Row 0 is A|0> times (1/sqrt 2)^t, t multiplies as the t Hadamards
+    would make, and rows [2^k, 2^(k+1)) are rows [0, 2^k) times Q^(2^k), the
+    repeated square of Q's dense matrix, so each row gets its powers in the
+    circuit's order. The ledger cost model still counts 2^t - 1 elementary
+    applications. `phase_distribution` reads the phase register out.
     """
     layout = prep.layout.extended(PHASE_REGISTER, t)  # enforces the qubit cap
-    psi = prep.prepare().amps
+    grover = GroverOperator(prep)
+    power = grover.matrix()
+    rows = np.empty((1 << t, prep.layout.dim))
+    rows[0] = grover._a[:, 0]
     for _ in range(t):
-        psi = psi * _SQRT2_INV
-    rows = np.empty((1 << t, prep.layout.dim), dtype=complex)
-    rows[0] = psi
-
-    power = GroverOperator(prep).matrix()
+        rows[0] *= _SQRT2_INV
     for k in range(t):
         half = 1 << k
         np.matmul(rows[:half], power.T, out=rows[half : 2 * half])
         if k + 1 < t:
             power = power @ power
     state = StateVector(layout, rows.reshape(-1))
-    Qft(PHASE_REGISTER, inverse=True).apply(state)
     state.check_norm()
     return state
 
 
 def phase_distribution(prep: StatePreparation, t: int) -> np.ndarray:
     """Deterministic distribution of the phase-register outcome."""
-    return marginal_probs(qpe_state(prep, t), PHASE_REGISTER)
+    return Qft(PHASE_REGISTER).apply(qpe_state(prep, t))
 
 
 def estimate_amplitude(
@@ -252,7 +240,7 @@ def estimate_amplitude(
         raw = None
         amplitude = _grid_amplitude(y, t)
     else:
-        raw = sample(qpe_state(prep, t), PHASE_REGISTER, config.seed)
+        raw = draw(phase_distribution(prep, t), config.seed)
         theta_hat = _fold_outcome(raw, t)
         amplitude = _grid_amplitude(raw, t)
     return AEResult(

@@ -90,12 +90,10 @@ def build_superposition(data: DataMatrix) -> SuperpositionState:
 
     m_pad, d_pad = data.padded_rows, data.padded_cols
     layout = RegisterLayout([("flag", 1), ("j", d_pad.bit_length() - 1), ("i", m_pad.bit_length() - 1)])
-    amps = np.zeros((m_pad, d_pad, 2), dtype=complex)  # [i, j, flag], flag least significant
-    m = data.n_rows
-    for i in range(m):
-        for j in range(data.n_cols):
-            amps[i, j, 0] = rows[i, j]
-            amps[i, j, 1] = mu_sum[j] / n_mu
+    amps = np.zeros((m_pad, d_pad, 2))  # [i, j, flag], flag least significant
+    m, d = rows.shape
+    amps[:m, :d, 0] = rows
+    amps[:m, :d, 1] = mu_sum / n_mu
     global_norm = math.sqrt(2.0 * m)
     sv = StateVector(layout, amps.reshape(-1) / global_norm)
     sv.check_norm()
@@ -120,10 +118,9 @@ def interfere_and_postselect(sup: SuperpositionState) -> dict:
     actual = sv.amps[keep] / math.sqrt(p1)
 
     m, d = sup.rows.shape
-    claimed = np.zeros_like(actual)
     m_pad = 1 << lay.width("i")
     d_pad = 1 << lay.width("j")
-    grid = np.zeros((m_pad, d_pad), dtype=complex)
+    grid = np.zeros((m_pad, d_pad))
     grid[:m, :d] = sup.rows - sup.mu_sum
     claimed_norm = np.linalg.norm(grid)
     if claimed_norm == 0.0:
@@ -136,8 +133,9 @@ def interfere_and_postselect(sup: SuperpositionState) -> dict:
         "postselect_probability": p1,
         "N_mu": sup.n_mu,
         "discrepancy": discrepancy,
-        "actual_amplitudes": [[z.real, z.imag] for z in actual],
-        "claimed_amplitudes": [[z.real, z.imag] for z in claimed],
+        # [re, im] pairs; the simulator's amplitudes are real.
+        "actual_amplitudes": [[float(z), 0.0] for z in actual],
+        "claimed_amplitudes": [[float(z), 0.0] for z in claimed],
     }
 
 
@@ -195,12 +193,10 @@ def expectation_audit(
         bits = max(1, (d - 1).bit_length())
         d_pad = 1 << bits
         layout = RegisterLayout([("anc", 1), ("j", bits)])
-        amps = np.zeros((d_pad, 2), dtype=complex)
-        for j in range(d):
-            amps[j, 0] = logs[j]
-            amps[j, 1] = math.sqrt(1.0 - logs[j] ** 2)
-        for j in range(d, d_pad):
-            amps[j, 1] = 1.0
+        amps = np.zeros((d_pad, 2))
+        amps[:d, 0] = logs
+        amps[:d, 1] = np.sqrt(1.0 - logs**2)
+        amps[d:, 1] = 1.0
         sv = StateVector(layout, amps.reshape(-1) / math.sqrt(d_pad))
         good = probability_of(sv, "anc", lambda label: label == 0)
         actual = float(good * d_pad)

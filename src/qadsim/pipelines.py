@@ -59,6 +59,12 @@ class PipelineConfig:
             "policy": self.policy,
         }
 
+    def check_range(self, *values: float) -> None:
+        """Raise RangeError unless fp_format holds every value. The pipelines
+        pass the bounds of what they will quantize, before any simulation."""
+        for value in values:
+            self.fp_format.encode(value)
+
 
 def _index_bits(padded: int) -> int:
     return padded.bit_length() - 1

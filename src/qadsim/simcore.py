@@ -6,10 +6,12 @@ register after it sits above the previous one (little-endian throughout).
 Operations address registers by name, so the same operation object can be
 applied to any state whose layout contains registers of matching widths.
 
-Operations act as dense linear maps on one register's label space (Hadamard
-blocks, QFT, keyed rotations, and controlled versions of these), and each of
-them re-checks the norm invariant. The reflections are exact sign flips (a
-+-1 diagonal), which cannot change the norm, so they are not re-checked.
+Amplitudes are real (float64): every operation A and Q use is real orthogonal
+(Walsh-Hadamard blocks, keyed rotations, controlled versions of these, +-1
+reflections). Each op re-checks the norm invariant except the reflections,
+exact sign flips that cannot change it. The one complex step, the inverse QFT
+of phase estimation, is never applied to a state: :class:`Qft` reads the
+register's outcome distribution off the real state with a half-spectrum FFT.
 Digital arithmetic is not simulated gate by gate: an oracle write, a
 controlled rotation on the written value and the uncompute collapse into one
 :class:`ValueKeyedRotation` on the index.
@@ -140,30 +142,36 @@ def _label_field(registers: tuple[tuple[str, int], ...], names: tuple[str, ...])
 
 
 class StateVector:
-    """Complex amplitudes over a register layout. Norm is an invariant."""
+    """Real amplitudes over a register layout. Norm is an invariant."""
+
+    columns = 1  # states stored side by side (see _ColumnBatch); each is norm-checked
 
     def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
         if amplitudes.shape != (layout.dim,):
             raise LayoutError(
                 f"amplitude array has shape {amplitudes.shape}, expected ({layout.dim},)"
             )
+        if np.iscomplexobj(amplitudes) and np.any(amplitudes.imag):
+            raise SimulationError("amplitudes must be real; got a non-zero imaginary part")
         self.layout = layout
-        self.amps = np.asarray(amplitudes, dtype=complex)
+        self.amps = np.asarray(amplitudes.real, dtype=np.float64)
 
     def copy(self) -> "StateVector":
         return StateVector(self.layout, self.amps.copy())
 
     def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
+        return float(np.vdot(self.amps, self.amps))
 
     def check_norm(self) -> None:
-        if abs(self.norm_sq() - 1.0) > NORM_TOL:
+        if self.columns > 1:
+            check_unit_columns(self.amps.reshape(self.columns, -1).T)
+        elif abs(self.norm_sq() - 1.0) > NORM_TOL:
             raise SimulationError(f"statevector norm drifted: |psi|^2 = {self.norm_sq()}")
 
 
 def new_state(layout: RegisterLayout) -> StateVector:
     """All-zeros basis state |0...0> on the given layout."""
-    amps = np.zeros(layout.dim, dtype=complex)
+    amps = np.zeros(layout.dim)
     amps[0] = 1.0
     return StateVector(layout, amps)
 
@@ -181,7 +189,7 @@ class Operation:
         raise NotImplementedError
 
 
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) * _SQRT2_INV
 
 
 # HadamardBlock contracts a register in slices of at most this many qubits, so
@@ -192,7 +200,7 @@ _WALSH_MAX_BITS = 4
 @lru_cache(maxsize=_WALSH_MAX_BITS)
 def _walsh(width: int) -> np.ndarray:
     """H on each of `width` qubits as one 2^width x 2^width matrix (read-only)."""
-    mat = np.ones((1, 1), dtype=complex)
+    mat = np.ones((1, 1))
     for _ in range(width):
         mat = np.kron(mat, _H2)
     mat.flags.writeable = False
@@ -225,28 +233,31 @@ class HadamardBlock(Operation):
         return self
 
 
-class Qft(Operation):
-    """(Inverse) discrete Fourier transform on one register's label space.
+class Qft:
+    """Readout of one register after the inverse QFT
+    |x> -> (1/sqrt N) sum_y exp(-2 pi i x y / N) |y> on it.
 
-    QFT maps |x> to (1/sqrt(N)) sum_y exp(+2 pi i x y / N) |y>.
+    For a real state the transformed amplitudes at y and N - y are complex
+    conjugates, so P(y) = P(N - y) exactly: `apply` takes y = 0..N/2 from
+    `np.fft.rfft`, mirrors the rest and checks that the sum is 1. The name is
+    kept from the QFT operation this replaced, which profilers wrap.
     """
 
-    def __init__(self, register: str, inverse: bool = False):
+    def __init__(self, register: str):
         self.register = register
-        self.inverse = inverse
 
-    def apply(self, state: StateVector) -> StateVector:
+    def apply(self, state: StateVector) -> np.ndarray:
         lay = state.layout
-        blk = 1 << lay.width(self.register)
+        n = 1 << lay.width(self.register)
         lo = 1 << lay.offset(self.register)
-        a = state.amps.reshape(-1, blk, lo)
-        transform = np.fft.fft if self.inverse else np.fft.ifft
-        state.amps = transform(a, axis=1, norm="ortho").reshape(-1)
-        state.check_norm()
-        return state
-
-    def dagger(self) -> "Qft":
-        return Qft(self.register, inverse=not self.inverse)
+        spectrum = np.fft.rfft(state.amps.reshape(-1, n, lo), axis=1)
+        parts = spectrum.view(np.float64)  # re and im of each entry, side by side
+        half = np.einsum("hyl,hyl->y", parts, parts) / n
+        probs = np.concatenate([half, half[n - half.size : 0 : -1]])
+        total = float(probs.sum())
+        if abs(total - 1.0) > NORM_TOL:
+            raise SimulationError(f"readout of {self.register!r} drifted: sum P = {total}")
+        return probs
 
 
 class ValueKeyedRotation(Operation):
@@ -366,7 +377,7 @@ def marginal_probs(state: StateVector, register: str) -> np.ndarray:
     lay = state.layout
     blk = 1 << lay.width(register)
     lo = 1 << lay.offset(register)
-    f = np.ascontiguousarray(state.amps).reshape(-1, blk, lo).view(np.float64)
+    f = state.amps.reshape(-1, blk, lo)
     return np.einsum("hbl,hbl->b", f, f)
 
 
@@ -378,11 +389,10 @@ def probability_of(
     return float(sum(p for label, p in enumerate(probs) if predicate(label)))
 
 
-def sample(state: StateVector, register: str, rng: np.random.Generator | int) -> int:
-    """Draw one measurement outcome for a register; the state is left as is."""
+def draw(probs: np.ndarray, rng: np.random.Generator | int) -> int:
+    """Draw one outcome from a distribution over 0..len(probs)-1."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    probs = marginal_probs(state, register)
     probs = probs / probs.sum()
     return int(rng.choice(probs.size, p=probs))
 
@@ -391,7 +401,7 @@ def measure(
     state: StateVector, register: str, rng: np.random.Generator | int
 ) -> tuple[int, StateVector]:
     """Sample one outcome for a register and collapse the state onto it."""
-    outcome = sample(state, register, rng)
+    outcome = draw(marginal_probs(state, register), rng)
     state.amps[state.layout.field(register) != outcome] = 0.0
     norm = np.sqrt(state.norm_sq())
     if norm == 0.0:
@@ -416,18 +426,14 @@ class _ColumnBatch(StateVector):
     def __init__(self, layout: RegisterLayout):
         super().__init__(
             layout.extended(_COLUMN_REGISTER, layout.n_qubits, capped=False),
-            np.eye(layout.dim, dtype=complex).reshape(-1),
+            np.eye(layout.dim).reshape(-1),
         )
         self.columns = layout.dim
-
-    def check_norm(self) -> None:
-        check_unit_columns(self.amps.reshape(self.columns, -1).T)
 
 
 def check_unit_columns(mat: np.ndarray) -> None:
     """Raise SimulationError unless every column of a matrix has unit norm."""
-    rows = np.ascontiguousarray(mat.T).view(np.float64)
-    drift = np.einsum("ij,ij->i", rows, rows) - 1.0
+    drift = np.einsum("ij,ij->j", mat, mat) - 1.0
     worst = int(np.argmax(np.abs(drift)))
     if abs(drift[worst]) > NORM_TOL:
         raise SimulationError(f"column {worst} norm drifted: |psi|^2 = {1.0 + drift[worst]}")

@@ -142,7 +142,8 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
 
     On a 2x2 instance, the phase-measurement distribution conditioned on the
     coherent feature register must equal the per-feature run's distribution,
-    and so must the good-subspace probabilities.
+    and so must the good-subspace probabilities. The joint distribution uses a
+    full complex FFT, a second path to `phase_distribution`'s rfft readout.
     """
     data = DataMatrix(np.array([[0.3, -0.7], [0.9, 0.1]]))
     c_const = 1.0
@@ -150,7 +151,8 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
     state = qpe_state(mono, t_bits)
     j_field = state.layout.field("j")
     phase_field = state.layout.field(PHASE_REGISTER)
-    probs = np.abs(state.amps) ** 2
+    rows = state.amps.reshape(1 << t_bits, -1)  # the phase register is the top one
+    probs = (np.abs(np.fft.fft(rows, axis=0, norm="ortho")) ** 2).reshape(-1)
 
     prepared = mono.prepare()
     pj = prepared.layout.field("j")

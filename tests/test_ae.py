@@ -66,7 +66,8 @@ class TestStatePreparation:
 class TestGroverOperator:
     def test_unitary(self):
         q = GroverOperator(const_prep(0.3)).matrix()
-        np.testing.assert_allclose(q @ q.conj().T, np.eye(4), atol=1e-12)
+        assert q.dtype == np.float64
+        np.testing.assert_allclose(q @ q.T, np.eye(4), atol=1e-12)
 
     def test_eigenphase_matches_amplitude(self):
         # Q rotates by 2*theta in the relevant 2-dimensional subspace
@@ -259,7 +260,7 @@ def reference_preps() -> list[tuple[StatePreparation, float]]:
 def prep_matrix(prep: StatePreparation) -> np.ndarray:
     """A as a dense matrix, one replay of the ops per basis column."""
     dim = prep.layout.dim
-    cols = [prep.apply(StateVector(prep.layout, np.eye(dim, dtype=complex)[c])).amps
+    cols = [prep.apply(StateVector(prep.layout, np.eye(dim)[c])).amps
             for c in range(dim)]
     return np.stack(cols, axis=1)
 
@@ -276,15 +277,20 @@ def reference_grover(prep: StatePreparation) -> np.ndarray:
     )
 
 
-def reference_qpe(prep: StatePreparation, t: int) -> np.ndarray:
-    """Row y = Q^y A|0> / sqrt(N), then the inverse DFT over the phase label."""
+def reference_rows(prep: StatePreparation, t: int) -> np.ndarray:
+    """Row y = Q^y A|0> / sqrt(N): the state before the inverse QFT."""
     n = 1 << t
     q = reference_grover(prep)
     psi = prep_matrix(prep)[:, 0]
-    rows = np.stack([np.linalg.matrix_power(q, y) @ psi for y in range(n)]) / math.sqrt(n)
+    return np.stack([np.linalg.matrix_power(q, y) @ psi for y in range(n)]) / math.sqrt(n)
+
+
+def reference_phase_distribution(prep: StatePreparation, t: int) -> np.ndarray:
+    """Marginal of the phase label after the inverse DFT, as a complex matrix."""
+    n = 1 << t
     y = np.arange(n)
     dft = np.exp(-2j * np.pi * (np.outer(y, y) % n) / n) / math.sqrt(n)
-    return (dft @ rows).reshape(-1)
+    return (np.abs(dft @ reference_rows(prep, t)) ** 2).sum(axis=1)
 
 
 def bhmt_distribution(a: float, t: int) -> np.ndarray:
@@ -356,8 +362,16 @@ class TestIndependentReferences:
     def test_qpe_state_equals_naive_powers_and_dft(self):
         for prep, _ in reference_preps():
             for t in (1, 2, 5, 8):
+                state = qpe_state(prep, t)
+                assert state.amps.dtype == np.float64
                 np.testing.assert_allclose(
-                    qpe_state(prep, t).amps, reference_qpe(prep, t), rtol=0, atol=1e-12
+                    state.amps, reference_rows(prep, t).reshape(-1), rtol=0, atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    phase_distribution(prep, t),
+                    reference_phase_distribution(prep, t),
+                    rtol=0,
+                    atol=1e-12,
                 )
 
     def test_phase_distribution_equals_bhmt_closed_form(self):

@@ -165,6 +165,16 @@ class TestErrorContract:
             err = capsys.readouterr().err
             assert _one_line_error(err) and "fixed-point" in err
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "circuit", "--seed", "3"]])
+    def test_fixed_point_overflow_exit_2(self, mode, tmp_path, capsys):
+        (tmp_path / "d.csv").write_text("50,-49\n-50,48\n49.5,50\n-48,-50\n")
+        (tmp_path / "q.csv").write_text("51,-50\n")
+        argv = ["detect", "--data", str(tmp_path / "d.csv"), "--query", str(tmp_path / "q.csv"),
+                "--t-bits", "12", *mode]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert _one_line_error(err) and "overflows format" in err
+
     def test_every_qadsim_error_derives_from_the_base(self):
         import inspect
 

@@ -69,7 +69,8 @@ class TestPostselection:
         data = DataMatrix(np.array([[1.0, 2.0], [3.0, -1.0]]))
         sup = build_superposition(data)
         base = interfere_and_postselect(sup)["discrepancy"]
-        sup.state.amps = sup.state.amps * np.exp(1j * 0.7)
+        # Amplitudes are real, so the one non-trivial global phase is -1.
+        sup.state.amps = -sup.state.amps
         rotated = interfere_and_postselect(sup)["discrepancy"]
         assert rotated == pytest.approx(base, abs=1e-12)
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from qadsim import pipelines
+from qadsim.adde import run_adde
+from qadsim.adkpca import run_adkpca
 from qadsim.ae import grid_epsilon
-from qadsim.arith import FixedPointFormat
-from qadsim.dataio import QueryLedger
+from qadsim.arith import FixedPointFormat, RangeError
+from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint
 from qadsim.pipelines import (
     EstimatorRun,
     PipelineConfig,
@@ -32,6 +35,46 @@ class TestPipelineConfig:
         assert echo["t_bits"] == 6
         assert echo["fp_int_bits"] == 4
         assert echo["fp_frac_bits"] == 10
+
+
+class TestFixedPointRange:
+    """Constants the format cannot hold are rejected before any simulation."""
+
+    BIG = np.array([[50.0, -49.0], [-50.0, 48.0], [49.5, 50.0], [-48.0, -50.0]])
+
+    @pytest.fixture
+    def charged(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(QueryLedger, "add", lambda self, **kw: calls.append(kw))
+        monkeypatch.setattr(pipelines, "estimate_amplitude", lambda *a, **k: calls.append(a))
+        return calls
+
+    @pytest.mark.parametrize("mode", [{}, {"mode": "circuit", "seed": 3}])
+    def test_wide_data_rejected_before_any_run(self, charged, mode):
+        # D^2 = 2537.6 does not fit 8 integer bits.
+        data, query = DataMatrix(self.BIG), QueryPoint(np.array([51.0, -50.0]))
+        with pytest.raises(RangeError, match="value 2537.640625 overflows"):
+            run_adde(data, query, PipelineConfig(t_bits=12, **mode))
+        assert charged == []
+
+    def test_far_query_rejected_before_any_run(self, charged):
+        # max |x0 - mu| / sigma = 267.0 makes T = 512.
+        data = DataMatrix(np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 3.0], [2.0, 1.0]]))
+        with pytest.raises(RangeError, match="value 512.0 overflows"):
+            run_adde(data, QueryPoint(np.array([300.0, 3.0])), PipelineConfig(t_bits=4))
+        assert charged == []
+
+    def test_kpca_checks_the_mean_bound(self, charged):
+        data, query = DataMatrix(self.BIG * 6), QueryPoint(np.array([1.0, 2.0]))
+        with pytest.raises(RangeError, match="value 300.0 overflows"):
+            run_adkpca(data, query, PipelineConfig(t_bits=4))
+        assert charged == []
+
+    def test_wider_format_accepts(self):
+        data, query = DataMatrix(self.BIG), QueryPoint(np.array([51.0, -50.0]))
+        fmt = FixedPointFormat(int_bits=12, frac_bits=16)
+        report = run_adde(data, query, PipelineConfig(t_bits=6, fp_format=fmt))
+        assert report.ledger["grover"] > 0
 
 
 class TestPreparations:
