@@ -14,17 +14,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ae import AEResult, bits_for_epsilon, overlap_from_result
+from .ae import bits_for_epsilon
 from .dataio import (
     Constants,
     DataMatrix,
-    QueryLedger,
     QueryPoint,
     compute_constants,
     floor_variance,
     power_of_two_at_least,
 )
-from .pipelines import EstimatorRun, PipelineConfig, interference_prep, squared_mean_prep
+from .pipelines import EstimatorRun, PipelineConfig
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -123,34 +122,20 @@ def plan_budget(
 # ---------------------------------------------------------------------------
 # quantum estimators
 
-def _mean_prep_values(data: DataMatrix, j: int, scale: float) -> np.ndarray:
-    return data.values[:, j] / scale
-
-
 def estimate_means(
     data: DataMatrix, constants: Constants, runner: EstimatorRun, t_bits: int
-) -> tuple[np.ndarray, list[AEResult]]:
+) -> np.ndarray:
     """Per-feature means via interference amplitude estimation.
 
     For each feature the good probability is 1/2 + 1/2 <phi_j|h>, the overlap
-    being the column mean over x_j^i / C; padded rows hold zeros, so the
-    estimate is rescaled by the row pad ratio before converting back.
+    being the column mean over x_j^i / C.
     """
     fmt = runner.config.fp_format
-    pad_ratio = data.padded_rows / data.n_rows
-    mu_hat = np.zeros(data.n_cols)
-    results = []
-    for j in range(data.n_cols):
-        prep = interference_prep(
-            f"mean[{j}]",
-            _mean_prep_values(data, j, constants.C),
-            costs={"oracle_data": 2, "arithmetic": 1},
-        )
-        res = runner.run(prep, t_bits)
-        overlap = overlap_from_result(res, constants.C) * pad_ratio
-        mu_hat[j] = fmt.quantize(overlap)
-        results.append(res)
-    return mu_hat, results
+    means = runner.means(
+        "mean", data.real_values.T / constants.C, data.padded_rows,
+        {"oracle_data": 2, "arithmetic": 1}, t_bits, signed=True, scale=constants.C,
+    )
+    return np.array([fmt.quantize(v) for v in means])
 
 
 def estimate_variances(
@@ -159,29 +144,21 @@ def estimate_variances(
     constants: Constants,
     runner: EstimatorRun,
     t_bits: int,
-) -> tuple[np.ndarray, float, list[AEResult]]:
+) -> tuple[np.ndarray, float]:
     """Per-feature variances about the estimated means.
 
     The rotation normalizer is D, inflated only if an estimated residual
     exceeds it (estimation noise can push |x - mu_hat| slightly past the
-    classical maximum).  Returns (sigma2_hat, normalizer, results).
+    classical maximum).  Returns (sigma2_hat, normalizer).
     """
     fmt = runner.config.fp_format
-    residuals = data.values[: data.n_rows, : data.n_cols] - mu_hat
+    residuals = data.real_values - mu_hat
     d_used = max(constants.D, float(np.max(np.abs(residuals))))
-    pad_ratio = data.padded_rows / data.n_rows
-    sigma2_hat = np.zeros(data.n_cols)
-    results = []
-    for j in range(data.n_cols):
-        values = np.zeros(data.padded_rows)
-        values[: data.n_rows] = residuals[:, j] / d_used
-        prep = squared_mean_prep(
-            f"variance[{j}]", values, costs={"oracle_data": 2, "arithmetic": 2}
-        )
-        res = runner.run(prep, t_bits)
-        sigma2_hat[j] = fmt.quantize(d_used**2 * res.amplitude * pad_ratio)
-        results.append(res)
-    return sigma2_hat, d_used, results
+    variances = runner.means(
+        "variance", residuals.T / d_used, data.padded_rows,
+        {"oracle_data": 2, "arithmetic": 2}, t_bits, signed=False, scale=d_used**2,
+    )
+    return np.array([fmt.quantize(v) for v in variances]), d_used
 
 
 def estimate_p(
@@ -191,18 +168,16 @@ def estimate_p(
     t_const: float,
     runner: EstimatorRun,
     t_bits: int,
-) -> tuple[float, float, AEResult]:
+) -> tuple[float, float]:
     """Mean squared standardized residual of the query point.
 
-    Returns (p_hat, T actually used, AE diagnostics).  If the estimated
-    mean/variance break the rotation bound for the initial T, T is recomputed
-    from the estimates and the stage retried once.
+    Returns (p_hat, T actually used).  If the estimated mean/variance break
+    the rotation bound for the initial T, T is recomputed from the estimates
+    and the stage retried once.
     """
     sigma2_hat = floor_variance(sigma2_hat, runner.config.policy, "estimated variance")
     sigma_hat = np.sqrt(sigma2_hat)
     x0 = query.real_values
-    d = x0.size
-    padded = query.padded_dim
 
     t_used = t_const
     ratios = (x0 - mu_hat) / (sigma_hat * t_used)
@@ -210,14 +185,11 @@ def estimate_p(
         t_used = power_of_two_at_least(float(np.max(np.abs(x0 - mu_hat) / sigma_hat)))
         ratios = (x0 - mu_hat) / (sigma_hat * t_used)
 
-    values = np.zeros(padded)
-    values[:d] = ratios
-    prep = squared_mean_prep(
-        "p_stage", values, costs={"oracle_query": 2, "arithmetic": 2}
+    (p_hat,) = runner.means(
+        "p", ratios[None], query.padded_dim, {"oracle_query": 2, "arithmetic": 2}, t_bits,
+        signed=False,
     )
-    res = runner.run(prep, t_bits)
-    p_hat = res.amplitude * (padded / d)
-    return p_hat, t_used, res
+    return p_hat, t_used
 
 
 def estimate_q(
@@ -226,27 +198,22 @@ def estimate_q(
     runner: EstimatorRun,
     t_bits: int,
     padded_dim: int,
-) -> tuple[float, float, AEResult]:
+) -> tuple[float, float]:
     """Mean log-variance via the interference preparation.
 
-    Returns (q_hat, E actually used, AE diagnostics); the normalizer E is
-    inflated when an estimated log-variance exceeds the classical maximum.
+    Returns (q_hat, E actually used); the normalizer E is inflated when an
+    estimated log-variance exceeds the classical maximum.
     """
     sigma2_hat = floor_variance(sigma2_hat, runner.config.policy, "estimated variance")
     logs = np.log(sigma2_hat)
     e_used = max(e_const, float(np.max(np.abs(logs))))
     if e_used == 0.0:
         # All estimated variances are exactly 1; the sum is exactly zero.
-        return 0.0, e_const, None
-    d = sigma2_hat.size
-    values = np.zeros(padded_dim)
-    values[:d] = logs / e_used
-    prep = interference_prep(
-        "q_stage", values, costs={"arithmetic": 2}
+        return 0.0, e_const
+    (q_hat,) = runner.means(
+        "q", (logs / e_used)[None], padded_dim, {"arithmetic": 2}, t_bits, signed=True
     )
-    res = runner.run(prep, t_bits)
-    q_hat = overlap_from_result(res, 1.0) * (padded_dim / d)
-    return q_hat, e_used, res
+    return q_hat, e_used
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +276,14 @@ def run_adde(
     if config.epsilon is not None:
         budget = plan_budget(config.epsilon, d, constants, float(np.min(model.sigma2)))
 
-    ledger = QueryLedger()
-    runner = EstimatorRun(config, ledger)
+    runner = EstimatorRun(config)
     shares = (budget.eps_mean, budget.eps_var, budget.eps_tail) if budget else (None,) * 3
     (t_mean, eps_mean), (t_var, eps_var), (t_tail, eps_tail) = map(runner.precision, shares)
 
-    mu_hat, _ = estimate_means(data, constants, runner, t_mean)
-    sigma2_hat, _d_used, _ = estimate_variances(data, mu_hat, constants, runner, t_var)
-    p_hat, t_used, _ = estimate_p(query, mu_hat, sigma2_hat, constants.T, runner, t_tail)
-    q_hat, e_used, _ = estimate_q(
-        sigma2_hat, constants.E, runner, t_tail, query.padded_dim
-    )
+    mu_hat = estimate_means(data, constants, runner, t_mean)
+    sigma2_hat, _d_used = estimate_variances(data, mu_hat, constants, runner, t_var)
+    p_hat, t_used = estimate_p(query, mu_hat, sigma2_hat, constants.T, runner, t_tail)
+    q_hat, e_used = estimate_q(sigma2_hat, constants.E, runner, t_tail, query.padded_dim)
     ln_p_hat = log_density_estimate(p_hat, q_hat, d, t_used, e_used)
 
     bounds = {
@@ -360,7 +324,7 @@ def run_adde(
         observed_errors=observed,
         flag=flag_anomaly(ln_p_hat, delta),
         delta=delta,
-        ledger=ledger.snapshot(),
+        ledger=runner.ledger.snapshot(),
         t_used=t_used,
         e_used=e_used,
     )

@@ -14,16 +14,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ae import AEResult, bits_for_epsilon, overlap_from_result
+from .ae import bits_for_epsilon
 from .config import QadsimError
 from .dataio import (
     Constants,
     DataMatrix,
-    QueryLedger,
     QueryPoint,
     compute_constants,
 )
-from .pipelines import EstimatorRun, PipelineConfig, interference_prep, squared_mean_prep
+from .pipelines import EstimatorRun, PipelineConfig
 from .adde import classical_fit, estimate_means
 
 
@@ -129,19 +128,18 @@ def estimate_a(
     c_prime: float,
     runner: EstimatorRun,
     t_bits: int,
-) -> tuple[float, float, AEResult]:
+) -> tuple[float, float]:
     """Mean squared normalized distance of the query from the estimated mean.
 
-    Returns (a_hat, normalizer actually used, AE diagnostics).
+    Returns (a_hat, normalizer actually used).
     """
     z = query.real_values - mu_hat
     used = _normalizer(c_prime, float(np.max(np.abs(z))), "C'")
-    values = np.zeros(query.padded_dim)
-    values[: z.size] = z / used
-    prep = squared_mean_prep("a_stage", values, costs={"oracle_query": 2, "arithmetic": 2})
-    res = runner.run(prep, t_bits)
-    a_hat = res.amplitude * (query.padded_dim / z.size)
-    return a_hat, used, res
+    (a_hat,) = runner.means(
+        "a", (z / used)[None], query.padded_dim, {"oracle_query": 2, "arithmetic": 2}, t_bits,
+        signed=False,
+    )
+    return a_hat, used
 
 
 def estimate_omegas(
@@ -151,7 +149,7 @@ def estimate_omegas(
     c_dprime: float,
     runner: EstimatorRun,
     t_bits: int,
-) -> tuple[np.ndarray, float, list[AEResult]]:
+) -> tuple[np.ndarray, float]:
     """Per-point normalized inner products of centered vectors.
 
     omega_i is the overlap of the rotated point state with the flat state,
@@ -159,37 +157,27 @@ def estimate_omegas(
     """
     fmt = runner.config.fp_format
     z0 = query.real_values - mu_hat
-    centered = data.real_values - mu_hat
-    products = centered * z0
+    products = (data.real_values - mu_hat) * z0
     used = _normalizer(c_dprime, float(np.max(np.abs(products))), "C''")
-    pad_ratio = query.padded_dim / z0.size
-    omegas = np.zeros(data.n_rows)
-    results = []
-    for i in range(data.n_rows):
-        values = np.zeros(query.padded_dim)
-        values[: z0.size] = products[i] / used
-        prep = interference_prep(
-            f"omega[{i}]", values, costs={"oracle_data": 2, "oracle_query": 2, "arithmetic": 2}
-        )
-        res = runner.run(prep, t_bits)
-        # The true overlap is in [-1, 1]; clip away estimation/pad overshoot.
-        omegas[i] = float(np.clip(fmt.quantize(overlap_from_result(res, 1.0) * pad_ratio), -1.0, 1.0))
-        results.append(res)
-    return omegas, used, results
+    omegas = runner.means(
+        "omega", products / used, query.padded_dim,
+        {"oracle_data": 2, "oracle_query": 2, "arithmetic": 2}, t_bits, signed=True,
+    )
+    # The true overlap is in [-1, 1]; clip away estimation/pad overshoot.
+    return np.clip([fmt.quantize(w) for w in omegas], -1.0, 1.0), used
 
 
 def estimate_b(
     omegas_hat: np.ndarray, padded_rows: int, runner: EstimatorRun, t_bits: int
-) -> tuple[float, AEResult]:
+) -> float:
     """Mean of squared overlaps via one more amplitude estimation round."""
     if np.max(np.abs(omegas_hat)) > 1.0 + 1e-12:
         raise ConstantViolationError("omega magnitude exceeds 1")
-    values = np.zeros(padded_rows)
-    values[: omegas_hat.size] = np.clip(omegas_hat, -1.0, 1.0)
-    prep = squared_mean_prep("b_stage", values, costs={"arithmetic": 2})
-    res = runner.run(prep, t_bits)
-    b_hat = res.amplitude * (padded_rows / omegas_hat.size)
-    return b_hat, res
+    (b_hat,) = runner.means(
+        "b", np.clip(omegas_hat, -1.0, 1.0)[None], padded_rows, {"arithmetic": 2}, t_bits,
+        signed=False,
+    )
+    return b_hat
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +231,7 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     if config.epsilon is not None:
         budget = plan_budget_kpca(config.epsilon, d, m, constants)
 
-    ledger = QueryLedger()
-    runner = EstimatorRun(config, ledger)
+    runner = EstimatorRun(config)
     shares = (
         (budget.eps_mean, budget.eps_dist, budget.eps_omega, budget.eps_bsum)
         if budget
@@ -254,12 +241,12 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
         runner.precision, shares
     )
 
-    mu_hat, _ = estimate_means(data, constants, runner, t_mean)
-    a_hat, cp_used, _ = estimate_a(query, mu_hat, constants.C_prime, runner, t_dist)
-    omegas_hat, cdp_used, _ = estimate_omegas(
+    mu_hat = estimate_means(data, constants, runner, t_mean)
+    a_hat, cp_used = estimate_a(query, mu_hat, constants.C_prime, runner, t_dist)
+    omegas_hat, cdp_used = estimate_omegas(
         data, query, mu_hat, constants.C_dprime, runner, t_omega
     )
-    b_hat, _ = estimate_b(omegas_hat, data.padded_rows, runner, t_bsum)
+    b_hat = estimate_b(omegas_hat, data.padded_rows, runner, t_bsum)
     f_hat = proximity_estimate(a_hat, b_hat, d, m, cp_used, cdp_used)
 
     C, cp, cdp = constants.C, constants.C_prime, constants.C_dprime
@@ -290,7 +277,7 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
         f_classical=f_classical,
         bounds=bounds,
         observed_errors=observed,
-        ledger=ledger.snapshot(),
+        ledger=runner.ledger.snapshot(),
         c_prime_used=cp_used,
         c_dprime_used=cdp_used,
     )

@@ -253,11 +253,6 @@ def estimate_amplitude(
     )
 
 
-def overlap_from_result(result: AEResult, scale: float) -> float:
-    """scale * (2 a_hat - 1), the inner product the amplitude encodes."""
-    return scale * (2.0 * result.amplitude - 1.0)
-
-
 def bits_for_epsilon(eps_target: float) -> tuple[int, str | None]:
     """Smallest t with pi/2^t + pi^2/2^(2t) <= eps_target.
 

@@ -67,11 +67,7 @@ def _require_finite(args: argparse.Namespace, *flags: str) -> None:
             raise ValueError(f"{flag} must be a finite number, got {value}")
 
 
-def _pipeline_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> PipelineConfig:
-    if (args.epsilon is None) == (args.t_bits is None):
-        parser.error("exactly one of --epsilon / --t-bits is required")
-    if args.mode == "circuit" and args.seed is None:
-        parser.error("--seed is required in circuit mode")
+def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(
         t_bits=args.t_bits,
         epsilon=args.epsilon,
@@ -137,10 +133,10 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_detect(args, parser) -> int:
-    config = _pipeline_config(args, parser)
+def _cmd_detect(args) -> int:
+    config = _pipeline_config(args)
     if args.delta <= 0.0:
-        parser.error("--delta must be positive")
+        raise ValueError("--delta must be positive")
     data = load_csv(args.data, has_header=args.header)
     query = load_query_csv(args.query, has_header=args.header)
     rep = run_adde(data, query, config, delta=args.delta)
@@ -153,8 +149,8 @@ def _cmd_detect(args, parser) -> int:
     return 1 if rep.flag else 0
 
 
-def _cmd_kpca(args, parser) -> int:
-    config = _pipeline_config(args, parser)
+def _cmd_kpca(args) -> int:
+    config = _pipeline_config(args)
     data = load_csv(args.data, has_header=args.header)
     query = load_query_csv(args.query, has_header=args.header)
     rep = run_adkpca(data, query, config)
@@ -200,9 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fit":
             return _cmd_fit(args)
         if args.command == "detect":
-            return _cmd_detect(args, parser)
+            return _cmd_detect(args)
         if args.command == "kpca":
-            return _cmd_kpca(args, parser)
+            return _cmd_kpca(args)
         if args.command == "flaws":
             return _cmd_flaws(args)
         if args.command == "verify":

@@ -84,16 +84,14 @@ class DataMatrix:
 class QueryPoint:
     """The new point x0, padded consistently with a DataMatrix."""
 
-    def __init__(self, values: np.ndarray, padded_dim: int | None = None):
+    def __init__(self, values: np.ndarray):
         values = np.asarray(values, dtype=float).reshape(-1)
         if values.size == 0:
             raise DataError("query point is empty")
         if not np.all(np.isfinite(values)):
             raise DataError("query point contains non-finite entries")
         self.dim = values.size
-        self.padded_dim = padded_dim if padded_dim is not None else _pad_dim(self.dim)
-        if self.padded_dim < self.dim:
-            raise DataError("padded dimension smaller than the query point")
+        self.padded_dim = _pad_dim(self.dim)
         self.values = np.zeros(self.padded_dim)
         self.values[: self.dim] = values
 
@@ -133,12 +131,12 @@ def load_csv(path: str, has_header: bool = False) -> DataMatrix:
     return DataMatrix(np.array(_parse_csv(path, has_header)))
 
 
-def load_query_csv(path: str, has_header: bool = False, padded_dim: int | None = None) -> QueryPoint:
+def load_query_csv(path: str, has_header: bool = False) -> QueryPoint:
     """Query point from CSV; the file must contain exactly one row."""
     rows = _parse_csv(path, has_header)
     if len(rows) != 1:
         raise DataError(f"{path}: query file must contain exactly one row, found {len(rows)}")
-    return QueryPoint(np.array(rows[0]), padded_dim=padded_dim)
+    return QueryPoint(np.array(rows[0]))
 
 
 # ---------------------------------------------------------------------------

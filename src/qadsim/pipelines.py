@@ -1,16 +1,18 @@
 """Shared state-preparation builders and run configuration for the pipelines.
 
-Every estimator reduces to one of three preparation shapes:
+Every estimator reduces to one of two preparation shapes:
 
 * an interference preparation (ancilla Hadamard sandwich) whose good
   probability is 1/2 + 1/2 <phi|h>, used to read out signed means/overlaps;
 * a squared-mean preparation whose good probability is the mean of squared
-  rotation values, used for variances and quadratic sums;
-* per-index variants of the above, simulated branch by branch.
+  rotation values, used for variances and quadratic sums.
 
-The coherent index superposition of the full algorithm is block diagonal in
-the passive index register, so per-branch simulation is exact; the
-verification harness checks this against a monolithic statevector run.
+`EstimatorRun.means` is the one stage path: every estimator stage hands it a
+table of rotation values, one row per AE run, and it pads, prepares, runs and
+rescales each row. A stage over a feature or point index runs one row per
+index: the coherent index superposition of the full algorithm is block
+diagonal in the passive index register, so per-branch simulation is exact;
+the verification harness checks this against a monolithic statevector run.
 """
 from __future__ import annotations
 
@@ -115,12 +117,12 @@ def squared_mean_prep(name: str, values: np.ndarray, costs: dict) -> StatePrepar
 
 
 class EstimatorRun:
-    """Chooses each stage's phase grid and error charge, and hands out
-    per-run AE configs."""
+    """Chooses each stage's phase grid and error charge, runs the stages' AEs
+    in order, and charges them to its ledger."""
 
-    def __init__(self, config: PipelineConfig, ledger: QueryLedger | None = None):
+    def __init__(self, config: PipelineConfig):
         self.config = config
-        self.ledger = ledger if ledger is not None else QueryLedger()
+        self.ledger = QueryLedger()
         self._run_index = 0
 
     def precision(self, eps_target: float | None) -> tuple[int, float]:
@@ -142,3 +144,33 @@ class EstimatorRun:
         self._run_index += 1
         cfg = AEConfig(t_bits=t_bits, mode=self.config.mode, seed=seed)
         return estimate_amplitude(prep, cfg, ledger=self.ledger)
+
+    def means(
+        self,
+        name: str,
+        table: np.ndarray,
+        padded: int,
+        costs: dict,
+        t_bits: int,
+        *,
+        signed: bool,
+        scale: float = 1.0,
+    ) -> list[float]:
+        """One AE per row of the (k, n) `table`, in row order.
+
+        Each row is zero-padded to `padded` entries. A signed row drives an
+        interference preparation and reads its mean as 2 a - 1; otherwise a
+        squared-mean preparation reads the mean of its squares as a. Returns
+        scale * that mean * padded / n per row: the mean over the n real
+        entries, the pad's zeros taken out.
+        """
+        build = interference_prep if signed else squared_mean_prep
+        n = table.shape[1]
+        ratio = padded / n
+        values = np.zeros((table.shape[0], padded))
+        values[:, :n] = table
+        out = []
+        for i, row in enumerate(values):
+            a = self.run(build(f"{name}[{i}]", row, costs), t_bits).amplitude
+            out.append(scale * (2.0 * a - 1.0 if signed else a) * ratio)
+        return out

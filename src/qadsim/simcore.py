@@ -19,7 +19,7 @@ controlled rotation on the written value and the uncompute collapse into one
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,14 +46,11 @@ class RegisterLayout:
 
     def __init__(
         self,
-        registers: Mapping[str, int] | Iterable[tuple[str, int]],
+        registers: Iterable[tuple[str, int]],
         *,
         capped: bool = True,
     ):
-        if isinstance(registers, Mapping):
-            items = list(registers.items())
-        else:
-            items = list(registers)
+        items = list(registers)
         names = [name for name, _ in items]
         if len(set(names)) != len(names):
             raise LayoutError(f"duplicate register names in {names}")

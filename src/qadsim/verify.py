@@ -70,35 +70,25 @@ def bounds_suite(seeds: int = 100, t_bits: int = 10, base_seed: int = 0) -> dict
     """Per-stage error-bound compliance in ideal mode over random instances."""
     if seeds < 1:
         raise ValueError(f"the bounds suite needs at least 1 seed, got {seeds}")
+    cfg = PipelineConfig(t_bits=t_bits, mode="ideal", policy="epsilon-floor")
     failures = []
-    for k in range(seeds):
-        data, query = random_instance(base_seed + k)
-        cfg = PipelineConfig(t_bits=t_bits, mode="ideal", policy="epsilon-floor")
-        adde = run_adde(data, query, cfg)
-        for key in ("mu", "sigma2", "p", "q"):
-            if adde.observed_errors[key] > adde.bounds[key]:
-                failures.append(
-                    {
-                        "seed": base_seed + k,
-                        "pipeline": "adde",
-                        "quantity": key,
-                        "observed": adde.observed_errors[key],
-                        "bound": adde.bounds[key],
-                    }
-                )
-        kcfg = PipelineConfig(t_bits=t_bits, mode="ideal", policy="epsilon-floor")
-        kpca = run_adkpca(data, query, kcfg)
-        for key in ("distance_sq", "b"):
-            if kpca.observed_errors[key] > kpca.bounds[key]:
-                failures.append(
-                    {
-                        "seed": base_seed + k,
-                        "pipeline": "adkpca",
-                        "quantity": key,
-                        "observed": kpca.observed_errors[key],
-                        "bound": kpca.bounds[key],
-                    }
-                )
+    for seed in range(base_seed, base_seed + seeds):
+        data, query = random_instance(seed)
+        for pipeline, report, quantities in (
+            ("adde", run_adde(data, query, cfg), ("mu", "sigma2", "p", "q")),
+            ("adkpca", run_adkpca(data, query, cfg), ("distance_sq", "b")),
+        ):
+            for key in quantities:
+                if report.observed_errors[key] > report.bounds[key]:
+                    failures.append(
+                        {
+                            "seed": seed,
+                            "pipeline": pipeline,
+                            "quantity": key,
+                            "observed": report.observed_errors[key],
+                            "bound": report.bounds[key],
+                        }
+                    )
     return {
         "suite": "bounds",
         "instances": seeds,

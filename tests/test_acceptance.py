@@ -18,7 +18,7 @@ from qadsim.adde import (
 )
 from qadsim.adkpca import classical_moments, classical_proximity
 from qadsim.ae import AEConfig, StatePreparation, estimate_amplitude
-from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint
+from qadsim.dataio import QueryLedger
 from qadsim.pipelines import PipelineConfig
 from qadsim.simcore import RegisterLayout, ValueKeyedRotation
 from qadsim.verify import (
@@ -28,8 +28,6 @@ from qadsim.verify import (
     random_instance,
     scaling_suite,
 )
-
-from conftest import make_instance
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -55,10 +53,11 @@ def test_criterion_1_classical_reference_implementations():
     start = time.perf_counter()
     ok = True
     for seed in range(100):
-        x, x0 = make_instance(seed)
+        data, query = random_instance(seed)
+        x, x0 = data.real_values, query.real_values
         m, d = x.shape
 
-        model = classical_fit(DataMatrix(x))
+        model = classical_fit(data)
         mu_ref = np.array([sum(x[i, j] for i in range(m)) / m for j in range(d)])
         s2_ref = np.array(
             [sum((x[i, j] - mu_ref[j]) ** 2 for i in range(m)) / m for j in range(d)]
@@ -66,7 +65,7 @@ def test_criterion_1_classical_reference_implementations():
         ok &= np.max(np.abs(model.mu - mu_ref)) <= 1e-10
         ok &= np.max(np.abs(model.sigma2 - s2_ref)) <= 1e-10
 
-        lnp = classical_log_density(model, QueryPoint(x0))
+        lnp = classical_log_density(model, query)
         lnp_ref = sum(
             -0.5 * math.log(2 * math.pi * s2_ref[j])
             - (x0[j] - mu_ref[j]) ** 2 / (2 * s2_ref[j])
@@ -74,7 +73,7 @@ def test_criterion_1_classical_reference_implementations():
         )
         ok &= abs(lnp - lnp_ref) <= 1e-10
 
-        mom = classical_moments(DataMatrix(x))
+        mom = classical_moments(data)
         cov_ref = np.array(
             [
                 [
@@ -87,7 +86,7 @@ def test_criterion_1_classical_reference_implementations():
         )
         ok &= np.max(np.abs(mom.covariance - cov_ref)) <= 1e-10
 
-        f = classical_proximity(mom, QueryPoint(x0))
+        f = classical_proximity(mom, query)
         z = x0 - mu_ref
         f_ref = sum(z[j] ** 2 for j in range(d)) - sum(
             z[j] * cov_ref[j, k] * z[k] for j in range(d) for k in range(d)
@@ -101,9 +100,10 @@ def test_criterion_2_assembly_identities():
     """Estimator assembly formulas agree with the direct classical quantities."""
     ok = True
     for seed in range(100):
-        x, x0 = make_instance(seed)
+        data, query = random_instance(seed)
+        x, x0 = data.real_values, query.real_values
         d = x.shape[1]
-        model = classical_fit(DataMatrix(x))
+        model = classical_fit(data)
 
         # log-density assembly from exact p and q
         t_c = 4.0
@@ -112,11 +112,11 @@ def test_criterion_2_assembly_identities():
         q = float(np.mean(np.log(model.sigma2))) / e_c
         ok &= abs(
             log_density_estimate(p, q, d, t_c, e_c)
-            - classical_log_density(model, QueryPoint(x0))
+            - classical_log_density(model, query)
         ) <= 1e-12
 
         # covariance quadratic form as a mean of squared projections
-        mom = classical_moments(DataMatrix(x))
+        mom = classical_moments(data)
         z = x0 - mom.mu
         lhs = float(z @ mom.covariance @ z)
         rhs = float(np.sum(((x - mom.mu) @ z) ** 2) / (x.shape[0] - 1))

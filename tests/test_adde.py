@@ -24,7 +24,7 @@ from qadsim.dataio import (
 )
 from qadsim.pipelines import EstimatorRun, PipelineConfig
 
-from conftest import make_instance
+from qadsim.verify import random_instance
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -92,14 +92,15 @@ class TestAssembly:
     def test_identity_with_exact_p_q(self):
         # exact p and q reproduce the direct log density to machine precision
         for seed in range(20):
-            x, x0 = make_instance(seed)
-            model = classical_fit(DataMatrix(x))
-            d = x.shape[1]
+            data, query = random_instance(seed)
+            x0 = query.real_values
+            model = classical_fit(data)
+            d = data.n_cols
             t_const, e_const = 4.0, max(np.max(np.abs(np.log(model.sigma2))), 1.0)
             p = float(np.mean(((x0 - model.mu) / (np.sqrt(model.sigma2) * t_const)) ** 2))
             q = float(np.mean(np.log(model.sigma2))) / e_const
             got = log_density_estimate(p, q, d, t_const, e_const)
-            want = classical_log_density(model, QueryPoint(x0))
+            want = classical_log_density(model, query)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_zero_terms(self):
@@ -128,16 +129,14 @@ class TestBudget:
             plan_budget(1.5, 1, c, 1.0)
 
     def test_planned_grover_matches_ledger(self):
-        x, x0 = make_instance(5)
-        data, query = DataMatrix(x), QueryPoint(x0)
+        data, query = random_instance(5)
         cfg = PipelineConfig(epsilon=0.3, mode="ideal", policy="epsilon-floor")
         report = run_adde(data, query, cfg)
         assert report.ledger["grover"] == report.budget["planned_grover"]
 
 
 class TestEstimators:
-    def _setup(self, x, x0, t=12):
-        data, query = DataMatrix(x), QueryPoint(x0)
+    def _setup(self, data, query, t=12):
         model = classical_fit(data, policy="epsilon-floor")
         constants = compute_constants(data, query, model.mu, model.sigma2, policy="epsilon-floor")
         runner = EstimatorRun(PipelineConfig(t_bits=t, mode="ideal", policy="epsilon-floor"))
@@ -145,36 +144,43 @@ class TestEstimators:
 
     def test_constant_column_mean(self):
         x = np.array([[2.0, 0.5], [2.0, 1.5], [2.0, 2.5], [2.0, 3.5]])
-        data, query, model, constants, runner = self._setup(x, np.array([1.0, 1.0]))
-        mu_hat, _ = estimate_means(data, constants, runner, 12)
+        data, query, model, constants, runner = self._setup(
+            DataMatrix(x), QueryPoint(np.array([1.0, 1.0]))
+        )
+        mu_hat = estimate_means(data, constants, runner, 12)
         assert mu_hat[0] == pytest.approx(2.0, abs=2 * constants.C * math.pi / 2**12 + 2**-16)
 
     def test_mean_grid_bound(self):
         for seed in range(10):
-            x, x0 = make_instance(seed)
-            data, query, model, constants, runner = self._setup(x, x0, t=10)
-            mu_hat, _ = estimate_means(data, constants, runner, 10)
+            data, query, model, constants, runner = self._setup(*random_instance(seed), t=10)
+            mu_hat = estimate_means(data, constants, runner, 10)
             eps = math.pi / 2**10 + math.pi**2 / 2**20
             assert np.max(np.abs(mu_hat - model.mu)) <= 2 * constants.C * eps
 
     def test_variance_with_exact_means(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        data, query, model, constants, runner = self._setup(x, np.array([2.5, 3.5]), t=14)
-        sigma2_hat, d_used, _ = estimate_variances(data, model.mu, constants, runner, 14)
+        data, query, model, constants, runner = self._setup(
+            DataMatrix(x), QueryPoint(np.array([2.5, 3.5])), t=14
+        )
+        sigma2_hat, d_used = estimate_variances(data, model.mu, constants, runner, 14)
         assert d_used == constants.D
         np.testing.assert_allclose(sigma2_hat, [1.0, 1.0], atol=constants.D**2 * math.pi / 2**14 + 2**-15)
 
     def test_zero_variance_when_data_equals_mean(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        data, query, model, constants, runner = self._setup(x, np.array([2.5, 3.5]))
+        data, query, model, constants, runner = self._setup(
+            DataMatrix(x), QueryPoint(np.array([2.5, 3.5]))
+        )
         mu_hat = x[0]  # treat the first row as the estimate: residual 0 for row 0
-        sigma2_hat, _, _ = estimate_variances(data, model.mu * 0 + x.mean(0), constants, runner, 12)
+        sigma2_hat, _ = estimate_variances(data, model.mu * 0 + x.mean(0), constants, runner, 12)
         assert np.all(sigma2_hat >= 0.0)
 
     def test_p_at_the_mean_is_zero(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        data, query, model, constants, runner = self._setup(x, np.array([2.0, 3.0]))
-        p_hat, t_used, _ = estimate_p(
+        data, query, model, constants, runner = self._setup(
+            DataMatrix(x), QueryPoint(np.array([2.0, 3.0]))
+        )
+        p_hat, t_used = estimate_p(
             QueryPoint(np.array([2.0, 3.0])), model.mu, model.sigma2, constants.T, runner, 12
         )
         assert p_hat == 0.0
@@ -182,25 +188,28 @@ class TestEstimators:
 
     def test_p_retry_recomputes_T(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        data, query, model, constants, runner = self._setup(x, np.array([2.0, 3.0]))
+        data, query, model, constants, runner = self._setup(
+            DataMatrix(x), QueryPoint(np.array([2.0, 3.0]))
+        )
         # a T too small for the query forces the retry path
         far_query = QueryPoint(np.array([8.0, 3.0]))
-        p_hat, t_used, _ = estimate_p(far_query, model.mu, model.sigma2, 1.0, runner, 12)
+        p_hat, t_used = estimate_p(far_query, model.mu, model.sigma2, 1.0, runner, 12)
         assert t_used == 8.0  # smallest power of two >= |8-2|/1
         direct = float(np.mean(((far_query.real_values - model.mu) / (np.sqrt(model.sigma2) * t_used)) ** 2))
         assert p_hat == pytest.approx(direct, abs=math.pi / 2**11)
 
     def test_q_all_unit_variances(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        data, query, model, constants, runner = self._setup(x, np.array([2.5, 3.5]))
-        q_hat, e_used, res = estimate_q(np.array([1.0, 1.0]), 0.0, runner, 12, 2)
+        data, query, model, constants, runner = self._setup(
+            DataMatrix(x), QueryPoint(np.array([2.5, 3.5]))
+        )
+        q_hat, e_used = estimate_q(np.array([1.0, 1.0]), 0.0, runner, 12, 2)
         assert q_hat == 0.0
-        assert res is None
+        assert runner.ledger.grover == 0  # no AE ran
 
     def test_q_direct_formula(self):
-        x, x0 = make_instance(3)
-        data, query, model, constants, runner = self._setup(x, x0, t=12)
-        q_hat, e_used, _ = estimate_q(model.sigma2, constants.E, runner, 12, query.padded_dim)
+        data, query, model, constants, runner = self._setup(*random_instance(3), t=12)
+        q_hat, e_used = estimate_q(model.sigma2, constants.E, runner, 12, query.padded_dim)
         direct = float(np.mean(np.log(model.sigma2))) / e_used
         pad = query.padded_dim / model.sigma2.size
         assert q_hat == pytest.approx(direct, abs=pad * (math.pi / 2**12 + math.pi**2 / 2**24))
@@ -209,37 +218,37 @@ class TestEstimators:
 class TestEndToEnd:
     def test_report_bounds_hold_ideal(self):
         for seed in range(10):
-            x, x0 = make_instance(seed)
+            data, query = random_instance(seed)
             report = run_adde(
-                DataMatrix(x),
-                QueryPoint(x0),
+                data,
+                query,
                 PipelineConfig(t_bits=10, mode="ideal", policy="epsilon-floor"),
             )
             for key in ("mu", "sigma2", "p", "q"):
                 assert report.observed_errors[key] <= report.bounds[key], (seed, key)
 
     def test_third_term_sign(self):
-        x, x0 = make_instance(7)
+        data, query = random_instance(7)
         report = run_adde(
-            DataMatrix(x), QueryPoint(x0), PipelineConfig(t_bits=8, mode="ideal", policy="epsilon-floor")
+            data, query, PipelineConfig(t_bits=8, mode="ideal", policy="epsilon-floor")
         )
-        d = x.shape[1]
+        d = data.n_cols
         ceiling = -0.5 * d * LOG_2PI - 0.5 * d * report.e_used * report.q_hat
         assert report.ln_p_hat <= ceiling + 1e-12
 
     def test_epsilon_driven_within_budget(self):
-        x, x0 = make_instance(11)
+        data, query = random_instance(11)
         report = run_adde(
-            DataMatrix(x), QueryPoint(x0), PipelineConfig(epsilon=0.25, mode="ideal", policy="epsilon-floor")
+            data, query, PipelineConfig(epsilon=0.25, mode="ideal", policy="epsilon-floor")
         )
         assert report.observed_errors["lnP"] <= 0.25
 
     def test_report_serializable(self):
         import json
 
-        x, x0 = make_instance(2)
+        data, query = random_instance(2)
         report = run_adde(
-            DataMatrix(x), QueryPoint(x0), PipelineConfig(t_bits=6, mode="ideal", policy="epsilon-floor")
+            data, query, PipelineConfig(t_bits=6, mode="ideal", policy="epsilon-floor")
         )
         payload = json.dumps(report.as_dict())
         assert "lnP_hat" in payload

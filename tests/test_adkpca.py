@@ -12,7 +12,7 @@ from qadsim.adkpca import (
 from qadsim.dataio import Constants, DataMatrix, QueryPoint
 from qadsim.pipelines import PipelineConfig
 
-from conftest import make_instance
+from qadsim.verify import random_instance
 
 
 class TestClassicalMoments:
@@ -27,8 +27,8 @@ class TestClassicalMoments:
 
     def test_symmetric_psd(self):
         for seed in range(10):
-            x, _ = make_instance(seed)
-            cov = classical_moments(DataMatrix(x)).covariance
+            data, _ = random_instance(seed)
+            cov = classical_moments(data).covariance
             np.testing.assert_allclose(cov, cov.T, atol=1e-10)
             assert np.min(np.linalg.eigvalsh(cov)) >= -1e-10
 
@@ -47,8 +47,9 @@ class TestClassicalProximity:
         assert classical_proximity(model, QueryPoint(np.array([4.0]))) == -4.0
 
     def test_translation_invariant(self):
-        x, x0 = make_instance(4)
-        f1 = classical_proximity(classical_moments(DataMatrix(x)), QueryPoint(x0))
+        data, query = random_instance(4)
+        x, x0 = data.real_values, query.real_values
+        f1 = classical_proximity(classical_moments(data), query)
         shift = 0.7
         f2 = classical_proximity(
             classical_moments(DataMatrix(x + shift)), QueryPoint(x0 + shift)
@@ -59,8 +60,9 @@ class TestClassicalProximity:
 class TestBridgeIdentity:
     def test_covariance_quadratic_form_as_mean_of_squares(self):
         for seed in range(20):
-            x, x0 = make_instance(seed)
-            model = classical_moments(DataMatrix(x))
+            data, query = random_instance(seed)
+            x, x0 = data.real_values, query.real_values
+            model = classical_moments(data)
             z = x0 - model.mu
             lhs = z @ model.covariance @ z
             rhs = np.sum(((x - model.mu) @ z) ** 2) / (x.shape[0] - 1)
@@ -74,9 +76,10 @@ class TestProximityEstimate:
     def test_exact_degeneration(self):
         # exact amplitudes reproduce the classical proximity measure
         for seed in range(20):
-            x, x0 = make_instance(seed)
+            data, query = random_instance(seed)
+            x, x0 = data.real_values, query.real_values
             m, d = x.shape
-            model = classical_moments(DataMatrix(x))
+            model = classical_moments(data)
             z = x0 - model.mu
             cp = np.max(np.abs(z)) if np.max(np.abs(z)) > 0 else 1.0
             cdp = np.max(np.abs((x - model.mu) * z))
@@ -86,7 +89,7 @@ class TestProximityEstimate:
             omegas = (x - model.mu) @ z / (d * cdp)
             b = float(np.mean(omegas**2))
             got = proximity_estimate(a, b, d, m, cp, cdp)
-            want = classical_proximity(model, QueryPoint(x0))
+            want = classical_proximity(model, query)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_hand_computed_instance(self):
@@ -119,28 +122,28 @@ class TestBudget:
 class TestEndToEnd:
     def test_bounds_hold_ideal(self):
         for seed in range(10):
-            x, x0 = make_instance(seed)
+            data, query = random_instance(seed)
             report = run_adkpca(
-                DataMatrix(x),
-                QueryPoint(x0),
+                data,
+                query,
                 PipelineConfig(t_bits=10, mode="ideal", policy="epsilon-floor"),
             )
             for key in ("distance_sq", "b"):
                 assert report.observed_errors[key] <= report.bounds[key], (seed, key)
 
     def test_range_invariants(self):
-        x, x0 = make_instance(8)
+        data, query = random_instance(8)
         report = run_adkpca(
-            DataMatrix(x), QueryPoint(x0), PipelineConfig(t_bits=8, mode="ideal", policy="epsilon-floor")
+            data, query, PipelineConfig(t_bits=8, mode="ideal", policy="epsilon-floor")
         )
         assert 0.0 <= report.a_hat
         assert 0.0 <= report.b_hat <= 1.0 + 1e-12
         assert np.max(np.abs(report.omegas_hat)) <= 1.0
 
     def test_f_hat_tracks_classical(self):
-        x, x0 = make_instance(12)
+        data, query = random_instance(12)
         report = run_adkpca(
-            DataMatrix(x), QueryPoint(x0), PipelineConfig(t_bits=12, mode="ideal", policy="epsilon-floor")
+            data, query, PipelineConfig(t_bits=12, mode="ideal", policy="epsilon-floor")
         )
         assert report.f_hat == pytest.approx(report.f_classical, abs=0.1)
 
@@ -155,9 +158,9 @@ class TestEndToEnd:
     def test_report_serializable(self):
         import json
 
-        x, x0 = make_instance(6)
+        data, query = random_instance(6)
         report = run_adkpca(
-            DataMatrix(x), QueryPoint(x0), PipelineConfig(t_bits=6, mode="ideal", policy="epsilon-floor")
+            data, query, PipelineConfig(t_bits=6, mode="ideal", policy="epsilon-floor")
         )
         payload = json.dumps(report.as_dict())
         assert "f_hat" in payload

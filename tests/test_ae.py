@@ -11,7 +11,6 @@ from qadsim.ae import (
     bits_for_epsilon,
     estimate_amplitude,
     grid_epsilon,
-    overlap_from_result,
     phase_distribution,
     qpe_state,
 )
@@ -226,11 +225,6 @@ class TestPrecisionPlanning:
     def test_grid_epsilon_consistency(self):
         for t in range(1, 12):
             assert bits_for_epsilon(grid_epsilon(t))[0] <= t
-
-
-def test_overlap_from_result():
-    res = AEResult(theta=0.0, amplitude=0.75, t_bits=4, mode="ideal", grover_count=15)
-    assert overlap_from_result(res, 2.0) == pytest.approx(1.0)
 
 
 def test_error_bound_formula():

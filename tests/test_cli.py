@@ -57,26 +57,23 @@ class TestDetect:
             "--t-bits", "8", "--delta", "0.01",
         ]) == 1
 
-    def test_both_epsilon_and_t_bits_exit_2(self, data_csv, query_csv):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "detect", "--data", data_csv, "--query", query_csv,
-                "--epsilon", "0.2", "--t-bits", "8",
-            ])
-        assert exc.value.code == 2
+    def test_both_epsilon_and_t_bits_exit_2(self, data_csv, query_csv, capsys):
+        assert main([
+            "detect", "--data", data_csv, "--query", query_csv,
+            "--epsilon", "0.2", "--t-bits", "8",
+        ]) == 2
+        assert _one_line_error(capsys.readouterr().err)
 
-    def test_neither_precision_flag_exit_2(self, data_csv, query_csv):
-        with pytest.raises(SystemExit) as exc:
-            main(["detect", "--data", data_csv, "--query", query_csv])
-        assert exc.value.code == 2
+    def test_neither_precision_flag_exit_2(self, data_csv, query_csv, capsys):
+        assert main(["detect", "--data", data_csv, "--query", query_csv]) == 2
+        assert _one_line_error(capsys.readouterr().err)
 
-    def test_circuit_without_seed_exit_2(self, data_csv, query_csv):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "detect", "--data", data_csv, "--query", query_csv,
-                "--t-bits", "6", "--mode", "circuit",
-            ])
-        assert exc.value.code == 2
+    def test_circuit_without_seed_exit_2(self, data_csv, query_csv, capsys):
+        assert main([
+            "detect", "--data", data_csv, "--query", query_csv,
+            "--t-bits", "6", "--mode", "circuit",
+        ]) == 2
+        assert _one_line_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "flag,value", [("--delta", "nan"), ("--delta", "inf"), ("--epsilon", "nan")]

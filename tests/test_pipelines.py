@@ -4,7 +4,7 @@ import pytest
 from qadsim import pipelines
 from qadsim.adde import run_adde
 from qadsim.adkpca import run_adkpca
-from qadsim.ae import grid_epsilon
+from qadsim.ae import AEConfig, estimate_amplitude, grid_epsilon
 from qadsim.arith import FixedPointFormat, RangeError
 from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint
 from qadsim.pipelines import (
@@ -120,9 +120,52 @@ class TestEstimatorRun:
         assert outcomes[0] == outcomes[1]
 
     def test_ledger_accumulates(self):
-        ledger = QueryLedger()
-        runner = EstimatorRun(PipelineConfig(t_bits=4), ledger)
+        runner = EstimatorRun(PipelineConfig(t_bits=4))
         prep = squared_mean_prep("t", np.array([0.4, 0.7]), costs={"oracle_data": 1})
         runner.run(prep, 4)
-        assert ledger.grover == 15
-        assert ledger.oracle_data == 2 * 15 + 1
+        runner.run(prep, 4)
+        assert runner.ledger.grover == 2 * 15
+        assert runner.ledger.oracle_data == 2 * (2 * 15 + 1)
+
+
+class TestMeans:
+    """`EstimatorRun.means` against the two preparations built directly."""
+
+    # Two rows of n = 3 values, zero-padded to 4.
+    TABLE = np.array([[0.2, -0.6, 1.0], [-0.3, 0.5, 0.1]])
+
+    @staticmethod
+    def _rows(padded):
+        return [np.append(row, np.zeros(padded - row.size)) for row in TestMeans.TABLE]
+
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_ideal_rows_rescaled(self, signed):
+        t, padded, scale = 12, 4, 2.5
+        build = interference_prep if signed else squared_mean_prep
+        runner = EstimatorRun(PipelineConfig(t_bits=t))
+        got = runner.means("m", self.TABLE, padded, {}, t, signed=signed, scale=scale)
+        ratio = padded / 3
+        tol = scale * (2.0 if signed else 1.0) * grid_epsilon(t) * ratio
+        for row, value in zip(self._rows(padded), got):
+            a = build("ref", row, costs={}).good_probability()
+            assert value == pytest.approx(scale * (2.0 * a - 1.0 if signed else a) * ratio, abs=tol)
+        # The pad's zeros are taken out: the mean over the 3 real entries.
+        real = self.TABLE.mean(axis=1) if signed else (self.TABLE**2).mean(axis=1)
+        np.testing.assert_allclose(got, scale * real, atol=tol)
+        assert runner.ledger.grover == 2 * (2**t - 1)
+
+    def test_circuit_seeds_follow_row_order(self):
+        t, padded, seed = 3, 4, 6
+        runner = EstimatorRun(PipelineConfig(t_bits=t, mode="circuit", seed=seed))
+        got = runner.means("m", self.TABLE, padded, {}, t, signed=True)
+
+        def outcomes(seeds):
+            preps = [interference_prep("ref", row, costs={}) for row in self._rows(padded)]
+            amps = [
+                estimate_amplitude(prep, AEConfig(t_bits=t, mode="circuit", seed=s)).amplitude
+                for prep, s in zip(preps, seeds)
+            ]
+            return [(2.0 * a - 1.0) * padded / 3 for a in amps]
+
+        assert got == outcomes([seed, seed + 1])
+        assert got != outcomes([seed + 1, seed])  # the check tells the orders apart

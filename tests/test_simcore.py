@@ -83,7 +83,7 @@ class TestRegisterLayout:
 
     def test_field_is_shared_by_equal_layouts(self):
         one = RegisterLayout([("a", 2), ("b", 1)])
-        two = RegisterLayout({"a": 2, "b": 1})
+        two = RegisterLayout([("a", 2), ("b", 1)])
         assert one.field("b") is two.field("b")
         with pytest.raises(UnknownRegisterError):
             one.field("zz")
