@@ -23,7 +23,7 @@ from .dataio import (
     floor_variance,
     power_of_two_at_least,
 )
-from .pipelines import EstimatorRun, PipelineConfig
+from .pipelines import EstimatorRun, PipelineConfig, report_dict
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -239,24 +239,8 @@ class ADDEReport:
     e_used: float
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "constants": self.constants,
-            "budget": self.budget,
-            "mu_hat": self.mu_hat.tolist(),
-            "sigma2_hat": self.sigma2_hat.tolist(),
-            "p_hat": self.p_hat,
-            "q_hat": self.q_hat,
-            "lnP_hat": self.ln_p_hat,
-            "lnP_classical": self.ln_p_classical,
-            "bounds": self.bounds,
-            "observed_errors": self.observed_errors,
-            "flag": self.flag,
-            "delta": self.delta,
-            "ledger": self.ledger,
-            "T_used": self.t_used,
-            "E_used": self.e_used,
-        }
+        return report_dict(self, ln_p_hat="lnP_hat", ln_p_classical="lnP_classical",
+                           t_used="T_used", e_used="E_used")
 
 
 def run_adde(

@@ -22,7 +22,7 @@ from .dataio import (
     QueryPoint,
     compute_constants,
 )
-from .pipelines import EstimatorRun, PipelineConfig
+from .pipelines import EstimatorRun, PipelineConfig, report_dict
 from .adde import classical_fit, estimate_means
 
 
@@ -200,21 +200,8 @@ class ADKPCAReport:
     c_dprime_used: float
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "constants": self.constants,
-            "budget": self.budget,
-            "a_hat": self.a_hat,
-            "omega_hat": self.omegas_hat.tolist(),
-            "b_hat": self.b_hat,
-            "f_hat": self.f_hat,
-            "f_classical": self.f_classical,
-            "bounds": self.bounds,
-            "observed_errors": self.observed_errors,
-            "ledger": self.ledger,
-            "C_prime_used": self.c_prime_used,
-            "C_dprime_used": self.c_dprime_used,
-        }
+        return report_dict(self, omegas_hat="omega_hat", c_prime_used="C_prime_used",
+                           c_dprime_used="C_dprime_used")
 
 
 def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> ADKPCAReport:

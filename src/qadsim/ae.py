@@ -9,7 +9,8 @@ mode).  Both modes charge the same 2^t - 1 Grover applications to the ledger.
 
 A and Q are real orthogonal, so Q's eigenvalues pair up as e^{+-2i theta}
 (Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055) and the state before the
-inverse QFT is real; `simcore.Qft` reads the phase register off it exactly.
+inverse QFT is real; `simcore.readout_rows` reads the phase register off it
+exactly.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .dataio import QueryLedger
 from .simcore import (
     _SQRT2_INV,
     Operation,
-    Qft,
     ReflectAboutZero,
     ReflectWhere,
     RegisterLayout,
@@ -35,9 +35,11 @@ from .simcore import (
     new_state,
     operation_matrix,
     probability_of,
+    readout_rows,
 )
 
 PHASE_REGISTER = "__phase"
+ROW_REGISTER = "__row"
 
 # Widest phase grid in either mode: 4^t must stay a finite double.
 MAX_GRID_BITS = 511
@@ -51,6 +53,10 @@ class StatePreparation:
     by default all of them.  When a pipeline is block diagonal in some passive
     index register (e.g. a feature index held in superposition), that register
     is excluded so Q stays block diagonal too.
+
+    A stacked preparation (`rows` = k > 1) stands for k preparations: its top
+    register ROW_REGISTER only keys rotations and is not reflected, so A and Q
+    are block diagonal in it. Row labels k and up are padding and never read.
     """
 
     name: str
@@ -60,6 +66,7 @@ class StatePreparation:
     good_predicate: Callable[[int], bool]
     reflection_registers: tuple[str, ...] = ()
     oracle_costs: Mapping[str, int] = field(default_factory=dict)
+    rows: int = 1
 
     def __post_init__(self):
         if self.good_register not in self.layout:
@@ -68,6 +75,8 @@ class StatePreparation:
         for name in refl:
             if name not in self.layout:
                 raise SimulationError(f"reflection register {name!r} not in layout")
+        if self.rows > 1 and (self.layout.names[-1] != ROW_REGISTER or ROW_REGISTER in refl):
+            raise SimulationError("a stacked preparation needs an unreflected top row register")
         object.__setattr__(self, "reflection_registers", tuple(refl))
 
     def apply(self, state: StateVector) -> StateVector:
@@ -90,8 +99,8 @@ class GroverOperator:
     S0, and A's ops. `matrix` builds Q from a single replay of A: with A's
     dense matrix and the +-1 diagonals of the two reflections,
     Q = -(A diag(S0)) A^T diag(Schi), and every column of the product is
-    checked for unit norm. A's matrix is kept as `_a` for `qpe_state`, which
-    reads A|0> from its column 0 rather than replaying A once more.
+    checked for unit norm. A's matrix is kept as `_a` (stacked by row) for
+    `qpe_state`, which reads A|0> from its column 0 rather than replaying A.
     """
 
     def __init__(self, prep: StatePreparation):
@@ -115,13 +124,18 @@ class GroverOperator:
         return state
 
     def matrix(self) -> np.ndarray:
-        """Dense matrix of Q on the preparation's layout (small layouts)."""
-        layout = self.prep.layout
-        self._a = a = operation_matrix(self.prep.ops, layout)
-        q = (a * -self.zero_flip.diagonal(layout)) @ a.T
-        q *= self.good_flip.diagonal(layout)
+        """Dense matrix of Q on the preparation's layout (small layouts); for a
+        stacked preparation, the (rows, dim, dim) blocks of its rows."""
+        prep = self.prep
+        blocks = 1 << prep.layout.width(ROW_REGISTER) if prep.rows > 1 else 1
+        a = operation_matrix(prep.ops, prep.layout, blocks)
+        dim = a.shape[-1]
+        self._a = a = a.reshape(-1, dim, dim)[: prep.rows]
+        # Row 0's labels come first, so the diagonals' heads are one block's.
+        q = (a * -self.zero_flip.diagonal(prep.layout)[:dim]) @ a.transpose(0, 2, 1)
+        q *= self.good_flip.diagonal(prep.layout)[:dim]
         check_unit_columns(q)
-        return q
+        return q if prep.rows > 1 else q[0]
 
 
 @dataclass(frozen=True)
@@ -186,42 +200,57 @@ def _grid_amplitude(y: int, t: int) -> float:
     return 0.5 * (1.0 - math.cos(math.pi * num / den))
 
 
-def qpe_state(prep: StatePreparation, t: int) -> StateVector:
-    """Real phase-estimation state right before the inverse QFT.
+def _qpe_rows(prep: StatePreparation, t: int) -> tuple[RegisterLayout, np.ndarray]:
+    """Each row's phase-estimation layout (under the qubit cap, which the row
+    register is no part of) and the (rows, 2^t, dim) stack of the rows' real
+    states right before the inverse QFT.
 
-    Row y of the (2^t, dim) amplitude array is Q^y A|0> / sqrt(2^t). A is
-    replayed once, on the 2^n register only, to build Q; its column 0 is
-    A|0>. Row 0 is A|0> times (1/sqrt 2)^t, t multiplies as the t Hadamards
-    would make, and rows [2^k, 2^(k+1)) are rows [0, 2^k) times Q^(2^k), the
-    repeated square of Q's dense matrix, so each row gets its powers in the
-    circuit's order. The ledger cost model still counts 2^t - 1 elementary
-    applications. `phase_distribution` reads the phase register out.
+    Line y of a row's (2^t, dim) state is Q^y A|0> / sqrt(2^t). A is replayed
+    once, on the 2^n register only, to build Q; its column 0 is A|0>. Line 0
+    is A|0> times (1/sqrt 2)^t, t multiplies as the t Hadamards would make,
+    and lines [2^k, 2^(k+1)) are lines [0, 2^k) times Q^(2^k), the repeated
+    square of Q's dense matrix, so each line gets its powers in the circuit's
+    order. The ledger cost model still counts 2^t - 1 elementary applications.
     """
-    layout = prep.layout.extended(PHASE_REGISTER, t)  # enforces the qubit cap
+    own = [reg for reg in prep.layout.registers if reg[0] != ROW_REGISTER]
+    layout = RegisterLayout([*own, (PHASE_REGISTER, t)])
     grover = GroverOperator(prep)
-    power = grover.matrix()
-    rows = np.empty((1 << t, prep.layout.dim))
-    rows[0] = grover._a[:, 0]
+    power = grover.matrix().reshape(grover._a.shape)
+    rows = np.empty((prep.rows, 1 << t, layout.dim >> t))
+    rows[:, 0] = grover._a[:, :, 0]
     for _ in range(t):
-        rows[0] *= _SQRT2_INV
+        rows[:, 0] *= _SQRT2_INV
     for k in range(t):
         half = 1 << k
-        np.matmul(rows[:half], power.T, out=rows[half : 2 * half])
+        np.matmul(rows[:, :half], power.transpose(0, 2, 1), out=rows[:, half : 2 * half])
         if k + 1 < t:
             power = power @ power
-    state = StateVector(layout, rows.reshape(-1))
-    state.check_norm()
-    return state
+    check_unit_columns(rows.reshape(prep.rows, -1).T)
+    return layout, rows
+
+
+def qpe_state(prep: StatePreparation, t: int) -> StateVector:
+    """`_qpe_rows` of a one-row preparation as a state."""
+    layout, rows = _qpe_rows(prep, t)
+    return StateVector(layout, rows.reshape(-1))
+
+
+def phase_distributions(prep: StatePreparation, t: int) -> np.ndarray:
+    """(rows, 2^t) distributions of the phase-register outcome, one per row."""
+    return readout_rows(_qpe_rows(prep, t)[1], PHASE_REGISTER)
 
 
 def phase_distribution(prep: StatePreparation, t: int) -> np.ndarray:
     """Deterministic distribution of the phase-register outcome."""
-    return Qft(PHASE_REGISTER).apply(qpe_state(prep, t))
+    return phase_distributions(prep, t)[0]
 
 
 def estimate_amplitude(
-    prep: StatePreparation, config: AEConfig, ledger: QueryLedger | None = None
+    prep: StatePreparation, config: AEConfig, ledger: QueryLedger | None = None,
+    *, outcome: int | None = None,
 ) -> AEResult:
+    """One AE run, charged to `ledger`. A circuit run draws its phase outcome
+    under the config's seed, unless a stacked readout has (`outcome`)."""
     t = config.t_bits
     grover_count = (1 << t) - 1
     if ledger is not None:
@@ -240,7 +269,7 @@ def estimate_amplitude(
         raw = None
         amplitude = _grid_amplitude(y, t)
     else:
-        raw = draw(phase_distribution(prep, t), config.seed)
+        raw = draw(phase_distributions(prep, t), [config.seed])[0] if outcome is None else outcome
         theta_hat = _fold_outcome(raw, t)
         amplitude = _grid_amplitude(raw, t)
     return AEResult(

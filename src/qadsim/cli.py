@@ -26,17 +26,15 @@ from .verify import SUITES, run_suite
 SCHEMA_VERSION = 1
 
 
-def _report(command: str, body: dict) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "command": command,
-        **body,
-    }
-
-
-def _write_report(report: dict, out: str | None) -> None:
+def _write_report(command: str, body: dict, out: str | None) -> None:
+    """Write the schema-versioned report of a command to `out`, if given."""
     if out:
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+            "command": command,
+            **body,
+        }
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -88,29 +86,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="classical Gaussian fit of the training data")
     _add_data_flags(p_fit, query=False)
     p_fit.add_argument("--policy", choices=POLICIES, default="error")
-    p_fit.add_argument("--out", help="JSON report path")
 
     p_detect = sub.add_parser("detect", help="density-estimation anomaly detection")
     _add_data_flags(p_detect)
     _add_run_flags(p_detect)
     p_detect.add_argument("--delta", type=float, default=0.01, help="density threshold")
-    p_detect.add_argument("--out", help="JSON report path")
 
     p_kpca = sub.add_parser("kpca", help="proximity-measure anomaly scoring")
     _add_data_flags(p_kpca)
     _add_run_flags(p_kpca)
-    p_kpca.add_argument("--out", help="JSON report path")
 
     p_flaws = sub.add_parser("flaws", help="defect exhibits of the prior analog scheme")
     _add_data_flags(p_flaws)
-    p_flaws.add_argument("--out", help="JSON report path")
 
     p_verify = sub.add_parser("verify", help="aggregate verification suites")
     p_verify.add_argument("--suite", required=True, choices=SUITES)
     p_verify.add_argument("--seeds", type=int, default=100)
     p_verify.add_argument("--base-seed", type=int, default=0)
-    p_verify.add_argument("--out", help="JSON report path")
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="JSON report path")
     return parser
 
 
@@ -125,8 +120,7 @@ def _cmd_fit(args) -> int:
     }
     if data.n_rows >= 2:
         body["covariance"] = classical_moments(data).covariance.tolist()
-    report = _report("fit", body)
-    _write_report(report, args.out)
+    _write_report("fit", body, args.out)
     print(f"fit: M={data.n_rows} d={data.n_cols}")
     print(f"  mu      = {np.array2string(model.mu, precision=6)}")
     print(f"  sigma^2 = {np.array2string(model.sigma2, precision=6)}")
@@ -140,8 +134,7 @@ def _cmd_detect(args) -> int:
     data = load_csv(args.data, has_header=args.header)
     query = load_query_csv(args.query, has_header=args.header)
     rep = run_adde(data, query, config, delta=args.delta)
-    report = _report("detect", rep.as_dict())
-    _write_report(report, args.out)
+    _write_report("detect", rep.as_dict(), args.out)
     verdict = "ANOMALY" if rep.flag else "normal"
     print(f"detect: ln P_hat = {rep.ln_p_hat:.6f} (classical {rep.ln_p_classical:.6f})")
     print(f"  delta = {rep.delta}  ->  {verdict}")
@@ -154,8 +147,7 @@ def _cmd_kpca(args) -> int:
     data = load_csv(args.data, has_header=args.header)
     query = load_query_csv(args.query, has_header=args.header)
     rep = run_adkpca(data, query, config)
-    report = _report("kpca", rep.as_dict())
-    _write_report(report, args.out)
+    _write_report("kpca", rep.as_dict(), args.out)
     print(f"kpca: f_hat = {rep.f_hat:.6f} (classical {rep.f_classical:.6f})")
     print(f"  a_hat = {rep.a_hat:.6f}  b_hat = {rep.b_hat:.6f}")
     print(f"  ledger: {rep.ledger}")
@@ -166,8 +158,7 @@ def _cmd_flaws(args) -> int:
     data = load_csv(args.data, has_header=args.header)
     query = load_query_csv(args.query, has_header=args.header)
     rep = run_flaw_suite(data, query)
-    report = _report("flaws", rep.as_dict())
-    _write_report(report, args.out)
+    _write_report("flaws", rep.as_dict(), args.out)
     print("flaws:")
     print(f"  analog call sites: {[r['site'] for r in rep.encoding if r['encoding'] == 'analog']}")
     print(f"  normalization discrepancy = {rep.normalization['discrepancy']:.6f} (N_mu = {rep.normalization['N_mu']:.6f})")
@@ -181,8 +172,7 @@ def _cmd_flaws(args) -> int:
 
 def _cmd_verify(args) -> int:
     result = run_suite(args.suite, seeds=args.seeds, base_seed=args.base_seed)
-    report = _report("verify", result)
-    _write_report(report, args.out)
+    _write_report("verify", result, args.out)
     status = "PASS" if result["passed"] else "FAIL"
     print(f"verify[{args.suite}]: {status} ({len(result['failures'])} failures)")
     return 0 if result["passed"] else 2
@@ -191,23 +181,14 @@ def _cmd_verify(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"fit": _cmd_fit, "detect": _cmd_detect, "kpca": _cmd_kpca,
+                "flaws": _cmd_flaws, "verify": _cmd_verify}
     try:
         _require_finite(args, "--epsilon", "--delta")
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "detect":
-            return _cmd_detect(args)
-        if args.command == "kpca":
-            return _cmd_kpca(args)
-        if args.command == "flaws":
-            return _cmd_flaws(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return commands[args.command](args)
     except (QadsimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

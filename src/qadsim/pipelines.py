@@ -8,11 +8,11 @@ Every estimator reduces to one of two preparation shapes:
   rotation values, used for variances and quadratic sums.
 
 `EstimatorRun.means` is the one stage path: every estimator stage hands it a
-table of rotation values, one row per AE run, and it pads, prepares, runs and
-rescales each row. A stage over a feature or point index runs one row per
-index: the coherent index superposition of the full algorithm is block
-diagonal in the passive index register, so per-branch simulation is exact;
-the verification harness checks this against a monolithic statevector run.
+table of rotation values, one row per AE run (one per feature or point index),
+and it pads, prepares, runs and rescales each row. The coherent index
+superposition of the full algorithm is block diagonal in the passive index, so
+per-row simulation is exact; circuit mode stacks a stage's rows as the blocks
+of one AE. The verification harness checks both against a monolithic run.
 """
 from __future__ import annotations
 
@@ -21,16 +21,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ae import (
+    ROW_REGISTER,
     AEConfig,
     AEResult,
     StatePreparation,
     bits_for_epsilon,
     estimate_amplitude,
     grid_epsilon,
+    phase_distributions,
 )
 from .arith import FixedPointFormat
 from .dataio import QueryLedger
-from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation
+from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation, draw
+
+# Most amplitudes (16 MiB) in a circuit-mode stack's phase state or A blocks.
+MAX_STACK_AMPS = 1 << 21
 
 
 @dataclass
@@ -68,23 +73,49 @@ class PipelineConfig:
             self.fp_format.encode(value)
 
 
-def _index_bits(padded: int) -> int:
-    return padded.bit_length() - 1
+def report_dict(report, **renames: str) -> dict:
+    """A pipeline report's fields in order, keys renamed, arrays as lists."""
+    return {
+        renames.get(key, key): value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in vars(report).items()
+    }
+
+
+def _stack(
+    own: list[tuple[str, int]], values: np.ndarray
+) -> tuple[RegisterLayout, ValueKeyedRotation, dict]:
+    """Layout, "anc" rotation keyed on "idx" and extra StatePreparation
+    fields for one row of rotation values or a (k, padded) table. k > 1 rows
+    add ROW_REGISTER, zero rows pad them to a power of two, and the rotation
+    is keyed on the row too; the qubit cap is charged per row, in `ae`."""
+    if values.ndim == 1 or len(values) == 1:
+        return RegisterLayout(own), ValueKeyedRotation(["idx"], "anc", values.reshape(-1)), {}
+    k, padded = values.shape
+    bits = (k - 1).bit_length()
+    flat = np.zeros((1 << bits, padded))
+    flat[:k] = values
+    layout = RegisterLayout([*own, (ROW_REGISTER, bits)], capped=False)
+    rotation = ValueKeyedRotation(["idx", ROW_REGISTER], "anc", flat.reshape(-1))
+    return layout, rotation, {"rows": k, "reflection_registers": tuple(n for n, _ in own)}
+
+
+def _index_bits(values: np.ndarray) -> int:
+    return values.shape[-1].bit_length() - 1
 
 
 def interference_prep(name: str, values: np.ndarray, costs: dict) -> StatePreparation:
     """1/2-weighted interference of the rotated branch with the flat branch.
 
     Good probability is 1/2 + 1/2 * mean(values), so the signed mean of the
-    rotation values is recovered as 2 a - 1.
+    rotation values is recovered as 2 a - 1. A (k, padded) table of values
+    makes a stacked preparation of k rows (see `_stack`).
     """
     values = np.asarray(values, dtype=float)
-    bits = _index_bits(values.size)
-    layout = RegisterLayout([("s", 1), ("idx", bits), ("anc", 1)])
+    layout, rotation, extra = _stack([("s", 1), ("idx", _index_bits(values)), ("anc", 1)], values)
     ops = (
         HadamardBlock("s"),
         HadamardBlock("idx"),
-        Controlled("s", 0, ValueKeyedRotation(["idx"], "anc", values)),
+        Controlled("s", 0, rotation),
         HadamardBlock("s"),
     )
     return StatePreparation(
@@ -94,25 +125,23 @@ def interference_prep(name: str, values: np.ndarray, costs: dict) -> StatePrepar
         good_register="s",
         good_predicate=lambda label: label == 0,
         oracle_costs=costs,
+        **extra,
     )
 
 
 def squared_mean_prep(name: str, values: np.ndarray, costs: dict) -> StatePreparation:
-    """Good probability is mean(values^2) over the index register."""
+    """Good probability is mean(values^2) over the index register; a
+    (k, padded) table makes a stacked preparation, as in `interference_prep`."""
     values = np.asarray(values, dtype=float)
-    bits = _index_bits(values.size)
-    layout = RegisterLayout([("idx", bits), ("anc", 1)])
-    ops = (
-        HadamardBlock("idx"),
-        ValueKeyedRotation(["idx"], "anc", values),
-    )
+    layout, rotation, extra = _stack([("idx", _index_bits(values)), ("anc", 1)], values)
     return StatePreparation(
         name=name,
         layout=layout,
-        ops=ops,
+        ops=(HadamardBlock("idx"), rotation),
         good_register="anc",
         good_predicate=lambda label: label == 0,
         oracle_costs=costs,
+        **extra,
     )
 
 
@@ -137,13 +166,15 @@ class EstimatorRun:
         t, _hint = bits_for_epsilon(eps_target)
         return t, eps_target
 
-    def run(self, prep: StatePreparation, t_bits: int) -> AEResult:
+    def run(self, prep: StatePreparation, t_bits: int, outcome: int | None = None) -> AEResult:
+        """The next AE run, seeded with seed + run index in circuit mode;
+        `outcome` is one a stacked readout drew with that seed."""
         seed = None
         if self.config.mode == "circuit":
             seed = (self.config.seed or 0) + self._run_index
         self._run_index += 1
         cfg = AEConfig(t_bits=t_bits, mode=self.config.mode, seed=seed)
-        return estimate_amplitude(prep, cfg, ledger=self.ledger)
+        return estimate_amplitude(prep, cfg, ledger=self.ledger, outcome=outcome)
 
     def means(
         self,
@@ -162,15 +193,26 @@ class EstimatorRun:
         interference preparation and reads its mean as 2 a - 1; otherwise a
         squared-mean preparation reads the mean of its squares as a. Returns
         scale * that mean * padded / n per row: the mean over the n real
-        entries, the pad's zeros taken out.
+        entries, the pad's zeros taken out. Ideal mode runs one preparation
+        per row; circuit mode one phase readout per stack of rows (4 padded
+        bounds a row's labels), whose rows then draw in row order.
         """
         build = interference_prep if signed else squared_mean_prep
         n = table.shape[1]
         ratio = padded / n
         values = np.zeros((table.shape[0], padded))
         values[:, :n] = table
-        out = []
-        for i, row in enumerate(values):
-            a = self.run(build(f"{name}[{i}]", row, costs), t_bits).amplitude
-            out.append(scale * (2.0 * a - 1.0 if signed else a) * ratio)
-        return out
+        if self.config.mode == "ideal":
+            amps = [
+                self.run(build(f"{name}[{i}]", row, costs), t_bits).amplitude
+                for i, row in enumerate(values)
+            ]
+        else:
+            step = max(1, MAX_STACK_AMPS // (4 * padded * max(1 << t_bits, 4 * padded)))
+            amps = []
+            for lo in range(0, len(values), step):
+                prep = build(f"{name}[{lo}]", values[lo : lo + step], costs)
+                first = self.config.seed + self._run_index
+                outcomes = draw(phase_distributions(prep, t_bits), range(first, first + prep.rows))
+                amps += [self.run(prep, t_bits, raw).amplitude for raw in outcomes]
+        return [scale * (2.0 * a - 1.0 if signed else a) * ratio for a in amps]

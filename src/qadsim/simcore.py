@@ -234,10 +234,8 @@ class Qft:
     """Readout of one register after the inverse QFT
     |x> -> (1/sqrt N) sum_y exp(-2 pi i x y / N) |y> on it.
 
-    For a real state the transformed amplitudes at y and N - y are complex
-    conjugates, so P(y) = P(N - y) exactly: `apply` takes y = 0..N/2 from
-    `np.fft.rfft`, mirrors the rest and checks that the sum is 1. The name is
-    kept from the QFT operation this replaced, which profilers wrap.
+    `apply` is `readout_rows` with every other register in one row. The
+    name is kept from the QFT operation this replaced, which profilers wrap.
     """
 
     def __init__(self, register: str):
@@ -247,14 +245,27 @@ class Qft:
         lay = state.layout
         n = 1 << lay.width(self.register)
         lo = 1 << lay.offset(self.register)
-        spectrum = np.fft.rfft(state.amps.reshape(-1, n, lo), axis=1)
-        parts = spectrum.view(np.float64)  # re and im of each entry, side by side
-        half = np.einsum("hyl,hyl->y", parts, parts) / n
-        probs = np.concatenate([half, half[n - half.size : 0 : -1]])
-        total = float(probs.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise SimulationError(f"readout of {self.register!r} drifted: sum P = {total}")
-        return probs
+        amps = np.moveaxis(state.amps.reshape(-1, n, lo), 0, 1)
+        return readout_rows(np.ascontiguousarray(amps).reshape(1, n, -1), self.register)[0]
+
+
+def readout_rows(amps: np.ndarray, register: str = "phase") -> np.ndarray:
+    """(k, N) outcome distributions of a register after the inverse QFT, one
+    per real state of a (k, N, rest) stack whose axis 1 is the register.
+
+    The transformed amplitudes at y and N - y are complex conjugates, so
+    P(y) = P(N - y) exactly: y = 0..N/2 come from `np.fft.rfft`, the rest are
+    mirrored, and each row must sum to 1 within NORM_TOL.
+    """
+    n = amps.shape[1]
+    spectrum = np.fft.rfft(amps, axis=1)
+    parts = spectrum.view(np.float64)  # re and im of each entry, side by side
+    half = np.einsum("kyl,kyl->ky", parts, parts) / n
+    probs = np.concatenate([half, half[:, n - half.shape[1] : 0 : -1]], axis=1)
+    total = probs.sum(axis=1)
+    if np.any(np.abs(total - 1.0) > NORM_TOL):
+        raise SimulationError(f"readout of {register!r} drifted: sum P = {total}")
+    return probs
 
 
 class ValueKeyedRotation(Operation):
@@ -386,19 +397,28 @@ def probability_of(
     return float(sum(p for label, p in enumerate(probs) if predicate(label)))
 
 
-def draw(probs: np.ndarray, rng: np.random.Generator | int) -> int:
-    """Draw one outcome from a distribution over 0..len(probs)-1."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    probs = probs / probs.sum()
-    return int(rng.choice(probs.size, p=probs))
+def draw(probs: np.ndarray, rngs: Sequence[np.random.Generator | int]) -> list[int]:
+    """One outcome per row of a (k, n) stack of distributions, row i drawn
+    with rngs[i] (a Generator or a seed) by the steps of
+    `Generator.choice(n, p=row / row.sum())`, so with its outcome. A row
+    choice rejects is rejected: one with a negative or NaN entry, or with a
+    sum that is not finite and positive, the one way a row normalised here
+    can miss choice's check that it sums to 1.
+    """
+    total = probs.sum(axis=1, keepdims=True)
+    if not (probs.min() >= 0.0 and total.min() > 0.0 and total.max() < np.inf):
+        raise SimulationError("outcome probabilities must be finite, >= 0 and sum to 1")
+    cdf = np.cumsum(probs / total, axis=1)
+    cdf /= cdf[:, -1:]
+    uniforms = [np.random.default_rng(rng).random() for rng in rngs]
+    return [int(row.searchsorted(u, side="right")) for row, u in zip(cdf, uniforms)]
 
 
 def measure(
     state: StateVector, register: str, rng: np.random.Generator | int
 ) -> tuple[int, StateVector]:
     """Sample one outcome for a register and collapse the state onto it."""
-    outcome = draw(marginal_probs(state, register), rng)
+    outcome = draw(marginal_probs(state, register)[None], [rng])[0]
     state.amps[state.layout.field(register) != outcome] = 0.0
     norm = np.sqrt(state.norm_sq())
     if norm == 0.0:
@@ -418,38 +438,42 @@ class _ColumnBatch(StateVector):
     own, so an operation, which addresses registers by name, acts on all of
     them in one call. Each column must keep unit norm on its own: a weight
     shift between columns that leaves the total intact still fails the check.
+    With `blocks` > 1 the batch holds column c of each diagonal block only.
     """
 
-    def __init__(self, layout: RegisterLayout):
+    def __init__(self, layout: RegisterLayout, blocks: int = 1):
+        dim = layout.dim // blocks
         super().__init__(
-            layout.extended(_COLUMN_REGISTER, layout.n_qubits, capped=False),
-            np.eye(layout.dim).reshape(-1),
+            layout.extended(_COLUMN_REGISTER, dim.bit_length() - 1, capped=False),
+            np.repeat(np.eye(dim)[:, None, :], blocks, axis=1).reshape(-1),
         )
-        self.columns = layout.dim
+        self.columns = blocks * dim
 
 
 def check_unit_columns(mat: np.ndarray) -> None:
-    """Raise SimulationError unless every column of a matrix has unit norm."""
-    drift = np.einsum("ij,ij->j", mat, mat) - 1.0
+    """Raise SimulationError unless every column of a matrix (or stack) has unit norm."""
+    drift = np.einsum("...ij,...ij->...j", mat, mat).reshape(-1) - 1.0
     worst = int(np.argmax(np.abs(drift)))
     if abs(drift[worst]) > NORM_TOL:
         raise SimulationError(f"column {worst} norm drifted: |psi|^2 = {1.0 + drift[worst]}")
 
 
-def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout) -> np.ndarray:
+def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout, blocks=1) -> np.ndarray:
     """Dense matrix of a composed operation sequence (small layouts only).
 
     The ops run once on all basis columns together (see `_ColumnBatch`), so
     each op's own norm check checks every column's norm. The result is
     checked once more, for ops that do not check themselves. The batch holds
     dim^2 amplitudes; it is exempt from the qubit cap, which the layout itself
-    already passed.
+    already passed. For ops block diagonal in the layout's top log2(blocks)
+    qubits, `blocks` > 1 returns the (blocks, dim, dim) diagonal blocks.
     """
-    dim = layout.dim
+    dim = layout.dim // blocks
     if dim > 1 << 12:
         raise SimulationError("operation_matrix supports at most 12 qubits")
-    batch = _ColumnBatch(layout)
+    batch = _ColumnBatch(layout, blocks)
     for op in ops:
         op.apply(batch)
     batch.check_norm()
-    return np.ascontiguousarray(batch.amps.reshape(dim, dim).T)
+    mat = batch.amps.reshape(dim, blocks, dim).transpose(1, 2, 0)
+    return np.ascontiguousarray(mat[0] if blocks == 1 else mat)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .ae import AEConfig, estimate_amplitude, grid_epsilon, phase_distribution
+from .ae import AEConfig, estimate_amplitude, grid_epsilon, phase_distribution, phase_distributions
 from .adde import run_adde
 from .adkpca import run_adkpca
 from .dataio import DataMatrix, QueryLedger, QueryPoint
@@ -134,6 +134,8 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
     coherent feature register must equal the per-feature run's distribution,
     and so must the good-subspace probabilities. The joint distribution uses a
     full complex FFT, a second path to `phase_distribution`'s rfft readout.
+    The stacked run of both features as one stage, as circuit mode runs it,
+    must give each feature the same distribution as both.
     """
     data = DataMatrix(np.array([[0.3, -0.7], [0.9, 0.1]]))
     c_const = 1.0
@@ -149,22 +151,26 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
     ps = prepared.layout.field("s")
     pprobs = np.abs(prepared.amps) ** 2
 
+    stacked = phase_distributions(interference_prep("mean", data.values.T / c_const, {}), t_bits)
     failures = []
     max_dev = 0.0
     for j in range(data.n_cols):
-        branch = interference_prep(
-            f"mean[{j}]", data.values[:, j] / c_const, costs={}
-        )
+        branch = interference_prep(f"mean[{j}]", data.values[:, j] / c_const, costs={})
         expected = phase_distribution(branch, t_bits)
         mask = j_field == j
         p_j = probs[mask].sum()
         conditional = np.zeros(1 << t_bits)
         np.add.at(conditional, phase_field[mask], probs[mask])
         conditional /= p_j
-        dev = float(np.max(np.abs(conditional - expected)))
-        max_dev = max(max_dev, dev)
-        if dev > tol:
-            failures.append({"feature": j, "check": "phase_distribution", "deviation": dev})
+        for check, got, want in (
+            ("phase_distribution", conditional, expected),
+            ("stacked_vs_monolithic", stacked[j], conditional),
+            ("stacked_vs_branch", stacked[j], expected),
+        ):
+            dev = float(np.max(np.abs(got - want)))
+            max_dev = max(max_dev, dev)
+            if dev > tol:
+                failures.append({"feature": j, "check": check, "deviation": dev})
 
         good_mono = pprobs[(pj == j) & (ps == 0)].sum() / pprobs[pj == j].sum()
         good_branch = branch.good_probability()

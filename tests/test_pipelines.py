@@ -4,9 +4,19 @@ import pytest
 from qadsim import pipelines
 from qadsim.adde import run_adde
 from qadsim.adkpca import run_adkpca
-from qadsim.ae import AEConfig, estimate_amplitude, grid_epsilon
+from qadsim.ae import (
+    ROW_REGISTER,
+    AEConfig,
+    GroverOperator,
+    StatePreparation,
+    estimate_amplitude,
+    grid_epsilon,
+    phase_distribution,
+    phase_distributions,
+)
 from qadsim.arith import FixedPointFormat, RangeError
 from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint
+from qadsim.simcore import SimulationError
 from qadsim.pipelines import (
     EstimatorRun,
     PipelineConfig,
@@ -155,17 +165,92 @@ class TestMeans:
         assert runner.ledger.grover == 2 * (2**t - 1)
 
     def test_circuit_seeds_follow_row_order(self):
+        # Two rows, and five, which a stack pads to eight.
         t, padded, seed = 3, 4, 6
-        runner = EstimatorRun(PipelineConfig(t_bits=t, mode="circuit", seed=seed))
-        got = runner.means("m", self.TABLE, padded, {}, t, signed=True)
+        table5 = np.array(
+            [[0.9, -0.2, 0.4], [-0.8, 0.3, -0.5], [0.1, 0.7, 0.6], [-0.6, -0.9, 0.2], [0.95, 0.95, 0.95]]
+        )
+        for table in (self.TABLE, table5):
+            runner = EstimatorRun(PipelineConfig(t_bits=t, mode="circuit", seed=seed))
+            got = runner.means("m", table, padded, {}, t, signed=True)
+            rows = [np.append(row, np.zeros(padded - row.size)) for row in table]
 
-        def outcomes(seeds):
-            preps = [interference_prep("ref", row, costs={}) for row in self._rows(padded)]
-            amps = [
-                estimate_amplitude(prep, AEConfig(t_bits=t, mode="circuit", seed=s)).amplitude
-                for prep, s in zip(preps, seeds)
-            ]
-            return [(2.0 * a - 1.0) * padded / 3 for a in amps]
+            def outcomes(seeds):
+                preps = [interference_prep("ref", row, costs={}) for row in rows]
+                amps = [
+                    estimate_amplitude(prep, AEConfig(t_bits=t, mode="circuit", seed=s)).amplitude
+                    for prep, s in zip(preps, seeds)
+                ]
+                return [(2.0 * a - 1.0) * (padded / 3) for a in amps]
 
-        assert got == outcomes([seed, seed + 1])
-        assert got != outcomes([seed + 1, seed])  # the check tells the orders apart
+            seeds = list(range(seed, seed + len(table)))
+            assert got == outcomes(seeds)
+            assert got != outcomes(seeds[::-1])  # the check tells the orders apart
+            assert runner._run_index == len(table)
+
+
+class TestStacked:
+    """A stacked preparation of k rows against its rows built one by one."""
+
+    @pytest.mark.parametrize("build", [interference_prep, squared_mean_prep])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_blocks_and_rows_equal_per_row_runs(self, build, k):
+        # k = 3 and 5 leave padding rows in the stack's row register.
+        t = 5
+        table = np.random.default_rng(k).uniform(-0.95, 0.95, size=(k, 4))
+        stacked = build("stack", table, costs={})
+        assert stacked.rows == k
+        singles = [build(f"row{i}", row, costs={}) for i, row in enumerate(table)]
+        dim = singles[0].layout.dim
+        blocks = GroverOperator(stacked).matrix().reshape(k, dim, dim)
+        dists = phase_distributions(stacked, t)
+        assert dists.shape == (k, 1 << t)
+        for block, dist, single in zip(blocks, dists, singles):
+            np.testing.assert_allclose(block, GroverOperator(single).matrix(), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dist, phase_distribution(single, t), rtol=0, atol=1e-12)
+
+    def test_row_register_must_be_an_unreflected_top_register(self):
+        stacked = interference_prep("stack", np.full((3, 2), 0.5), costs={})
+        assert stacked.layout.names[-1] == ROW_REGISTER
+        assert ROW_REGISTER not in stacked.reflection_registers
+        with pytest.raises(SimulationError, match="row register"):
+            StatePreparation(
+                name="bad",
+                layout=stacked.layout,
+                ops=stacked.ops,
+                good_register="s",
+                good_predicate=lambda label: label == 0,
+                rows=3,
+            )
+
+    def test_qubit_cap_is_charged_per_row(self, monkeypatch):
+        # Five rows of a 5-qubit preparation take 8 qubits with the row
+        # register, but each row's phase estimation is charged 5 + t, as alone.
+        monkeypatch.setenv("QADSIM_QUBIT_CAP", "8")
+        stacked = interference_prep("cap", np.full((5, 8), 0.3), {})
+        assert stacked.layout.n_qubits == 8
+        assert phase_distributions(stacked, 3).shape == (5, 8)
+        with pytest.raises(SimulationError):
+            phase_distributions(stacked, 4)
+
+    def test_stack_limit_splits_a_stage_without_changing_outcomes(self, monkeypatch):
+        table = np.random.default_rng(3).uniform(-0.9, 0.9, size=(7, 3))
+        stacks = []
+        real = pipelines.phase_distributions
+
+        def counted(prep, t):
+            stacks.append(prep.rows)
+            return real(prep, t)
+
+        monkeypatch.setattr(pipelines, "phase_distributions", counted)
+        got = []
+        # Rows of 4 * padded = 16 labels at t = 6: all 7 in one stack, then 2 a stack.
+        for limit, sizes in ((pipelines.MAX_STACK_AMPS, [7]), (2 * 16 * 64, [2, 2, 2, 1])):
+            monkeypatch.setattr(pipelines, "MAX_STACK_AMPS", limit)
+            runner = EstimatorRun(PipelineConfig(t_bits=6, mode="circuit", seed=11))
+            got.append(runner.means("m", table, 4, {"oracle_data": 1}, 6, signed=True))
+            assert stacks == sizes
+            stacks.clear()
+            assert runner.ledger.grover == 7 * 63
+            assert runner.ledger.oracle_data == 7 * (2 * 63 + 1)
+        assert got[0] == got[1]

@@ -16,11 +16,13 @@ from qadsim.simcore import (
     UnknownRegisterError,
     ValueKeyedRotation,
     _label_field,
+    check_unit_columns,
     draw,
     marginal_probs,
     measure,
     new_state,
     operation_matrix,
+    readout_rows,
 )
 
 
@@ -173,6 +175,13 @@ class TestQft:
         with pytest.raises(SimulationError, match="drifted"):
             Qft("b").apply(StateVector(lay, 1.01 * amps))
 
+    def test_stacked_readout_checks_every_row(self):
+        rows = np.full((3, 4, 4), 0.25)
+        np.testing.assert_allclose(readout_rows(rows).sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        rows[2] *= 1.01
+        with pytest.raises(SimulationError, match="drifted"):
+            readout_rows(rows)
+
     def test_acts_only_on_named_register(self):
         lay = RegisterLayout([("a", 1), ("b", 2)])
         state = new_state(lay)
@@ -312,8 +321,50 @@ class TestMeasurement:
         amps /= np.linalg.norm(amps)
         for seed in range(20):
             state = StateVector(lay, amps.copy())
-            drawn = draw(marginal_probs(state, "a"), seed)
+            drawn = draw(marginal_probs(state, "a")[None], [seed])[0]
             assert drawn == measure(state, "a", seed)[0]
+
+
+class TestDraw:
+    @staticmethod
+    def _distributions(count: int, n: int) -> np.ndarray:
+        """Unnormalised distributions with zero entries, mass at both ends and
+        nearly one-hot rows."""
+        rng = np.random.default_rng(n)
+        probs = rng.random((count, n)) ** 4
+        probs[rng.random((count, n)) < 0.4] = 0.0
+        probs[0::3, 1:-1] *= 1e-9  # mass at both ends
+        probs[1::3, :] = 0.0
+        probs[1::3, rng.integers(0, n, size=probs[1::3].shape[0])] = 0.7  # one-hot, scaled
+        probs[:, 0] += 1e-300 * (probs.sum(axis=1) == 0.0)
+        return probs
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 1024])
+    def test_equals_generator_choice(self, n):
+        # Seed for seed, outcomes equal those of the choice call they replace,
+        # both drawn one row at a time and as one stack.
+        probs = self._distributions(150, n)
+        seeds = range(1000, 1000 + len(probs))
+        want = [
+            int(np.random.default_rng(s).choice(n, p=row / row.sum()))
+            for row, s in zip(probs, seeds)
+        ]
+        assert draw(probs, seeds) == want
+        assert [draw(row[None], [s])[0] for row, s in zip(probs, seeds)] == want
+        assert len(set(want)) > 1
+
+    def test_generator_or_seed(self):
+        probs = self._distributions(4, 16)
+        gens = [np.random.default_rng(s) for s in range(4)]
+        assert draw(probs, gens) == draw(probs, range(4))
+
+    @pytest.mark.parametrize(
+        "bad", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.0, 0.0, 0.0], [np.inf, 0.0, 1.0]]
+    )
+    def test_rejects_what_choice_rejects(self, bad):
+        probs = np.array([[0.2, 0.3, 0.5], bad])
+        with pytest.raises(SimulationError, match="probabilities"):
+            draw(probs, [1, 2])
 
 
 def test_operation_matrix_unitary():
@@ -362,6 +413,26 @@ def test_operation_matrix_checks_every_column():
     assert np.sum(np.abs(squeezed) ** 2) == pytest.approx(lay.dim)
     with pytest.raises(SimulationError, match="column"):
         operation_matrix([HadamardBlock("b"), _Squeeze("a")], lay)
+
+
+def test_unit_column_check_covers_every_block():
+    stack = np.stack([np.eye(4), np.eye(4)])
+    check_unit_columns(stack)
+    stack[1, 0, 3] = 0.5
+    with pytest.raises(SimulationError, match="column 7"):
+        check_unit_columns(stack)
+
+
+def test_operation_matrix_blocks_equal_the_dense_diagonal():
+    # A rotation keyed on a passive top register "r" is block diagonal in it.
+    lay = RegisterLayout([("k", 1), ("t", 1), ("r", 2)])
+    values = np.array([0.3, -0.9, 0.1, 1.0, -0.5, 0.2, 0.0, 0.7])
+    ops = [HadamardBlock("k"), ValueKeyedRotation(["k", "r"], "t", values)]
+    dense = operation_matrix(ops, lay)
+    blocks = operation_matrix(ops, lay, blocks=4)
+    assert blocks.shape == (4, 4, 4)
+    for b in range(4):
+        np.testing.assert_array_equal(blocks[b], dense[4 * b : 4 * b + 4, 4 * b : 4 * b + 4])
 
 
 def test_norm_invariant_enforced():
