@@ -34,7 +34,6 @@ from .simcore import (
     draw,
     new_state,
     operation_matrix,
-    probability_of,
     readout_rows,
 )
 
@@ -84,12 +83,25 @@ class StatePreparation:
             op.apply(state)
         return state
 
+    @property
+    def blocks(self) -> int:
+        """Row blocks of the layout, padding included; `prepare` seeds |0> in each."""
+        return 1 << self.layout.width(ROW_REGISTER) if self.rows > 1 else 1
+
     def prepare(self) -> StateVector:
-        return self.apply(new_state(self.layout))
+        return self.apply(new_state(self.layout, self.blocks))
+
+    def good_probabilities(self) -> np.ndarray:
+        """Exact probability of the good subspace in each row's A|0>, in one replay."""
+        state, lay, reg = self.prepare(), self.layout, self.good_register
+        labels = 1 << lay.width(reg)
+        amps = state.amps.reshape(state.columns, -1, labels, 1 << lay.offset(reg))
+        probs = np.einsum("rhbl,rhbl->rb", amps, amps)[: self.rows]
+        return sum((probs[:, b] for b in range(labels) if self.good_predicate(b)), np.zeros(self.rows))
 
     def good_probability(self) -> float:
-        """Exact probability of the good subspace in A|0>."""
-        return probability_of(self.prepare(), self.good_register, self.good_predicate)
+        """Exact probability of the good subspace in (row 0's) A|0>."""
+        return float(self.good_probabilities()[0])
 
 
 class GroverOperator:
@@ -127,8 +139,7 @@ class GroverOperator:
         """Dense matrix of Q on the preparation's layout (small layouts); for a
         stacked preparation, the (rows, dim, dim) blocks of its rows."""
         prep = self.prep
-        blocks = 1 << prep.layout.width(ROW_REGISTER) if prep.rows > 1 else 1
-        a = operation_matrix(prep.ops, prep.layout, blocks)
+        a = operation_matrix(prep.ops, prep.layout, prep.blocks)
         dim = a.shape[-1]
         self._a = a = a.reshape(-1, dim, dim)[: prep.rows]
         # Row 0's labels come first, so the diagonals' heads are one block's.
@@ -167,7 +178,12 @@ class AEResult:
     t_bits: int
     mode: str
     grover_count: int
-    raw_outcome: int | None = None
+    outcome: int | None = None
+
+    @property
+    def raw_outcome(self) -> int | None:
+        """The measured phase outcome y; ideal mode measures none."""
+        return self.outcome if self.mode == "circuit" else None
 
     @property
     def error_bound(self) -> float:
@@ -240,17 +256,27 @@ def phase_distributions(prep: StatePreparation, t: int) -> np.ndarray:
     return readout_rows(_qpe_rows(prep, t)[1], PHASE_REGISTER)
 
 
-def phase_distribution(prep: StatePreparation, t: int) -> np.ndarray:
-    """Deterministic distribution of the phase-register outcome."""
-    return phase_distributions(prep, t)[0]
+def phase_outcomes(prep: StatePreparation, config: AEConfig) -> list[int]:
+    """The phase outcome y of each row of a preparation, in row order.
+
+    Ideal mode takes the grid point nearest each row's exact angle, read from
+    `good_probabilities`. Circuit mode draws row i from its phase
+    distribution with seed config.seed + i.
+    """
+    t = config.t_bits
+    if config.mode == "circuit":
+        return draw(phase_distributions(prep, t), range(config.seed, config.seed + prep.rows))
+    goods = prep.good_probabilities().tolist()
+    thetas = [math.asin(math.sqrt(min(max(a, 0.0), 1.0))) for a in goods]
+    return [min(max(round(theta * (1 << t) / math.pi), 0), 1 << (t - 1)) for theta in thetas]
 
 
 def estimate_amplitude(
     prep: StatePreparation, config: AEConfig, ledger: QueryLedger | None = None,
     *, outcome: int | None = None,
 ) -> AEResult:
-    """One AE run, charged to `ledger`. A circuit run draws its phase outcome
-    under the config's seed, unless a stacked readout has (`outcome`)."""
+    """One AE run, charged to `ledger`: the `phase_outcomes` of the
+    preparation's row 0, unless a stage's call has already given it (`outcome`)."""
     t = config.t_bits
     grover_count = (1 << t) - 1
     if ledger is not None:
@@ -259,26 +285,14 @@ def estimate_amplitude(
         a_applications = 2 * grover_count + 1
         for kind, per_a in prep.oracle_costs.items():
             ledger.add(**{kind: per_a * a_applications})
-
-    if config.mode == "ideal":
-        a_true = prep.good_probability()
-        theta = math.asin(math.sqrt(min(max(a_true, 0.0), 1.0)))
-        y = round(theta * (1 << t) / math.pi)
-        y = min(max(y, 0), 1 << (t - 1))
-        theta_hat = math.pi * y / (1 << t)
-        raw = None
-        amplitude = _grid_amplitude(y, t)
-    else:
-        raw = draw(phase_distributions(prep, t), [config.seed])[0] if outcome is None else outcome
-        theta_hat = _fold_outcome(raw, t)
-        amplitude = _grid_amplitude(raw, t)
+    y = phase_outcomes(prep, config)[0] if outcome is None else outcome
     return AEResult(
-        theta=theta_hat,
-        amplitude=amplitude,
+        theta=_fold_outcome(y, t),
+        amplitude=_grid_amplitude(y, t),
         t_bits=t,
         mode=config.mode,
         grover_count=grover_count,
-        raw_outcome=raw,
+        outcome=y,
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import QadsimError
 from .dataio import DataMatrix, QueryPoint
-from .simcore import HadamardBlock, RegisterLayout, StateVector, probability_of
+from .simcore import HadamardBlock, RegisterLayout, StateVector, marginal_probs
 
 
 class FlawLabError(QadsimError):
@@ -109,7 +109,7 @@ def interfere_and_postselect(sup: SuperpositionState) -> dict:
     """
     sv = sup.state.copy()
     HadamardBlock("flag").apply(sv)
-    p1 = probability_of(sv, "flag", lambda label: label == 1)
+    p1 = float(marginal_probs(sv, "flag")[1])
     if p1 <= 1e-15:
         raise FlawLabError("post-selection probability is zero")
 
@@ -198,7 +198,7 @@ def expectation_audit(
         amps[:d, 1] = np.sqrt(1.0 - logs**2)
         amps[d:, 1] = 1.0
         sv = StateVector(layout, amps.reshape(-1) / math.sqrt(d_pad))
-        good = probability_of(sv, "anc", lambda label: label == 0)
+        good = float(marginal_probs(sv, "anc")[0])
         actual = float(good * d_pad)
     claimed = float(2.0 * np.sum(logs))
     report["m2"] = {

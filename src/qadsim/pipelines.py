@@ -9,10 +9,10 @@ Every estimator reduces to one of two preparation shapes:
 
 `EstimatorRun.means` is the one stage path: every estimator stage hands it a
 table of rotation values, one row per AE run (one per feature or point index),
-and it pads, prepares, runs and rescales each row. The coherent index
+and it pads, stacks, runs and rescales the rows. The coherent index
 superposition of the full algorithm is block diagonal in the passive index, so
-per-row simulation is exact; circuit mode stacks a stage's rows as the blocks
-of one AE. The verification harness checks both against a monolithic run.
+a stage's rows run exactly as the blocks of one stacked AE, in both modes. The
+verification harness checks this against a monolithic run.
 """
 from __future__ import annotations
 
@@ -28,13 +28,13 @@ from .ae import (
     bits_for_epsilon,
     estimate_amplitude,
     grid_epsilon,
-    phase_distributions,
+    phase_outcomes,
 )
 from .arith import FixedPointFormat
 from .dataio import QueryLedger
-from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation, draw
+from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation
 
-# Most amplitudes (16 MiB) in a circuit-mode stack's phase state or A blocks.
+# Most amplitudes (16 MiB) in a stack's circuit-mode phase state or A blocks.
 MAX_STACK_AMPS = 1 << 21
 
 
@@ -87,14 +87,14 @@ def _stack(
     """Layout, "anc" rotation keyed on "idx" and extra StatePreparation
     fields for one row of rotation values or a (k, padded) table. k > 1 rows
     add ROW_REGISTER, zero rows pad them to a power of two, and the rotation
-    is keyed on the row too; the qubit cap is charged per row, in `ae`."""
+    is keyed on the row too; the qubit cap is charged per row."""
     if values.ndim == 1 or len(values) == 1:
         return RegisterLayout(own), ValueKeyedRotation(["idx"], "anc", values.reshape(-1)), {}
     k, padded = values.shape
     bits = (k - 1).bit_length()
     flat = np.zeros((1 << bits, padded))
     flat[:k] = values
-    layout = RegisterLayout([*own, (ROW_REGISTER, bits)], capped=False)
+    layout = RegisterLayout(own).extended(ROW_REGISTER, bits, capped=False)
     rotation = ValueKeyedRotation(["idx", ROW_REGISTER], "anc", flat.reshape(-1))
     return layout, rotation, {"rows": k, "reflection_registers": tuple(n for n, _ in own)}
 
@@ -166,14 +166,14 @@ class EstimatorRun:
         t, _hint = bits_for_epsilon(eps_target)
         return t, eps_target
 
+    def _next_config(self, t_bits: int) -> AEConfig:
+        """The next AE run's config, seeded with seed + run index (ideal mode ignores it)."""
+        return AEConfig(t_bits, self.config.mode, (self.config.seed or 0) + self._run_index)
+
     def run(self, prep: StatePreparation, t_bits: int, outcome: int | None = None) -> AEResult:
-        """The next AE run, seeded with seed + run index in circuit mode;
-        `outcome` is one a stacked readout drew with that seed."""
-        seed = None
-        if self.config.mode == "circuit":
-            seed = (self.config.seed or 0) + self._run_index
+        """The next AE run; `outcome` is its row's, from a stage's `phase_outcomes`."""
+        cfg = self._next_config(t_bits)
         self._run_index += 1
-        cfg = AEConfig(t_bits=t_bits, mode=self.config.mode, seed=seed)
         return estimate_amplitude(prep, cfg, ledger=self.ledger, outcome=outcome)
 
     def means(
@@ -193,26 +193,19 @@ class EstimatorRun:
         interference preparation and reads its mean as 2 a - 1; otherwise a
         squared-mean preparation reads the mean of its squares as a. Returns
         scale * that mean * padded / n per row: the mean over the n real
-        entries, the pad's zeros taken out. Ideal mode runs one preparation
-        per row; circuit mode one phase readout per stack of rows (4 padded
-        bounds a row's labels), whose rows then draw in row order.
+        entries, the pad's zeros taken out. The rows run as one stacked
+        preparation per stack (4 padded bounds a row's labels), whose
+        `phase_outcomes` are read at once and then run in row order.
         """
         build = interference_prep if signed else squared_mean_prep
         n = table.shape[1]
         ratio = padded / n
         values = np.zeros((table.shape[0], padded))
         values[:, :n] = table
-        if self.config.mode == "ideal":
-            amps = [
-                self.run(build(f"{name}[{i}]", row, costs), t_bits).amplitude
-                for i, row in enumerate(values)
-            ]
-        else:
-            step = max(1, MAX_STACK_AMPS // (4 * padded * max(1 << t_bits, 4 * padded)))
-            amps = []
-            for lo in range(0, len(values), step):
-                prep = build(f"{name}[{lo}]", values[lo : lo + step], costs)
-                first = self.config.seed + self._run_index
-                outcomes = draw(phase_distributions(prep, t_bits), range(first, first + prep.rows))
-                amps += [self.run(prep, t_bits, raw).amplitude for raw in outcomes]
+        step = max(1, MAX_STACK_AMPS // (4 * padded * max(1 << t_bits, 4 * padded)))
+        amps = []
+        for lo in range(0, len(values), step):
+            prep = build(f"{name}[{lo}]", values[lo : lo + step], costs)
+            outcomes = phase_outcomes(prep, self._next_config(t_bits))
+            amps += [self.run(prep, t_bits, y).amplitude for y in outcomes]
         return [scale * (2.0 * a - 1.0 if signed else a) * ratio for a in amps]

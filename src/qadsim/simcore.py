@@ -103,8 +103,8 @@ class RegisterLayout:
     def extended(self, name: str, width: int, *, capped: bool = True) -> "RegisterLayout":
         """New layout with one more register appended above the existing ones.
 
-        `capped=False` exempts the new layout from the qubit cap; only the
-        batched matrix build uses it, for its column-label register.
+        `capped=False` exempts the new layout from the qubit cap, for passive
+        labels: the matrix build's columns, a stacked preparation's rows.
         """
         items = [(n, self._widths[n]) for n in self.names]
         items.append((name, width))
@@ -141,7 +141,7 @@ def _label_field(registers: tuple[tuple[str, int], ...], names: tuple[str, ...])
 class StateVector:
     """Real amplitudes over a register layout. Norm is an invariant."""
 
-    columns = 1  # states stored side by side (see _ColumnBatch); each is norm-checked
+    columns = 1  # states stored side by side (see new_state, _ColumnBatch); each is norm-checked
 
     def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
         if amplitudes.shape != (layout.dim,):
@@ -166,11 +166,14 @@ class StateVector:
             raise SimulationError(f"statevector norm drifted: |psi|^2 = {self.norm_sq()}")
 
 
-def new_state(layout: RegisterLayout) -> StateVector:
-    """All-zeros basis state |0...0> on the given layout."""
+def new_state(layout: RegisterLayout, blocks: int = 1) -> StateVector:
+    """All-zeros basis state |0...0> on the given layout, or with `blocks` > 1 in
+    each block of its top log2(blocks) qubits, each norm-checked on its own."""
     amps = np.zeros(layout.dim)
-    amps[0] = 1.0
-    return StateVector(layout, amps)
+    amps[:: layout.dim // blocks] = 1.0
+    state = StateVector(layout, amps)
+    state.columns = blocks
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +390,6 @@ def marginal_probs(state: StateVector, register: str) -> np.ndarray:
     lo = 1 << lay.offset(register)
     f = state.amps.reshape(-1, blk, lo)
     return np.einsum("hbl,hbl->b", f, f)
-
-
-def probability_of(
-    state: StateVector, register: str, predicate: Callable[[int], bool]
-) -> float:
-    """Total probability of register labels satisfying the predicate."""
-    probs = marginal_probs(state, register)
-    return float(sum(p for label, p in enumerate(probs) if predicate(label)))
 
 
 def draw(probs: np.ndarray, rngs: Sequence[np.random.Generator | int]) -> list[int]:

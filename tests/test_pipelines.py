@@ -11,12 +11,11 @@ from qadsim.ae import (
     StatePreparation,
     estimate_amplitude,
     grid_epsilon,
-    phase_distribution,
     phase_distributions,
 )
 from qadsim.arith import FixedPointFormat, RangeError
 from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint
-from qadsim.simcore import SimulationError
+from qadsim.simcore import LayoutError, SimulationError
 from qadsim.pipelines import (
     EstimatorRun,
     PipelineConfig,
@@ -205,9 +204,11 @@ class TestStacked:
         blocks = GroverOperator(stacked).matrix().reshape(k, dim, dim)
         dists = phase_distributions(stacked, t)
         assert dists.shape == (k, 1 << t)
-        for block, dist, single in zip(blocks, dists, singles):
+        goods = stacked.good_probabilities()
+        for block, dist, good, single in zip(blocks, dists, goods, singles):
             np.testing.assert_allclose(block, GroverOperator(single).matrix(), rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dist, phase_distribution(single, t), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dist, phase_distributions(single, t)[0], rtol=0, atol=1e-12)
+            assert good == pytest.approx(single.good_probability(), abs=1e-12)
 
     def test_row_register_must_be_an_unreflected_top_register(self):
         stacked = interference_prep("stack", np.full((3, 2), 0.5), costs={})
@@ -233,21 +234,29 @@ class TestStacked:
         with pytest.raises(SimulationError):
             phase_distributions(stacked, 4)
 
-    def test_stack_limit_splits_a_stage_without_changing_outcomes(self, monkeypatch):
+    def test_ideal_stage_keeps_the_per_row_cap(self, monkeypatch):
+        # Each row of the stage is a 4-qubit preparation, over the cap of 3.
+        monkeypatch.setenv("QADSIM_QUBIT_CAP", "3")
+        runner = EstimatorRun(PipelineConfig(t_bits=4))
+        with pytest.raises(LayoutError):
+            runner.means("m", np.full((3, 4), 0.3), 4, {}, 4, signed=True)
+
+    @pytest.mark.parametrize("mode", ["ideal", "circuit"])
+    def test_stack_limit_splits_a_stage_without_changing_outcomes(self, monkeypatch, mode):
         table = np.random.default_rng(3).uniform(-0.9, 0.9, size=(7, 3))
         stacks = []
-        real = pipelines.phase_distributions
+        real = pipelines.phase_outcomes
 
-        def counted(prep, t):
+        def counted(prep, config):
             stacks.append(prep.rows)
-            return real(prep, t)
+            return real(prep, config)
 
-        monkeypatch.setattr(pipelines, "phase_distributions", counted)
+        monkeypatch.setattr(pipelines, "phase_outcomes", counted)
         got = []
         # Rows of 4 * padded = 16 labels at t = 6: all 7 in one stack, then 2 a stack.
         for limit, sizes in ((pipelines.MAX_STACK_AMPS, [7]), (2 * 16 * 64, [2, 2, 2, 1])):
             monkeypatch.setattr(pipelines, "MAX_STACK_AMPS", limit)
-            runner = EstimatorRun(PipelineConfig(t_bits=6, mode="circuit", seed=11))
+            runner = EstimatorRun(PipelineConfig(t_bits=6, mode=mode, seed=11))
             got.append(runner.means("m", table, 4, {"oracle_data": 1}, 6, signed=True))
             assert stacks == sizes
             stacks.clear()
