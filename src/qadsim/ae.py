@@ -30,7 +30,7 @@ from .simcore import (
     RegisterLayout,
     SimulationError,
     StateVector,
-    check_unit_columns,
+    check_unit_norms,
     draw,
     new_state,
     operation_matrix,
@@ -38,7 +38,6 @@ from .simcore import (
 )
 
 PHASE_REGISTER = "__phase"
-ROW_REGISTER = "__row"
 
 # Widest phase grid in either mode: 4^t must stay a finite double.
 MAX_GRID_BITS = 511
@@ -53,9 +52,10 @@ class StatePreparation:
     index register (e.g. a feature index held in superposition), that register
     is excluded so Q stays block diagonal too.
 
-    A stacked preparation (`rows` = k > 1) stands for k preparations: its top
-    register ROW_REGISTER only keys rotations and is not reflected, so A and Q
-    are block diagonal in it. Row labels k and up are padding and never read.
+    A stacked preparation (`rows` = k > 1) stands for k preparations on the
+    same layout that differ only in the values of a rotation with a (k, n)
+    table: `prepare` runs A on a (k, dim) stack of |0>, and Q and the phase
+    estimation run on k blocks, one per row.
     """
 
     name: str
@@ -74,8 +74,6 @@ class StatePreparation:
         for name in refl:
             if name not in self.layout:
                 raise SimulationError(f"reflection register {name!r} not in layout")
-        if self.rows > 1 and (self.layout.names[-1] != ROW_REGISTER or ROW_REGISTER in refl):
-            raise SimulationError("a stacked preparation needs an unreflected top row register")
         object.__setattr__(self, "reflection_registers", tuple(refl))
 
     def apply(self, state: StateVector) -> StateVector:
@@ -83,20 +81,16 @@ class StatePreparation:
             op.apply(state)
         return state
 
-    @property
-    def blocks(self) -> int:
-        """Row blocks of the layout, padding included; `prepare` seeds |0> in each."""
-        return 1 << self.layout.width(ROW_REGISTER) if self.rows > 1 else 1
-
     def prepare(self) -> StateVector:
-        return self.apply(new_state(self.layout, self.blocks))
+        """A|0> of every row, as a (rows, dim) stack."""
+        return self.apply(new_state(self.layout, self.rows))
 
     def good_probabilities(self) -> np.ndarray:
         """Exact probability of the good subspace in each row's A|0>, in one replay."""
         state, lay, reg = self.prepare(), self.layout, self.good_register
         labels = 1 << lay.width(reg)
-        amps = state.amps.reshape(state.columns, -1, labels, 1 << lay.offset(reg))
-        probs = np.einsum("rhbl,rhbl->rb", amps, amps)[: self.rows]
+        amps = state.amps.reshape(self.rows, -1, labels, 1 << lay.offset(reg))
+        probs = np.einsum("rhbl,rhbl->rb", amps, amps)
         return sum((probs[:, b] for b in range(labels) if self.good_predicate(b)), np.zeros(self.rows))
 
     def good_probability(self) -> float:
@@ -139,13 +133,10 @@ class GroverOperator:
         """Dense matrix of Q on the preparation's layout (small layouts); for a
         stacked preparation, the (rows, dim, dim) blocks of its rows."""
         prep = self.prep
-        a = operation_matrix(prep.ops, prep.layout, prep.blocks)
-        dim = a.shape[-1]
-        self._a = a = a.reshape(-1, dim, dim)[: prep.rows]
-        # Row 0's labels come first, so the diagonals' heads are one block's.
-        q = (a * -self.zero_flip.diagonal(prep.layout)[:dim]) @ a.transpose(0, 2, 1)
-        q *= self.good_flip.diagonal(prep.layout)[:dim]
-        check_unit_columns(q)
+        self._a = a = operation_matrix(prep.ops, prep.layout, prep.rows)
+        q = (a * -self.zero_flip.diagonal(prep.layout)) @ a.transpose(0, 2, 1)
+        q *= self.good_flip.diagonal(prep.layout)
+        check_unit_norms(q.transpose(0, 2, 1))  # its columns
         return q if prep.rows > 1 else q[0]
 
 
@@ -217,9 +208,8 @@ def _grid_amplitude(y: int, t: int) -> float:
 
 
 def _qpe_rows(prep: StatePreparation, t: int) -> tuple[RegisterLayout, np.ndarray]:
-    """Each row's phase-estimation layout (under the qubit cap, which the row
-    register is no part of) and the (rows, 2^t, dim) stack of the rows' real
-    states right before the inverse QFT.
+    """Each row's phase-estimation layout and the (rows, 2^t, dim) stack of
+    the rows' real states right before the inverse QFT.
 
     Line y of a row's (2^t, dim) state is Q^y A|0> / sqrt(2^t). A is replayed
     once, on the 2^n register only, to build Q; its column 0 is A|0>. Line 0
@@ -228,8 +218,7 @@ def _qpe_rows(prep: StatePreparation, t: int) -> tuple[RegisterLayout, np.ndarra
     square of Q's dense matrix, so each line gets its powers in the circuit's
     order. The ledger cost model still counts 2^t - 1 elementary applications.
     """
-    own = [reg for reg in prep.layout.registers if reg[0] != ROW_REGISTER]
-    layout = RegisterLayout([*own, (PHASE_REGISTER, t)])
+    layout = RegisterLayout([*prep.layout.registers, (PHASE_REGISTER, t)])
     grover = GroverOperator(prep)
     power = grover.matrix().reshape(grover._a.shape)
     rows = np.empty((prep.rows, 1 << t, layout.dim >> t))
@@ -241,7 +230,7 @@ def _qpe_rows(prep: StatePreparation, t: int) -> tuple[RegisterLayout, np.ndarra
         np.matmul(rows[:, :half], power.transpose(0, 2, 1), out=rows[:, half : 2 * half])
         if k + 1 < t:
             power = power @ power
-    check_unit_columns(rows.reshape(prep.rows, -1).T)
+    check_unit_norms(rows.reshape(prep.rows, -1))
     return layout, rows
 
 
@@ -269,6 +258,13 @@ def phase_outcomes(prep: StatePreparation, config: AEConfig) -> list[int]:
     goods = prep.good_probabilities().tolist()
     thetas = [math.asin(math.sqrt(min(max(a, 0.0), 1.0))) for a in goods]
     return [min(max(round(theta * (1 << t) / math.pi), 0), 1 << (t - 1)) for theta in thetas]
+
+
+def row_amps(dim: int, t_bits: int, mode: str) -> int:
+    """Amplitudes `phase_outcomes` holds per row of a preparation of `dim`
+    labels: in ideal mode the row's state; in circuit mode its (dim, dim)
+    blocks of A and Q or its (2^t, dim) phase state, whichever is larger."""
+    return dim if mode == "ideal" else dim * max(1 << t_bits, dim)
 
 
 def estimate_amplitude(

@@ -9,10 +9,11 @@ Every estimator reduces to one of two preparation shapes:
 
 `EstimatorRun.means` is the one stage path: every estimator stage hands it a
 table of rotation values, one row per AE run (one per feature or point index),
-and it pads, stacks, runs and rescales the rows. The coherent index
-superposition of the full algorithm is block diagonal in the passive index, so
-a stage's rows run exactly as the blocks of one stacked AE, in both modes. The
-verification harness checks this against a monolithic run.
+and it pads, runs and rescales the rows. The coherent index superposition of
+the full algorithm is block diagonal in the passive index, so a stage's rows
+run exactly as one stacked AE, in both modes: a (k, padded) rotation table
+on a (k, dim) stack of states. The verification harness checks this against
+a monolithic run.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ae import (
-    ROW_REGISTER,
     AEConfig,
     AEResult,
     StatePreparation,
@@ -29,12 +29,13 @@ from .ae import (
     estimate_amplitude,
     grid_epsilon,
     phase_outcomes,
+    row_amps,
 )
 from .arith import FixedPointFormat
 from .dataio import QueryLedger
 from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation
 
-# Most amplitudes (16 MiB) in a stack's circuit-mode phase state or A blocks.
+# Most amplitudes (16 MiB) a stack of rows may hold at once (see `row_amps`).
 MAX_STACK_AMPS = 1 << 21
 
 
@@ -81,24 +82,6 @@ def report_dict(report, **renames: str) -> dict:
     }
 
 
-def _stack(
-    own: list[tuple[str, int]], values: np.ndarray
-) -> tuple[RegisterLayout, ValueKeyedRotation, dict]:
-    """Layout, "anc" rotation keyed on "idx" and extra StatePreparation
-    fields for one row of rotation values or a (k, padded) table. k > 1 rows
-    add ROW_REGISTER, zero rows pad them to a power of two, and the rotation
-    is keyed on the row too; the qubit cap is charged per row."""
-    if values.ndim == 1 or len(values) == 1:
-        return RegisterLayout(own), ValueKeyedRotation(["idx"], "anc", values.reshape(-1)), {}
-    k, padded = values.shape
-    bits = (k - 1).bit_length()
-    flat = np.zeros((1 << bits, padded))
-    flat[:k] = values
-    layout = RegisterLayout(own).extended(ROW_REGISTER, bits, capped=False)
-    rotation = ValueKeyedRotation(["idx", ROW_REGISTER], "anc", flat.reshape(-1))
-    return layout, rotation, {"rows": k, "reflection_registers": tuple(n for n, _ in own)}
-
-
 def _index_bits(values: np.ndarray) -> int:
     return values.shape[-1].bit_length() - 1
 
@@ -108,24 +91,23 @@ def interference_prep(name: str, values: np.ndarray, costs: dict) -> StatePrepar
 
     Good probability is 1/2 + 1/2 * mean(values), so the signed mean of the
     rotation values is recovered as 2 a - 1. A (k, padded) table of values
-    makes a stacked preparation of k rows (see `_stack`).
+    makes a stacked preparation of k rows, one per row of the table.
     """
     values = np.asarray(values, dtype=float)
-    layout, rotation, extra = _stack([("s", 1), ("idx", _index_bits(values)), ("anc", 1)], values)
     ops = (
         HadamardBlock("s"),
         HadamardBlock("idx"),
-        Controlled("s", 0, rotation),
+        Controlled("s", 0, ValueKeyedRotation(["idx"], "anc", values)),
         HadamardBlock("s"),
     )
     return StatePreparation(
         name=name,
-        layout=layout,
+        layout=RegisterLayout([("s", 1), ("idx", _index_bits(values)), ("anc", 1)]),
         ops=ops,
         good_register="s",
         good_predicate=lambda label: label == 0,
         oracle_costs=costs,
-        **extra,
+        rows=len(values) if values.ndim == 2 else 1,
     )
 
 
@@ -133,15 +115,14 @@ def squared_mean_prep(name: str, values: np.ndarray, costs: dict) -> StatePrepar
     """Good probability is mean(values^2) over the index register; a
     (k, padded) table makes a stacked preparation, as in `interference_prep`."""
     values = np.asarray(values, dtype=float)
-    layout, rotation, extra = _stack([("idx", _index_bits(values)), ("anc", 1)], values)
     return StatePreparation(
         name=name,
-        layout=layout,
-        ops=(HadamardBlock("idx"), rotation),
+        layout=RegisterLayout([("idx", _index_bits(values)), ("anc", 1)]),
+        ops=(HadamardBlock("idx"), ValueKeyedRotation(["idx"], "anc", values)),
         good_register="anc",
         good_predicate=lambda label: label == 0,
         oracle_costs=costs,
-        **extra,
+        rows=len(values) if values.ndim == 2 else 1,
     )
 
 
@@ -167,14 +148,16 @@ class EstimatorRun:
         return t, eps_target
 
     def _next_config(self, t_bits: int) -> AEConfig:
-        """The next AE run's config, seeded with seed + run index (ideal mode ignores it)."""
+        """The config of a stack that starts at the next AE run: seeded with
+        seed + run index, so `phase_outcomes` draws row i with that seed + i
+        (ideal mode ignores the seed)."""
         return AEConfig(t_bits, self.config.mode, (self.config.seed or 0) + self._run_index)
 
-    def run(self, prep: StatePreparation, t_bits: int, outcome: int | None = None) -> AEResult:
-        """The next AE run; `outcome` is its row's, from a stage's `phase_outcomes`."""
-        cfg = self._next_config(t_bits)
+    def run(self, prep: StatePreparation, config: AEConfig, outcome: int | None = None) -> AEResult:
+        """The next AE run, under its stack's `config`; `outcome` is the row's,
+        which a stage's `phase_outcomes` read for all rows at once."""
         self._run_index += 1
-        return estimate_amplitude(prep, cfg, ledger=self.ledger, outcome=outcome)
+        return estimate_amplitude(prep, config, ledger=self.ledger, outcome=outcome)
 
     def means(
         self,
@@ -194,18 +177,19 @@ class EstimatorRun:
         squared-mean preparation reads the mean of its squares as a. Returns
         scale * that mean * padded / n per row: the mean over the n real
         entries, the pad's zeros taken out. The rows run as one stacked
-        preparation per stack (4 padded bounds a row's labels), whose
-        `phase_outcomes` are read at once and then run in row order.
+        preparation per stack of at most MAX_STACK_AMPS `row_amps` (4 padded
+        bounds a row's labels). One config per stack reads its
+        `phase_outcomes` at once, and its rows then run in row order.
         """
         build = interference_prep if signed else squared_mean_prep
         n = table.shape[1]
         ratio = padded / n
         values = np.zeros((table.shape[0], padded))
         values[:, :n] = table
-        step = max(1, MAX_STACK_AMPS // (4 * padded * max(1 << t_bits, 4 * padded)))
+        step = max(1, MAX_STACK_AMPS // row_amps(4 * padded, t_bits, self.config.mode))
         amps = []
         for lo in range(0, len(values), step):
             prep = build(f"{name}[{lo}]", values[lo : lo + step], costs)
-            outcomes = phase_outcomes(prep, self._next_config(t_bits))
-            amps += [self.run(prep, t_bits, y).amplitude for y in outcomes]
+            config = self._next_config(t_bits)
+            amps += [self.run(prep, config, y).amplitude for y in phase_outcomes(prep, config)]
         return [scale * (2.0 * a - 1.0 if signed else a) * ratio for a in amps]

@@ -6,6 +6,11 @@ register after it sits above the previous one (little-endian throughout).
 Operations address registers by name, so the same operation object can be
 applied to any state whose layout contains registers of matching widths.
 
+Amplitudes have shape (..., dim): leading axes stack independent states,
+each norm-checked on its own. Every op keeps the shape and acts on each state
+alone; a :class:`ValueKeyedRotation` with a (k, n) table gives row r of a
+(k, ..., dim) stack the values in row r.
+
 Amplitudes are real (float64): every operation A and Q use is real orthogonal
 (Walsh-Hadamard blocks, keyed rotations, controlled versions of these, +-1
 reflections). Each op re-checks the norm invariant except the reflections,
@@ -44,12 +49,7 @@ _SQRT2_INV = 1.0 / np.sqrt(2.0)
 class RegisterLayout:
     """Ordered collection of named registers; first register is the LSB."""
 
-    def __init__(
-        self,
-        registers: Iterable[tuple[str, int]],
-        *,
-        capped: bool = True,
-    ):
+    def __init__(self, registers: Iterable[tuple[str, int]]):
         items = list(registers)
         names = [name for name, _ in items]
         if len(set(names)) != len(names):
@@ -64,7 +64,7 @@ class RegisterLayout:
             self._offsets[name] = offset
             offset += width
         cap = qubit_cap()
-        if capped and offset > cap:
+        if offset > cap:
             raise LayoutError(f"layout needs {offset} qubits, exceeding the cap of {cap}")
         self.n_qubits = offset
         self.dim = 1 << offset
@@ -100,16 +100,6 @@ class RegisterLayout:
             return _label_field.__wrapped__(self.registers, names)
         return _label_field(self.registers, names)
 
-    def extended(self, name: str, width: int, *, capped: bool = True) -> "RegisterLayout":
-        """New layout with one more register appended above the existing ones.
-
-        `capped=False` exempts the new layout from the qubit cap, for passive
-        labels: the matrix build's columns, a stacked preparation's rows.
-        """
-        items = [(n, self._widths[n]) for n in self.names]
-        items.append((name, width))
-        return RegisterLayout(items, capped=capped)
-
     def _require(self, name: str) -> None:
         if name not in self._widths:
             raise UnknownRegisterError(f"no register named {name!r} (have {self.names})")
@@ -139,14 +129,12 @@ def _label_field(registers: tuple[tuple[str, int], ...], names: tuple[str, ...])
 
 
 class StateVector:
-    """Real amplitudes over a register layout. Norm is an invariant."""
-
-    columns = 1  # states stored side by side (see new_state, _ColumnBatch); each is norm-checked
+    """Real (..., dim) amplitudes over a register layout. Each state's norm is an invariant."""
 
     def __init__(self, layout: RegisterLayout, amplitudes: np.ndarray):
-        if amplitudes.shape != (layout.dim,):
+        if amplitudes.shape[-1:] != (layout.dim,):
             raise LayoutError(
-                f"amplitude array has shape {amplitudes.shape}, expected ({layout.dim},)"
+                f"amplitude array has shape {amplitudes.shape}, expected (..., {layout.dim})"
             )
         if np.iscomplexobj(amplitudes) and np.any(amplitudes.imag):
             raise SimulationError("amplitudes must be real; got a non-zero imaginary part")
@@ -160,20 +148,25 @@ class StateVector:
         return float(np.vdot(self.amps, self.amps))
 
     def check_norm(self) -> None:
-        if self.columns > 1:
-            check_unit_columns(self.amps.reshape(self.columns, -1).T)
-        elif abs(self.norm_sq() - 1.0) > NORM_TOL:
-            raise SimulationError(f"statevector norm drifted: |psi|^2 = {self.norm_sq()}")
+        """Raise SimulationError unless every state of the stack has unit norm."""
+        check_unit_norms(self.amps)
 
 
-def new_state(layout: RegisterLayout, blocks: int = 1) -> StateVector:
-    """All-zeros basis state |0...0> on the given layout, or with `blocks` > 1 in
-    each block of its top log2(blocks) qubits, each norm-checked on its own."""
-    amps = np.zeros(layout.dim)
-    amps[:: layout.dim // blocks] = 1.0
-    state = StateVector(layout, amps)
-    state.columns = blocks
-    return state
+def check_unit_norms(vectors: np.ndarray) -> None:
+    """Raise SimulationError unless every vector on the last axis has unit norm."""
+    if vectors.size == vectors.shape[-1] and abs(np.vdot(vectors, vectors) - 1.0) <= NORM_TOL:
+        return  # one vector: the common case, without einsum's fixed cost
+    sq = np.einsum("...i,...i->...", vectors, vectors).reshape(-1)
+    worst = int(np.argmax(np.abs(sq - 1.0)))
+    if abs(sq[worst] - 1.0) > NORM_TOL:
+        raise SimulationError(f"norm drifted: |psi|^2 = {sq[worst]} (state {worst} of {sq.size})")
+
+
+def new_state(layout: RegisterLayout, rows: int | None = None) -> StateVector:
+    """All-zeros basis state |0...0> on the given layout, or a (rows, dim) stack of it."""
+    amps = np.zeros(layout.dim if rows is None else (rows, layout.dim))
+    amps[..., 0] = 1.0
+    return StateVector(layout, amps)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +215,11 @@ class HadamardBlock(Operation):
         lay = state.layout
         w = lay.width(self.register)
         off = lay.offset(self.register)
+        shape = state.amps.shape
         for k in range(0, w, _WALSH_MAX_BITS):
             bits = min(_WALSH_MAX_BITS, w - k)
             a = state.amps.reshape(-1, 1 << bits, 1 << (off + k))
-            state.amps = np.matmul(_walsh(bits), a).reshape(-1)
+            state.amps = np.matmul(_walsh(bits), a).reshape(shape)
         state.check_norm()
         return state
 
@@ -274,14 +268,17 @@ def readout_rows(amps: np.ndarray, register: str = "phase") -> np.ndarray:
 class ValueKeyedRotation(Operation):
     """Rotation of a one-qubit target keyed by the label of the key registers.
 
-    For key label k with value v = values[k], acts on the target as the
+    For key label j with value v = values[j], acts on the target as the
     reflection [[v, s], [s, -v]] with s = sqrt(1 - v^2), sending |0> to
     v|0> + s|1>.  Hermitian, hence self-inverse.  This is the exact label-level
     emulation of an oracle write / digital controlled rotation / oracle
     uncompute sandwich: the digital value register starts and ends in |0>, so
     the composite acts only on the key registers and the target. For an
-    oracle writing the fixed-point word of x_k and a rotation by the decoded
-    word over C, the matching values are values[k] = quantize(x_k) / C.
+    oracle writing the fixed-point word of x_j and a rotation by the decoded
+    word over C, the matching values are values[j] = quantize(x_j) / C.
+
+    A (k, n) table stands for k rotations: it applies only to a (k, ..., dim)
+    stack, and the states under row r of the stack get values[r].
     """
 
     def __init__(self, key_registers: Sequence[str], target: str, values: np.ndarray):
@@ -298,14 +295,19 @@ class ValueKeyedRotation(Operation):
         if lay.width(self.target) != 1:
             raise UnknownRegisterError(f"rotation target {self.target!r} must be 1 qubit")
         lo = 1 << lay.offset(self.target)
-        # Axis 1 is the target bit; the key is read where the target is 0.
-        v = self.values[lay.field(*self.key_registers).reshape(-1, 2, lo)[:, 0, :]]
+        # The key is read where the target is 0: (high labels, low labels).
+        key = lay.field(*self.key_registers).reshape(-1, 2, lo)[:, 0, :]
+        table = self.values.reshape(-1, self.values.shape[-1])
+        if self.values.ndim == 2 and state.amps.shape[:-1][:1] != table.shape[:1]:
+            raise SimulationError(f"{len(table)} rows cannot key a stack of {state.amps.shape}")
+        # Axes: table row, the rest of the stack, high labels, target bit, low labels.
+        v = table[:, None, key]
         s = np.sqrt(np.clip(1.0 - v * v, 0.0, None))
-        a = state.amps.reshape(-1, 2, lo)
+        a = state.amps.reshape(len(table), -1, len(key), 2, lo)
         out = np.empty_like(a)
-        out[:, 0, :] = v * a[:, 0, :] + s * a[:, 1, :]
-        out[:, 1, :] = s * a[:, 0, :] - v * a[:, 1, :]
-        state.amps = out.reshape(-1)
+        out[..., 0, :] = v * a[..., 0, :] + s * a[..., 1, :]
+        out[..., 1, :] = s * a[..., 0, :] - v * a[..., 1, :]
+        state.amps = out.reshape(state.amps.shape)
         state.check_norm()
         return state
 
@@ -423,52 +425,20 @@ def measure(
     return outcome, state
 
 
-_COLUMN_REGISTER = "__col"
-
-
-class _ColumnBatch(StateVector):
-    """Every basis column of a layout in one state.
-
-    The columns are told apart by an extra register `__col` above the layout's
-    own, so an operation, which addresses registers by name, acts on all of
-    them in one call. Each column must keep unit norm on its own: a weight
-    shift between columns that leaves the total intact still fails the check.
-    With `blocks` > 1 the batch holds column c of each diagonal block only.
-    """
-
-    def __init__(self, layout: RegisterLayout, blocks: int = 1):
-        dim = layout.dim // blocks
-        super().__init__(
-            layout.extended(_COLUMN_REGISTER, dim.bit_length() - 1, capped=False),
-            np.repeat(np.eye(dim)[:, None, :], blocks, axis=1).reshape(-1),
-        )
-        self.columns = blocks * dim
-
-
-def check_unit_columns(mat: np.ndarray) -> None:
-    """Raise SimulationError unless every column of a matrix (or stack) has unit norm."""
-    drift = np.einsum("...ij,...ij->...j", mat, mat).reshape(-1) - 1.0
-    worst = int(np.argmax(np.abs(drift)))
-    if abs(drift[worst]) > NORM_TOL:
-        raise SimulationError(f"column {worst} norm drifted: |psi|^2 = {1.0 + drift[worst]}")
-
-
-def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout, blocks=1) -> np.ndarray:
+def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout, rows=None) -> np.ndarray:
     """Dense matrix of a composed operation sequence (small layouts only).
 
-    The ops run once on all basis columns together (see `_ColumnBatch`), so
-    each op's own norm check checks every column's norm. The result is
-    checked once more, for ops that do not check themselves. The batch holds
-    dim^2 amplitudes; it is exempt from the qubit cap, which the layout itself
-    already passed. For ops block diagonal in the layout's top log2(blocks)
-    qubits, `blocks` > 1 returns the (blocks, dim, dim) diagonal blocks.
+    The ops run once on a stack of every basis column, so each op's own norm
+    check checks every column's norm. The stack is checked once more, for ops
+    that do not check themselves. With `rows`, the ops run on a (rows, dim,
+    dim) stack, and row r of a (rows, n) rotation table keys block r of the
+    (rows, dim, dim) result.
     """
-    dim = layout.dim // blocks
+    dim = layout.dim
     if dim > 1 << 12:
         raise SimulationError("operation_matrix supports at most 12 qubits")
-    batch = _ColumnBatch(layout, blocks)
+    batch = StateVector(layout, np.tile(np.eye(dim), (1, 1) if rows is None else (rows, 1, 1)))
     for op in ops:
         op.apply(batch)
     batch.check_norm()
-    mat = batch.amps.reshape(dim, blocks, dim).transpose(1, 2, 0)
-    return np.ascontiguousarray(mat[0] if blocks == 1 else mat)
+    return np.ascontiguousarray(np.swapaxes(batch.amps, -1, -2))

@@ -149,7 +149,7 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
     prepared = mono.prepare()
     pj = prepared.layout.field("j")
     ps = prepared.layout.field("s")
-    pprobs = np.abs(prepared.amps) ** 2
+    pprobs = np.abs(prepared.amps[0]) ** 2
 
     stacked_prep = interference_prep("mean", data.values.T / c_const, {})
     stacked = phase_distributions(stacked_prep, t_bits)

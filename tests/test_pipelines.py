@@ -5,7 +5,6 @@ from qadsim import pipelines
 from qadsim.adde import run_adde
 from qadsim.adkpca import run_adkpca
 from qadsim.ae import (
-    ROW_REGISTER,
     AEConfig,
     GroverOperator,
     StatePreparation,
@@ -125,14 +124,14 @@ class TestEstimatorRun:
             EstimatorRun(PipelineConfig(t_bits=4, mode="circuit", seed=10)),
             EstimatorRun(PipelineConfig(t_bits=4, mode="circuit", seed=10)),
         ]
-        outcomes = [[r.run(prep, 4).raw_outcome for _ in range(3)] for r in seq]
+        outcomes = [[r.run(prep, r._next_config(4)).raw_outcome for _ in range(3)] for r in seq]
         assert outcomes[0] == outcomes[1]
 
     def test_ledger_accumulates(self):
         runner = EstimatorRun(PipelineConfig(t_bits=4))
         prep = squared_mean_prep("t", np.array([0.4, 0.7]), costs={"oracle_data": 1})
-        runner.run(prep, 4)
-        runner.run(prep, 4)
+        runner.run(prep, runner._next_config(4))
+        runner.run(prep, runner._next_config(4))
         assert runner.ledger.grover == 2 * 15
         assert runner.ledger.oracle_data == 2 * (2 * 15 + 1)
 
@@ -194,7 +193,7 @@ class TestStacked:
     @pytest.mark.parametrize("build", [interference_prep, squared_mean_prep])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_blocks_and_rows_equal_per_row_runs(self, build, k):
-        # k = 3 and 5 leave padding rows in the stack's row register.
+        # k = 3 and 5 are not powers of two: the stack has exactly k rows.
         t = 5
         table = np.random.default_rng(k).uniform(-0.95, 0.95, size=(k, 4))
         stacked = build("stack", table, costs={})
@@ -210,26 +209,12 @@ class TestStacked:
             np.testing.assert_allclose(dist, phase_distributions(single, t)[0], rtol=0, atol=1e-12)
             assert good == pytest.approx(single.good_probability(), abs=1e-12)
 
-    def test_row_register_must_be_an_unreflected_top_register(self):
-        stacked = interference_prep("stack", np.full((3, 2), 0.5), costs={})
-        assert stacked.layout.names[-1] == ROW_REGISTER
-        assert ROW_REGISTER not in stacked.reflection_registers
-        with pytest.raises(SimulationError, match="row register"):
-            StatePreparation(
-                name="bad",
-                layout=stacked.layout,
-                ops=stacked.ops,
-                good_register="s",
-                good_predicate=lambda label: label == 0,
-                rows=3,
-            )
-
     def test_qubit_cap_is_charged_per_row(self, monkeypatch):
-        # Five rows of a 5-qubit preparation take 8 qubits with the row
-        # register, but each row's phase estimation is charged 5 + t, as alone.
+        # Five rows of a 5-qubit preparation share its 5-qubit layout, and each
+        # row's phase estimation is charged 5 + t, as alone.
         monkeypatch.setenv("QADSIM_QUBIT_CAP", "8")
         stacked = interference_prep("cap", np.full((5, 8), 0.3), {})
-        assert stacked.layout.n_qubits == 8
+        assert stacked.layout.n_qubits == 5
         assert phase_distributions(stacked, 3).shape == (5, 8)
         with pytest.raises(SimulationError):
             phase_distributions(stacked, 4)
@@ -253,8 +238,10 @@ class TestStacked:
 
         monkeypatch.setattr(pipelines, "phase_outcomes", counted)
         got = []
-        # Rows of 4 * padded = 16 labels at t = 6: all 7 in one stack, then 2 a stack.
-        for limit, sizes in ((pipelines.MAX_STACK_AMPS, [7]), (2 * 16 * 64, [2, 2, 2, 1])):
+        # Rows of 4 * padded = 16 labels at t = 6: all 7 in one stack, then 2 a
+        # stack. A circuit-mode row holds 16 * 64 amplitudes, an ideal one 16.
+        row = 16 * 64 if mode == "circuit" else 16
+        for limit, sizes in ((pipelines.MAX_STACK_AMPS, [7]), (2 * row, [2, 2, 2, 1])):
             monkeypatch.setattr(pipelines, "MAX_STACK_AMPS", limit)
             runner = EstimatorRun(PipelineConfig(t_bits=6, mode=mode, seed=11))
             got.append(runner.means("m", table, 4, {"oracle_data": 1}, 6, signed=True))

@@ -1,5 +1,7 @@
 """Property tests: every operation that A and Q are built from is a real
-orthogonal map, and its `dagger` inverts it.
+orthogonal map, and its `dagger` inverts it. On a (k, dim) stack of states
+each op, and Q, acts on every state exactly as on that state alone, and the
+norm check holds each state to unit norm on its own.
 
 Layouts, register order, widths (1 to 6 qubits), rotation values, control
 values and reflection predicates are drawn at random.
@@ -19,6 +21,8 @@ from qadsim.simcore import (  # noqa: E402
     ReflectAboutZero,
     ReflectWhere,
     RegisterLayout,
+    SimulationError,
+    StateVector,
     ValueKeyedRotation,
     operation_matrix,
 )
@@ -93,3 +97,82 @@ def test_grover_matrix_is_real_orthogonal(values, squared):
     q = GroverOperator(build("prop", np.array(values), {})).matrix()
     assert q.dtype == np.float64
     np.testing.assert_allclose(q @ q.T, np.eye(q.shape[0]), rtol=0, atol=TOL)
+
+
+@st.composite
+def stacks(draw):
+    """A (k, dim) stack of random real unit states, k in 1..8, on a random
+    layout, and an op from every kind A and Q are built from. The rotation
+    (alone or controlled) keys on a (k, n) table, one row per state."""
+    layout = draw(layouts())
+    k = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=(k, layout.dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    n = 1 << layout.width("k")
+    table = rng.uniform(-1.0, 1.0, size=(k, n))
+    control = draw(st.integers(0, (1 << layout.width("c")) - 1))
+    kind = draw(st.sampled_from(
+        ["hadamard", "rotation", "controlled-rotation", "controlled-hadamard",
+         "reflect-zero", "reflect-where"]
+    ))
+    if kind == "hadamard":
+        register = draw(st.sampled_from(layout.names))
+        ops = [HadamardBlock(register)] * (k + 1)
+    elif kind == "controlled-hadamard":
+        register = draw(st.sampled_from(["k", "t"]))
+        ops = [Controlled("c", control, HadamardBlock(register))] * (k + 1)
+    elif kind in ("rotation", "controlled-rotation"):
+        ops = [ValueKeyedRotation(["k"], "t", values) for values in (table, *table)]
+        if kind == "controlled-rotation":
+            ops = [Controlled("c", control, op) for op in ops]
+    elif kind == "reflect-zero":
+        registers = draw(st.lists(st.sampled_from(layout.names), min_size=1, unique=True))
+        ops = [ReflectAboutZero(registers)] * (k + 1)
+    else:
+        register = draw(st.sampled_from(layout.names))
+        hits = frozenset(draw(st.lists(st.integers(0, (1 << layout.width(register)) - 1))))
+        ops = [ReflectWhere(register, lambda label: label in hits)] * (k + 1)
+    return layout, amps, ops[0], ops[1:]
+
+
+@settings(deadline=None, max_examples=80)
+@given(stacks())
+def test_op_on_a_stack_equals_the_op_on_each_row(case):
+    layout, amps, stacked_op, row_ops = case
+    stack = stacked_op.apply(StateVector(layout, amps.copy()))
+    assert stack.amps.shape == amps.shape
+    for got, row, op in zip(stack.amps, amps, row_ops):
+        np.testing.assert_array_equal(got, op.apply(StateVector(layout, row.copy())).amps)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 8), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_grover_apply_on_a_stack_equals_each_row(k, bits, squared, seed):
+    build = squared_mean_prep if squared else interference_prep
+    rng = np.random.default_rng(seed)
+    table = rng.uniform(-0.99, 0.99, size=(k, 1 << bits))
+    stacked = build("stack", table, {})
+    amps = rng.normal(size=(k, stacked.layout.dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    got = GroverOperator(stacked).apply(StateVector(stacked.layout, amps.copy())).amps
+    for out, row, values in zip(got, amps, table):
+        single = build("row", values, {})
+        want = GroverOperator(single).apply(StateVector(single.layout, row.copy())).amps
+        np.testing.assert_array_equal(out, want)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(2, 8), st.integers(1, 5), st.floats(1e-8, 0.99), st.integers(0, 2**32 - 1))
+def test_check_norm_catches_weight_moved_between_rows(k, bits, moved, seed):
+    layout = RegisterLayout([("a", bits)])
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=(k, layout.dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    StateVector(layout, amps).check_norm()
+    src, dst = rng.choice(k, size=2, replace=False)
+    amps[src] *= np.sqrt(1.0 - moved)
+    amps[dst] *= np.sqrt(1.0 + moved)
+    assert np.sum(amps * amps) == pytest.approx(k, abs=1e-9)
+    with pytest.raises(SimulationError, match="norm drifted"):
+        StateVector(layout, amps).check_norm()

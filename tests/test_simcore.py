@@ -16,7 +16,7 @@ from qadsim.simcore import (
     UnknownRegisterError,
     ValueKeyedRotation,
     _label_field,
-    check_unit_columns,
+    check_unit_norms,
     draw,
     marginal_probs,
     measure,
@@ -65,11 +65,6 @@ class TestRegisterLayout:
         lay = RegisterLayout([("a", 1)])
         with pytest.raises(UnknownRegisterError):
             lay.width("zz")
-
-    def test_extended_appends_above(self):
-        lay = RegisterLayout([("a", 2)]).extended("p", 3)
-        assert lay.offset("p") == 2
-        assert lay.names == ("a", "p")
 
     def test_field_matches_extract_and_is_read_only(self):
         lay = RegisterLayout([("a", 2), ("b", 1), ("c", 3)])
@@ -218,6 +213,24 @@ class TestValueKeyedRotation:
     def test_value_out_of_range_rejected(self):
         with pytest.raises(SimulationError):
             ValueKeyedRotation(["k"], "t", np.array([1.5, 0.0]))
+
+    def test_table_rows_pair_with_the_stack_rows(self):
+        # Row r of a (3, 2) table keys state r of a (3, dim) stack. A stack of
+        # 6 (or one state) must not be paired with the rows by reshaping.
+        lay = RegisterLayout([("k", 1), ("t", 1)])
+        table = np.array([[0.6, -0.8], [0.0, 1.0], [-0.28, 0.96]])
+        rot = ValueKeyedRotation(["k"], "t", table)
+        stack = new_state(lay, 3)
+        HadamardBlock("k").apply(stack)
+        rot.apply(stack)
+        for row, values in zip(stack.amps, table):
+            single = new_state(lay)
+            HadamardBlock("k").apply(single)
+            ValueKeyedRotation(["k"], "t", values).apply(single)
+            np.testing.assert_array_equal(row, single.amps)
+        for state in (new_state(lay, 6), new_state(lay), new_state(lay, 1)):
+            with pytest.raises(SimulationError, match="3 rows"):
+                rot.apply(state)
 
     def test_equals_oracle_rotation_uncompute_sandwich(self):
         # The digital sequence the rotation stands for, simulated label by
@@ -411,28 +424,31 @@ def test_operation_matrix_checks_every_column():
     lay = RegisterLayout([("a", 1), ("b", 1)])
     squeezed = np.kron(np.eye(2), np.diag([np.sqrt(2.0), 0.0]))
     assert np.sum(np.abs(squeezed) ** 2) == pytest.approx(lay.dim)
-    with pytest.raises(SimulationError, match="column"):
+    with pytest.raises(SimulationError, match="norm drifted"):
         operation_matrix([HadamardBlock("b"), _Squeeze("a")], lay)
 
 
 def test_unit_column_check_covers_every_block():
     stack = np.stack([np.eye(4), np.eye(4)])
-    check_unit_columns(stack)
+    check_unit_norms(stack.transpose(0, 2, 1))
     stack[1, 0, 3] = 0.5
-    with pytest.raises(SimulationError, match="column 7"):
-        check_unit_columns(stack)
+    with pytest.raises(SimulationError, match="state 7 of 8"):
+        check_unit_norms(stack.transpose(0, 2, 1))
 
 
 def test_operation_matrix_blocks_equal_the_dense_diagonal():
-    # A rotation keyed on a passive top register "r" is block diagonal in it.
-    lay = RegisterLayout([("k", 1), ("t", 1), ("r", 2)])
+    # Row r of a (4, 4) table keys block r of a 4-row stack, as the same
+    # rotation keyed on a top register "r" keys the block of label r.
+    lay = RegisterLayout([("k", 1), ("t", 1)])
     values = np.array([0.3, -0.9, 0.1, 1.0, -0.5, 0.2, 0.0, 0.7])
-    ops = [HadamardBlock("k"), ValueKeyedRotation(["k", "r"], "t", values)]
-    dense = operation_matrix(ops, lay)
-    blocks = operation_matrix(ops, lay, blocks=4)
-    assert blocks.shape == (4, 4, 4)
+    wide = RegisterLayout([("k", 1), ("t", 1), ("r", 2)])
+    dense = operation_matrix([HadamardBlock("k"), ValueKeyedRotation(["k", "r"], "t", values)], wide)
+    rows = operation_matrix(
+        [HadamardBlock("k"), ValueKeyedRotation(["k"], "t", values.reshape(4, 2))], lay, rows=4
+    )
+    assert rows.shape == (4, 4, 4)
     for b in range(4):
-        np.testing.assert_array_equal(blocks[b], dense[4 * b : 4 * b + 4, 4 * b : 4 * b + 4])
+        np.testing.assert_array_equal(rows[b], dense[4 * b : 4 * b + 4, 4 * b : 4 * b + 4])
 
 
 def test_norm_invariant_enforced():
@@ -461,9 +477,9 @@ def test_column_checks_go_through_statevector_check_norm(monkeypatch):
     original = StateVector.check_norm
 
     def counting(self):
-        seen.append(self.columns)
+        seen.append(self.amps.shape)
         original(self)
 
     monkeypatch.setattr(StateVector, "check_norm", counting)
     operation_matrix([HadamardBlock("a")], RegisterLayout([("a", 2)]))
-    assert seen == [4, 4]  # the op's own check and the finished matrix's
+    assert seen == [(4, 4), (4, 4)]  # the op's own check and the finished matrix's
