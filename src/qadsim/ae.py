@@ -2,15 +2,19 @@
 
 A :class:`StatePreparation` names a replayable pipeline A mapping |0...0> to a
 target state together with a predicate designating the good subspace.  The
-Grover operator Q = -A S0 Adag Schi is built from it, and the estimator runs
-either a faithful phase-estimation circuit (`circuit` mode, stochastic under a
-seed) or a deterministic nearest-grid rounding of the exact angle (`ideal`
-mode).  Both modes charge the same 2^t - 1 Grover applications to the ledger.
+Grover operator is Q = -A S0 Adag Schi, and the estimator runs either a
+faithful phase-estimation circuit (`circuit` mode, stochastic under a seed) or
+a deterministic nearest-grid rounding of the exact angle (`ideal` mode).  Both
+modes charge the same 2^t - 1 Grover applications to the ledger.
 
-A and Q are real orthogonal, so Q's eigenvalues pair up as e^{+-2i theta}
-(Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055) and the state before the
-inverse QFT is real; `simcore.readout_rows` reads the phase register off it
-exactly.
+A and Q are real orthogonal, and Q keeps the plane spanned by the good and bad
+parts of A|0>, where it rotates by 2 theta (Brassard, Hoyer, Mosca, Tapp,
+quant-ph/0005055, Lemma 1). Circuit mode therefore runs each row's phase
+estimation in that plane (`phase_distributions`) and never builds Q; its
+state before the inverse QFT is real, and `simcore.readout_rows` reads the
+phase register off it exactly. The dense path (`GroverOperator.matrix`,
+`_qpe_rows`, `qpe_state`) simulates the whole circuit; it is the reference the
+`equivalence` suite and the tests compare against.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import MAX_PHASE_BITS
+from .config import CLOSURE_TOL, MAX_PHASE_BITS
 from .dataio import QueryLedger
 from .simcore import (
     _SQRT2_INV,
@@ -106,7 +110,9 @@ class GroverOperator:
     dense matrix and the +-1 diagonals of the two reflections,
     Q = -(A diag(S0)) A^T diag(Schi), and every column of the product is
     checked for unit norm. A's matrix is kept as `_a` (stacked by row) for
-    `qpe_state`, which reads A|0> from its column 0 rather than replaying A.
+    `_qpe_rows`, which reads A|0> from its column 0 rather than replaying A.
+    Circuit mode uses only the reflections: `_subspace_rows` applies Q to two
+    vectors per row and never calls `matrix`.
     """
 
     def __init__(self, prep: StatePreparation):
@@ -131,7 +137,8 @@ class GroverOperator:
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of Q on the preparation's layout (small layouts); for a
-        stacked preparation, the (rows, dim, dim) blocks of its rows."""
+        stacked preparation, the (rows, dim, dim) blocks of its rows. The
+        reference path's Q; no pipeline builds it."""
         prep = self.prep
         self._a = a = operation_matrix(prep.ops, prep.layout, prep.rows)
         q = (a * -self.zero_flip.diagonal(prep.layout)) @ a.transpose(0, 2, 1)
@@ -209,7 +216,8 @@ def _grid_amplitude(y: int, t: int) -> float:
 
 def _qpe_rows(prep: StatePreparation, t: int) -> tuple[RegisterLayout, np.ndarray]:
     """Each row's phase-estimation layout and the (rows, 2^t, dim) stack of
-    the rows' real states right before the inverse QFT.
+    the rows' real states right before the inverse QFT: the dense reference
+    for `_subspace_rows`, reached through `qpe_state` and the tests only.
 
     Line y of a row's (2^t, dim) state is Q^y A|0> / sqrt(2^t). A is replayed
     once, on the 2^n register only, to build Q; its column 0 is A|0>. Line 0
@@ -235,14 +243,65 @@ def _qpe_rows(prep: StatePreparation, t: int) -> tuple[RegisterLayout, np.ndarra
 
 
 def qpe_state(prep: StatePreparation, t: int) -> StateVector:
-    """`_qpe_rows` of a one-row preparation as a state."""
+    """`_qpe_rows` of a one-row preparation as a state: the dense reference
+    for the phase-estimation circuit, which `phase_distributions` never runs."""
     layout, rows = _qpe_rows(prep, t)
     return StateVector(layout, rows.reshape(-1))
 
 
+def _subspace_rows(prep: StatePreparation, t: int) -> np.ndarray:
+    """The (rows, 2^t, 2) stack of the rows' states right before the inverse
+    QFT, each line in its row's basis {u_g, u_b}: the normalised good and bad
+    parts of A|0>, which span Q's invariant plane (BHMT Lemma 1).
+
+    A is replayed once; its column 0 is A|0>. Q = -A S0 A^T Schi is applied
+    to the (rows, 2, dim) basis by two matmuls and is never formed. Each image
+    must have unit norm and close in the span within CLOSURE_TOL, and Q's
+    block there must be a rotation [[c, s], [-s, c]]; otherwise
+    SimulationError. On coefficients z = z_g + i z_b the block multiplies by
+    w = c + i s, so line 0 is |psi_g| + i |psi_b| times (1/sqrt 2)^t and lines
+    [2^k, 2^(k+1)) are lines [0, 2^k) times w^(2^k), each square scaled back
+    to |w|. A row with a in {0, 1} has one basis vector, on which Q is +-1.
+    """
+    lay = prep.layout
+    RegisterLayout([*lay.registers, (PHASE_REGISTER, t)])  # a row's circuit is under the cap
+    grover = GroverOperator(prep)
+    a = operation_matrix(prep.ops, lay, prep.rows)
+    schi = grover.good_flip.diagonal(lay)
+    psi = a[:, :, 0]
+    parts = np.stack([np.where(schi < 0, psi, 0.0), np.where(schi > 0, psi, 0.0)], axis=1)
+    norms = np.linalg.norm(parts, axis=2)
+    has = norms > 0.0
+    basis = parts / np.where(has, norms, 1.0)[:, :, None]
+    images = -(((basis * schi) @ a) * grover.zero_flip.diagonal(lay)) @ a.transpose(0, 2, 1)
+    check_unit_norms(images[has])
+    block = images @ basis.transpose(0, 2, 1)  # block[r, i, j] = <Q u_i, u_j>
+    residual = float(np.linalg.norm(images - block @ basis, axis=2).max())
+    if residual > CLOSURE_TOL:
+        raise SimulationError(f"Q leaves span{{good, bad}} of A|0>: residual {residual:.3g}")
+    # A row with one basis vector: copy its +-1 to the empty diagonal entry.
+    block[:, 0, 0] += ~has[:, 0] * block[:, 1, 1]
+    block[:, 1, 1] += ~has[:, 1] * block[:, 0, 0]
+    c, s = block[:, 0, 0], block[:, 0, 1]
+    skew = max(np.abs(block[:, 1, 1] - c).max(), np.abs(block[:, 1, 0] + s).max())
+    if skew > CLOSURE_TOL:
+        raise SimulationError(f"Q on span{{good, bad}} of A|0> is no rotation: off by {skew:.3g}")
+    w = c + 1j * s
+    fill = np.empty((prep.rows, 1 << t), dtype=complex)
+    fill[:, 0] = norms[:, 0] + 1j * norms[:, 1]
+    for _ in range(t):
+        fill[:, 0] *= _SQRT2_INV
+    for k in range(t):
+        half = 1 << k
+        np.multiply(fill[:, :half], w[:, None], out=fill[:, half : 2 * half])
+        w = w * w / np.abs(w)
+    return fill.view(np.float64).reshape(prep.rows, 1 << t, 2)
+
+
 def phase_distributions(prep: StatePreparation, t: int) -> np.ndarray:
-    """(rows, 2^t) distributions of the phase-register outcome, one per row."""
-    return readout_rows(_qpe_rows(prep, t)[1], PHASE_REGISTER)
+    """(rows, 2^t) distributions of the phase-register outcome, one per row,
+    read from `_subspace_rows`: no dense Q and no (2^t, dim) state."""
+    return readout_rows(_subspace_rows(prep, t), PHASE_REGISTER)
 
 
 def phase_outcomes(prep: StatePreparation, config: AEConfig) -> list[int]:
@@ -262,9 +321,9 @@ def phase_outcomes(prep: StatePreparation, config: AEConfig) -> list[int]:
 
 def row_amps(dim: int, t_bits: int, mode: str) -> int:
     """Amplitudes `phase_outcomes` holds per row of a preparation of `dim`
-    labels: in ideal mode the row's state; in circuit mode its (dim, dim)
-    blocks of A and Q or its (2^t, dim) phase state, whichever is larger."""
-    return dim if mode == "ideal" else dim * max(1 << t_bits, dim)
+    labels: in ideal mode the row's state; in circuit mode A's (dim, dim)
+    block and the row's (2^t, 2) phase state of `_subspace_rows`."""
+    return dim if mode == "ideal" else dim * dim + (2 << t_bits)
 
 
 def estimate_amplitude(

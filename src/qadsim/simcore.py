@@ -386,12 +386,14 @@ class ReflectWhere(Operation):
 # functional surface
 
 def marginal_probs(state: StateVector, register: str) -> np.ndarray:
-    """Probability of each label of one register (length 2^width)."""
+    """Probability of each label of one register: shape (..., 2^width), one
+    distribution per state of a stack."""
     lay = state.layout
     blk = 1 << lay.width(register)
     lo = 1 << lay.offset(register)
-    f = state.amps.reshape(-1, blk, lo)
-    return np.einsum("hbl,hbl->b", f, f)
+    stack = state.amps.shape[:-1]
+    f = state.amps.reshape(-1, lay.dim // (blk * lo), blk, lo)
+    return np.einsum("rhbl,rhbl->rb", f, f).reshape(*stack, blk)
 
 
 def draw(probs: np.ndarray, rngs: Sequence[np.random.Generator | int]) -> list[int]:
@@ -415,6 +417,8 @@ def measure(
     state: StateVector, register: str, rng: np.random.Generator | int
 ) -> tuple[int, StateVector]:
     """Sample one outcome for a register and collapse the state onto it."""
+    if state.amps.ndim != 1:
+        raise SimulationError(f"measure collapses one state, not a stack of {state.amps.shape}")
     outcome = draw(marginal_probs(state, register)[None], [rng])[0]
     state.amps[state.layout.field(register) != outcome] = 0.0
     norm = np.sqrt(state.norm_sq())

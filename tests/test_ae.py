@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qadsim.ae import (
+    PHASE_REGISTER,
     AEConfig,
     AEResult,
     GroverOperator,
@@ -11,6 +12,7 @@ from qadsim.ae import (
     bits_for_epsilon,
     estimate_amplitude,
     grid_epsilon,
+    _qpe_rows,
     phase_distributions,
     qpe_state,
 )
@@ -19,11 +21,14 @@ from qadsim.pipelines import interference_prep, squared_mean_prep
 from qadsim.simcore import (
     HadamardBlock,
     Operation,
+    ReflectAboutZero,
     RegisterLayout,
     SimulationError,
     StateVector,
     ValueKeyedRotation,
+    marginal_probs,
     operation_matrix,
+    readout_rows,
 )
 from qadsim.verify import _monolithic_mean_prep
 
@@ -83,9 +88,7 @@ class TestGroverOperator:
         state = prep.prepare()
         grover.apply(state)
         # one application boosts the good amplitude to sin(3 theta)
-        from qadsim.simcore import marginal_probs
-
-        got = marginal_probs(state, "anc")[0]
+        got = marginal_probs(state, "anc")[0, 0]
         assert got == pytest.approx(math.sin(3 * theta) ** 2, abs=1e-12)
 
     def test_ledger_counts_applications(self):
@@ -248,6 +251,9 @@ def reference_preps() -> list[tuple[StatePreparation, float]]:
     for size in (2, 4, 8):
         v = rng.uniform(-0.9, 0.9, size)
         out.append((interference_prep(f"int{size}", v, {}), 0.5 + 0.5 * float(np.mean(v))))
+    # a = 0 and a = 1: A|0> has no good or no bad part.
+    out.append((squared_mean_prep("zero16", np.zeros(16), {}), 0.0))
+    out.append((squared_mean_prep("one16", np.resize([1.0, -1.0], 16), {}), 1.0))
     return out
 
 
@@ -352,6 +358,8 @@ class TestIndependentReferences:
         operation_matrix(prep.ops, prep.layout)
         with pytest.raises(SimulationError, match="norm drifted"):
             GroverOperator(prep).matrix()
+        with pytest.raises(SimulationError, match="norm drifted"):
+            phase_distributions(prep, 3)
 
     def test_qpe_state_equals_naive_powers_and_dft(self):
         for prep, _ in reference_preps():
@@ -383,3 +391,41 @@ class TestIndependentReferences:
         assert qpe_state(prep, 3).layout.n_qubits == 8
         with pytest.raises(SimulationError):
             qpe_state(prep, 4)
+
+
+class TestSubspacePath:
+    """`phase_distributions` runs in each row's plane span{u_g, u_b}; the
+    dense `_qpe_rows` is its reference."""
+
+    @pytest.mark.parametrize("build", [interference_prep, squared_mean_prep])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_rows_equal_the_dense_readout(self, build, k):
+        # Four entries: at 16 the dense path itself is 1.05e-12 off the BHMT
+        # closed form at t = 11 on an a = 0 or 1 row, so those rows are held
+        # to the closed form in `reference_preps` instead.
+        table = np.random.default_rng(k).uniform(-0.95, 0.95, size=(k, 4))
+        if build is squared_mean_prep:
+            # Row 0 has a = 0 (all zeros), row 1 a = 1 (all +-1).
+            table[:2] = [np.zeros(4), [1.0, -1.0, -1.0, 1.0]][: min(k, 2)]
+        prep = build("stack", table, costs={})
+        if build is squared_mean_prep and k > 1:
+            anc = marginal_probs(prep.prepare(), "anc")
+            assert anc[0, 0] == 0.0 and anc[1, 1] == 0.0  # no good part, no bad part
+        for t in range(1, 12):
+            dense = readout_rows(_qpe_rows(prep, t)[1], PHASE_REGISTER)
+            np.testing.assert_allclose(phase_distributions(prep, t), dense, rtol=0, atol=1e-12)
+
+    def test_a_larger_invariant_space_is_refused(self):
+        # S0 leaves out the passive j, so Q's invariant space of A|0> is 4-D.
+        mono = _monolithic_mean_prep(DataMatrix(np.array([[0.3, -0.7], [0.9, 0.1]])), 1.0)
+        qpe_state(mono, 3)  # the dense path runs it
+        with pytest.raises(SimulationError, match="leaves span"):
+            phase_distributions(mono, 3)
+
+    def test_a_block_that_is_no_rotation_is_refused(self, monkeypatch):
+        # With S0 turned into the identity, Q = -Schi keeps the plane and unit
+        # norms but acts on it as the reflection diag(1, -1).
+        prep = const_prep(0.3)
+        monkeypatch.setattr(ReflectAboutZero, "diagonal", lambda self, layout: np.ones(layout.dim))
+        with pytest.raises(SimulationError, match="no rotation"):
+            phase_distributions(prep, 3)

@@ -11,6 +11,7 @@ from qadsim.ae import (
     estimate_amplitude,
     grid_epsilon,
     phase_distributions,
+    row_amps,
 )
 from qadsim.arith import FixedPointFormat, RangeError
 from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint
@@ -239,8 +240,8 @@ class TestStacked:
         monkeypatch.setattr(pipelines, "phase_outcomes", counted)
         got = []
         # Rows of 4 * padded = 16 labels at t = 6: all 7 in one stack, then 2 a
-        # stack. A circuit-mode row holds 16 * 64 amplitudes, an ideal one 16.
-        row = 16 * 64 if mode == "circuit" else 16
+        # stack.
+        row = row_amps(16, 6, mode)
         for limit, sizes in ((pipelines.MAX_STACK_AMPS, [7]), (2 * row, [2, 2, 2, 1])):
             monkeypatch.setattr(pipelines, "MAX_STACK_AMPS", limit)
             runner = EstimatorRun(PipelineConfig(t_bits=6, mode=mode, seed=11))

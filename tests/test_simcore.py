@@ -302,6 +302,19 @@ class TestMeasurement:
         state = StateVector(lay, np.array([0.6, 0.0, 0.0, 0.8]))
         np.testing.assert_allclose(marginal_probs(state, "b"), [0.36, 0.64])
 
+    def test_marginal_probs_of_a_stack_are_per_state(self):
+        lay = RegisterLayout([("a", 1), ("b", 1)])
+        np.testing.assert_array_equal(marginal_probs(new_state(lay, 2), "a"), [[1, 0], [1, 0]])
+        amps = np.array([[0.6, 0.0, 0.0, 0.8], [0.0, 0.0, 1.0, 0.0]])
+        np.testing.assert_allclose(
+            marginal_probs(StateVector(lay, amps), "b"), [[0.36, 0.64], [0.0, 1.0]]
+        )
+
+    def test_measure_refuses_a_stack(self):
+        state = new_state(RegisterLayout([("a", 1), ("b", 1)]), 2)
+        with pytest.raises(SimulationError, match="not a stack"):
+            measure(state, "a", 0)
+
     def test_reductions_equal_abs_squared_forms(self):
         lay = RegisterLayout([("a", 2), ("b", 3), ("c", 1)])
         rng = np.random.default_rng(9)
