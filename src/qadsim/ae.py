@@ -111,8 +111,7 @@ class GroverOperator:
     Q = -(A diag(S0)) A^T diag(Schi), and every column of the product is
     checked for unit norm. A's matrix is kept as `_a` (stacked by row) for
     `_qpe_rows`, which reads A|0> from its column 0 rather than replaying A.
-    Circuit mode uses only the reflections: `_subspace_rows` applies Q to two
-    vectors per row and never calls `matrix`.
+    Circuit mode builds none: `_subspace_rows` reads the two reflections' diagonals.
     """
 
     def __init__(self, prep: StatePreparation):
@@ -265,36 +264,38 @@ def _subspace_rows(prep: StatePreparation, t: int) -> np.ndarray:
     """
     lay = prep.layout
     RegisterLayout([*lay.registers, (PHASE_REGISTER, t)])  # a row's circuit is under the cap
-    grover = GroverOperator(prep)
     a = operation_matrix(prep.ops, lay, prep.rows)
-    schi = grover.good_flip.diagonal(lay)
+    schi = ReflectWhere(prep.good_register, prep.good_predicate).diagonal(lay)
+    s0 = ReflectAboutZero(prep.reflection_registers).diagonal(lay)
     psi = a[:, :, 0]
     parts = np.stack([np.where(schi < 0, psi, 0.0), np.where(schi > 0, psi, 0.0)], axis=1)
     norms = np.linalg.norm(parts, axis=2)
     has = norms > 0.0
     basis = parts / np.where(has, norms, 1.0)[:, :, None]
-    images = -(((basis * schi) @ a) * grover.zero_flip.diagonal(lay)) @ a.transpose(0, 2, 1)
+    images = -(((basis * schi) @ a) * s0) @ a.transpose(0, 2, 1)
     check_unit_norms(images[has])
     block = images @ basis.transpose(0, 2, 1)  # block[r, i, j] = <Q u_i, u_j>
     residual = float(np.linalg.norm(images - block @ basis, axis=2).max())
-    if residual > CLOSURE_TOL:
+    if not residual <= CLOSURE_TOL:
         raise SimulationError(f"Q leaves span{{good, bad}} of A|0>: residual {residual:.3g}")
     # A row with one basis vector: copy its +-1 to the empty diagonal entry.
     block[:, 0, 0] += ~has[:, 0] * block[:, 1, 1]
     block[:, 1, 1] += ~has[:, 1] * block[:, 0, 0]
     c, s = block[:, 0, 0], block[:, 0, 1]
-    skew = max(np.abs(block[:, 1, 1] - c).max(), np.abs(block[:, 1, 0] + s).max())
-    if skew > CLOSURE_TOL:
+    skew = np.abs([block[:, 1, 1] - c, block[:, 1, 0] + s]).max()
+    if not skew <= CLOSURE_TOL:
         raise SimulationError(f"Q on span{{good, bad}} of A|0> is no rotation: off by {skew:.3g}")
-    w = c + 1j * s
+    squares = []  # each row's w^(2^k) for k < t, squared on Python complex numbers
+    for w in (c + 1j * s).tolist():
+        squares.append([w])
+        for _ in range(t - 1):
+            squares[-1].append(w := w * w / abs(w))
+    factors = np.array(squares).T[:, :, None]
     fill = np.empty((prep.rows, 1 << t), dtype=complex)
-    fill[:, 0] = norms[:, 0] + 1j * norms[:, 1]
-    for _ in range(t):
-        fill[:, 0] *= _SQRT2_INV
+    fill[:, 0] = (norms[:, 0] + 1j * norms[:, 1]) * _SQRT2_INV**t
     for k in range(t):
         half = 1 << k
-        np.multiply(fill[:, :half], w[:, None], out=fill[:, half : 2 * half])
-        w = w * w / np.abs(w)
+        np.multiply(fill[:, :half], factors[k], out=fill[:, half : 2 * half])
     return fill.view(np.float64).reshape(prep.rows, 1 << t, 2)
 
 

@@ -157,8 +157,8 @@ def check_unit_norms(vectors: np.ndarray) -> None:
     if vectors.size == vectors.shape[-1] and abs(np.vdot(vectors, vectors) - 1.0) <= NORM_TOL:
         return  # one vector: the common case, without einsum's fixed cost
     sq = np.einsum("...i,...i->...", vectors, vectors).reshape(-1)
-    worst = int(np.argmax(np.abs(sq - 1.0)))
-    if abs(sq[worst] - 1.0) > NORM_TOL:
+    worst = int(np.abs(sq - 1.0).argmax())  # the first NaN, if any
+    if not abs(sq[worst] - 1.0) <= NORM_TOL:
         raise SimulationError(f"norm drifted: |psi|^2 = {sq[worst]} (state {worst} of {sq.size})")
 
 
@@ -205,7 +205,8 @@ class HadamardBlock(Operation):
 
     The register is split, from its least significant qubit up, into slices of
     at most _WALSH_MAX_BITS qubits, and each slice's Walsh matrix is applied in
-    one matmul; a register of up to four qubits takes one.
+    one matmul: one GEMM on a (-1, 2^bits) view at offset 0 (the Walsh matrix is
+    symmetric), a batch of small ones above it. Up to four qubits take one.
     """
 
     def __init__(self, register: str):
@@ -218,8 +219,11 @@ class HadamardBlock(Operation):
         shape = state.amps.shape
         for k in range(0, w, _WALSH_MAX_BITS):
             bits = min(_WALSH_MAX_BITS, w - k)
-            a = state.amps.reshape(-1, 1 << bits, 1 << (off + k))
-            state.amps = np.matmul(_walsh(bits), a).reshape(shape)
+            if off + k == 0:
+                state.amps = (state.amps.reshape(-1, 1 << bits) @ _walsh(bits)).reshape(shape)
+            else:
+                a = state.amps.reshape(-1, 1 << bits, 1 << (off + k))
+                state.amps = np.matmul(_walsh(bits), a).reshape(shape)
         state.check_norm()
         return state
 
@@ -260,7 +264,7 @@ def readout_rows(amps: np.ndarray, register: str = "phase") -> np.ndarray:
     half = np.einsum("kyl,kyl->ky", parts, parts) / n
     probs = np.concatenate([half, half[:, n - half.shape[1] : 0 : -1]], axis=1)
     total = probs.sum(axis=1)
-    if np.any(np.abs(total - 1.0) > NORM_TOL):
+    if not np.abs(total - 1.0).max() <= NORM_TOL:
         raise SimulationError(f"readout of {register!r} drifted: sum P = {total}")
     return probs
 
@@ -331,9 +335,20 @@ class Controlled(Operation):
         )
         if self.control in [t for t in touched if t is not None]:
             raise SimulationError(f"control register {self.control!r} overlaps the target")
-        old = state.amps.copy()
-        self.inner.apply(state)
-        np.copyto(state.amps, old, where=lay.field(self.control) != self.control_value)
+        width, lo = lay.width(self.control), 1 << lay.offset(self.control)
+        if not 0 <= self.control_value < 1 << width:
+            raise SimulationError(f"control value {self.control_value} is out of {self.control!r}")
+        if width == 1:  # save and restore the other value's half of a (-1, 2, lo) view
+            other = (slice(None), 1 - self.control_value)
+            kept = state.amps.reshape(-1, 2, lo)[other].copy()
+            self.inner.apply(state)
+            amps = state.amps.reshape(-1, 2, lo)  # a copy if amps is not contiguous
+            amps[other] = kept
+            state.amps = amps.reshape(state.amps.shape)
+        else:
+            old = state.amps.copy()
+            self.inner.apply(state)
+            np.copyto(state.amps, old, where=lay.field(self.control) != self.control_value)
         state.check_norm()
         return state
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qadsim import ae
 from qadsim.ae import (
     PHASE_REGISTER,
     AEConfig,
@@ -421,6 +422,21 @@ class TestSubspacePath:
         qpe_state(mono, 3)  # the dense path runs it
         with pytest.raises(SimulationError, match="leaves span"):
             phase_distributions(mono, 3)
+
+    def test_a_nan_row_is_refused(self, monkeypatch):
+        # Row 1's A|0> is all NaN: neither of its parts has a norm > 0, so no
+        # image of it is norm-checked, and the closure check must refuse it.
+        replay = ae.operation_matrix
+
+        def poisoned(*args):
+            a = replay(*args)
+            a[1, :, 0] = np.nan
+            return a
+
+        monkeypatch.setattr(ae, "operation_matrix", poisoned)
+        prep = interference_prep("nan", np.array([[0.3, -0.5], [0.2, 0.9]]), {})
+        with pytest.raises(SimulationError, match="leaves span"):
+            phase_distributions(prep, 3)
 
     def test_a_block_that_is_no_rotation_is_refused(self, monkeypatch):
         # With S0 turned into the identity, Q = -Schi keeps the plane and unit

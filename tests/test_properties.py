@@ -136,7 +136,7 @@ def stacks(draw):
     return layout, amps, ops[0], ops[1:]
 
 
-@settings(deadline=None, max_examples=80)
+@settings(deadline=None, max_examples=300)
 @given(stacks())
 def test_op_on_a_stack_equals_the_op_on_each_row(case):
     layout, amps, stacked_op, row_ops = case

@@ -126,6 +126,27 @@ class TestHadamard:
         state = HadamardBlock("b").apply(StateVector(lay, amps))
         np.testing.assert_allclose(state.amps, want, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_stack_at_offset_zero_equals_kronecker_and_each_row(self, width):
+        # A slice at offset 0 is one GEMM over the whole stack; from width 5 on
+        # a second slice sits above it and takes the batched matmul.
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        walsh = np.ones((1, 1))
+        for _ in range(width):
+            walsh = np.kron(h, walsh)
+        lay = RegisterLayout([("a", width), ("b", 1)])
+        want = np.kron(np.eye(2), walsh)
+        rng = np.random.default_rng(width)
+        for k in range(1, 9):
+            for shape in ((k, lay.dim), (k, lay.dim, lay.dim)):
+                amps = rng.normal(size=shape)
+                amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+                got = HadamardBlock("a").apply(StateVector(lay, amps.copy())).amps
+                np.testing.assert_allclose(got, amps @ want.T, rtol=0, atol=1e-15)
+                for out, row in zip(got, amps):
+                    alone = HadamardBlock("a").apply(StateVector(lay, row.copy())).amps
+                    np.testing.assert_array_equal(out, alone)
+
     def test_uniform_superposition(self):
         state = new_state(RegisterLayout([("a", 3)]))
         HadamardBlock("a").apply(state)
@@ -274,6 +295,31 @@ class TestControlled:
         assert p_t1_given_c0 == pytest.approx(0.5)
         assert np.abs(state.amps[0b101]) ** 2 == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "registers",
+        [
+            [("c", 1), ("k", 2), ("t", 1)],  # 1-qubit control at offset 0
+            [("k", 2), ("c", 1), ("t", 1)],  # ... between the inner's registers
+            [("k", 2), ("t", 1), ("c", 1)],  # ... on top
+            [("k", 2), ("c", 2), ("t", 1)],  # 2-qubit control: the copyto path
+        ],
+    )
+    def test_equals_the_masked_dense_form(self, registers):
+        lay = RegisterLayout(registers)
+        inners = [HadamardBlock("k"), ValueKeyedRotation(["k"], "t", np.array([0.3, -0.9, 0.1, 1.0]))]
+        for inner in inners:
+            dense = operation_matrix([inner], lay)
+            for value in range(1 << lay.width("c")):
+                on = lay.field("c") == value
+                want = np.where(on[:, None], dense, np.eye(lay.dim))
+                got = operation_matrix([Controlled("c", value, inner)], lay)
+                np.testing.assert_array_equal(got, want)
+
+    def test_control_value_out_of_range_rejected(self):
+        lay = RegisterLayout([("c", 1), ("t", 1)])
+        with pytest.raises(SimulationError, match="out of"):
+            Controlled("c", 2, HadamardBlock("t")).apply(new_state(lay))
+
     def test_control_overlap_rejected(self):
         inner = ValueKeyedRotation(["c"], "t", np.array([1.0, 1.0]))
         lay = RegisterLayout([("c", 1), ("t", 1)])
@@ -379,6 +425,21 @@ class TestDraw:
         assert [draw(row[None], [s])[0] for row, s in zip(probs, seeds)] == want
         assert len(set(want)) > 1
 
+    def test_equals_generator_choice_on_cdf_plateaus(self):
+        # Zero entries at the start, in the middle and at the end make the cdf
+        # flat; a uniform past a flat run must land after it, as choice's does.
+        rows = np.array([
+            [0.0, 0.0, 0.2, 0.0, 0.0, 0.5, 0.3, 0.0, 0.0],
+            [0.0, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0, 0.6, 0.0],
+            [0.1, 0.0, 0.0, 0.0, 0.8, 0.0, 0.0, 0.0, 0.1],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        ])
+        probs = np.repeat(rows, 250, axis=0)
+        seeds = range(len(probs))
+        want = [int(np.random.default_rng(s).choice(9, p=row)) for row, s in zip(probs, seeds)]
+        assert draw(probs, seeds) == want
+        assert set(want) == {0, 1, 2, 4, 5, 6, 7, 8}
+
     def test_generator_or_seed(self):
         probs = self._distributions(4, 16)
         gens = [np.random.default_rng(s) for s in range(4)]
@@ -462,6 +523,26 @@ def test_operation_matrix_blocks_equal_the_dense_diagonal():
     assert rows.shape == (4, 4, 4)
     for b in range(4):
         np.testing.assert_array_equal(rows[b], dense[4 * b : 4 * b + 4, 4 * b : 4 * b + 4])
+
+
+class TestNanIsRefused:
+    """A NaN compares false with every tolerance, so each check must pass
+    only where the deviation is <= its tolerance."""
+
+    def test_unit_norm_check(self):
+        with pytest.raises(SimulationError, match=r"\|psi\|\^2 = nan \(state 0 of 1\)"):
+            check_unit_norms(np.array([np.nan, 0.0]))
+        with pytest.raises(SimulationError, match=r"\|psi\|\^2 = nan \(state 1 of 2\)"):
+            check_unit_norms(np.array([[1.0, 0.0], [np.nan, 0.0]]))
+
+    def test_hadamard_checks_its_output(self):
+        state = StateVector(RegisterLayout([("a", 1)]), np.array([np.nan, 0.0]))
+        with pytest.raises(SimulationError, match="norm drifted"):
+            HadamardBlock("a").apply(state)
+
+    def test_readout(self):
+        with pytest.raises(SimulationError, match="drifted"):
+            readout_rows(np.full((1, 4, 1), np.nan))
 
 
 def test_norm_invariant_enforced():
