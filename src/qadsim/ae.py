@@ -97,6 +97,11 @@ class StatePreparation:
         probs = np.einsum("rhbl,rhbl->rb", amps, amps)
         return sum((probs[:, b] for b in range(labels) if self.good_predicate(b)), np.zeros(self.rows))
 
+    def reflections(self) -> tuple[ReflectWhere, ReflectAboutZero]:
+        """Q's two reflections: Schi on the good subspace and S0 about |0>."""
+        good_flip = ReflectWhere(self.good_register, self.good_predicate)
+        return good_flip, ReflectAboutZero(self.reflection_registers)
+
     def good_probability(self) -> float:
         """Exact probability of the good subspace in (row 0's) A|0>."""
         return float(self.good_probabilities()[0])
@@ -116,8 +121,7 @@ class GroverOperator:
 
     def __init__(self, prep: StatePreparation):
         self.prep = prep
-        self.good_flip = ReflectWhere(prep.good_register, prep.good_predicate)
-        self.zero_flip = ReflectAboutZero(prep.reflection_registers)
+        self.good_flip, self.zero_flip = prep.reflections()
         # Schi, then Adag, S0 and A, in the order they act on a state.
         self.ops = (
             self.good_flip,
@@ -265,8 +269,7 @@ def _subspace_rows(prep: StatePreparation, t: int) -> np.ndarray:
     lay = prep.layout
     RegisterLayout([*lay.registers, (PHASE_REGISTER, t)])  # a row's circuit is under the cap
     a = operation_matrix(prep.ops, lay, prep.rows)
-    schi = ReflectWhere(prep.good_register, prep.good_predicate).diagonal(lay)
-    s0 = ReflectAboutZero(prep.reflection_registers).diagonal(lay)
+    schi, s0 = (flip.diagonal(lay) for flip in prep.reflections())
     psi = a[:, :, 0]
     parts = np.stack([np.where(schi < 0, psi, 0.0), np.where(schi > 0, psi, 0.0)], axis=1)
     norms = np.linalg.norm(parts, axis=2)

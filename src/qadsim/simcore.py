@@ -157,6 +157,8 @@ def check_unit_norms(vectors: np.ndarray) -> None:
     if vectors.size == vectors.shape[-1] and abs(np.vdot(vectors, vectors) - 1.0) <= NORM_TOL:
         return  # one vector: the common case, without einsum's fixed cost
     sq = np.einsum("...i,...i->...", vectors, vectors).reshape(-1)
+    if sq.size == 0:
+        return  # an empty stack: nothing to check
     worst = int(np.abs(sq - 1.0).argmax())  # the first NaN, if any
     if not abs(sq[worst] - 1.0) <= NORM_TOL:
         raise SimulationError(f"norm drifted: |psi|^2 = {sq[worst]} (state {worst} of {sq.size})")
@@ -338,17 +340,14 @@ class Controlled(Operation):
         width, lo = lay.width(self.control), 1 << lay.offset(self.control)
         if not 0 <= self.control_value < 1 << width:
             raise SimulationError(f"control value {self.control_value} is out of {self.control!r}")
-        if width == 1:  # save and restore the other value's half of a (-1, 2, lo) view
-            other = (slice(None), 1 - self.control_value)
-            kept = state.amps.reshape(-1, 2, lo)[other].copy()
-            self.inner.apply(state)
-            amps = state.amps.reshape(-1, 2, lo)  # a copy if amps is not contiguous
-            amps[other] = kept
-            state.amps = amps.reshape(state.amps.shape)
-        else:
-            old = state.amps.copy()
-            self.inner.apply(state)
-            np.copyto(state.amps, old, where=lay.field(self.control) != self.control_value)
+        # Save and restore the other values' slices of a (-1, 2^width, lo) view.
+        cv, view = self.control_value, (-1, 1 << width, lo)
+        amps = state.amps.reshape(view)
+        below, above = amps[:, :cv].copy(), amps[:, cv + 1 :].copy()
+        self.inner.apply(state)
+        amps = state.amps.reshape(view)  # a copy if amps is not contiguous
+        amps[:, :cv], amps[:, cv + 1 :] = below, above
+        state.amps = amps.reshape(state.amps.shape)
         state.check_norm()
         return state
 

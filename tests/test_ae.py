@@ -423,14 +423,16 @@ class TestSubspacePath:
         with pytest.raises(SimulationError, match="leaves span"):
             phase_distributions(mono, 3)
 
-    def test_a_nan_row_is_refused(self, monkeypatch):
-        # Row 1's A|0> is all NaN: neither of its parts has a norm > 0, so no
-        # image of it is norm-checked, and the closure check must refuse it.
+    @pytest.mark.parametrize("poisoned_rows", [[1], [0, 1]])
+    def test_a_nan_row_is_refused(self, monkeypatch, poisoned_rows):
+        # A poisoned row's A|0> is all NaN: neither of its parts has a norm > 0,
+        # so no image of it is norm-checked (with every row poisoned, none is),
+        # and the closure check must refuse it.
         replay = ae.operation_matrix
 
         def poisoned(*args):
             a = replay(*args)
-            a[1, :, 0] = np.nan
+            a[poisoned_rows, :, 0] = np.nan
             return a
 
         monkeypatch.setattr(ae, "operation_matrix", poisoned)

@@ -301,7 +301,8 @@ class TestControlled:
             [("c", 1), ("k", 2), ("t", 1)],  # 1-qubit control at offset 0
             [("k", 2), ("c", 1), ("t", 1)],  # ... between the inner's registers
             [("k", 2), ("t", 1), ("c", 1)],  # ... on top
-            [("k", 2), ("c", 2), ("t", 1)],  # 2-qubit control: the copyto path
+            [("c", 2), ("k", 2), ("t", 1)],  # 2-qubit control at offset 0
+            [("k", 2), ("c", 2), ("t", 1)],  # ... above: values on both sides of each
         ],
     )
     def test_equals_the_masked_dense_form(self, registers):
@@ -543,6 +544,10 @@ class TestNanIsRefused:
     def test_readout(self):
         with pytest.raises(SimulationError, match="drifted"):
             readout_rows(np.full((1, 4, 1), np.nan))
+
+
+def test_an_empty_stack_passes_the_norm_check():
+    check_unit_norms(np.zeros((0, 4)))
 
 
 def test_norm_invariant_enforced():
