@@ -10,7 +10,7 @@ hidden classical information leaks into the quantum stages.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,7 @@ class ErrorBudget:
     planned_grover: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a scalar
 
 
 def classical_fit(data: DataMatrix, policy: str = "error") -> GaussianModel:

@@ -10,7 +10,7 @@ estimation round.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class KPCABudget:
     mode_hint: str | None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a scalar
 
 
 def classical_moments(data: DataMatrix) -> MomentModel:

@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import CLOSURE_TOL, MAX_PHASE_BITS
+from .config import CLOSURE_TOL, MAX_PHASE_BITS, qubit_cap
 from .dataio import QueryLedger
 from .simcore import (
     _SQRT2_INV,
@@ -45,6 +45,16 @@ PHASE_REGISTER = "__phase"
 
 # Widest phase grid in either mode: 4^t must stay a finite double.
 MAX_GRID_BITS = 511
+
+# The signs of u_g and u_b in Schi's diagonal, which split A|0> into them.
+_GOOD_BAD_SIGNS = np.array([[-1.0], [1.0]])
+# Signs that turn a rotation's first line [c, s], reversed, into its second [-s, c].
+_ROTATION_SIGNS = np.array([1.0, -1.0])
+
+
+def label_is_zero(label: int) -> bool:
+    """Good predicate "label 0"; one function, so its reflections share a cached diagonal."""
+    return label == 0
 
 
 @dataclass(frozen=True)
@@ -267,25 +277,26 @@ def _subspace_rows(prep: StatePreparation, t: int) -> np.ndarray:
     to |w|. A row with a in {0, 1} has one basis vector, on which Q is +-1.
     """
     lay = prep.layout
-    RegisterLayout([*lay.registers, (PHASE_REGISTER, t)])  # a row's circuit is under the cap
+    if t < 1 or PHASE_REGISTER in lay or lay.n_qubits + t > qubit_cap():
+        RegisterLayout([*lay.registers, (PHASE_REGISTER, t)])  # raises its LayoutError
     a = operation_matrix(prep.ops, lay, prep.rows)
     schi, s0 = (flip.diagonal(lay) for flip in prep.reflections())
-    psi = a[:, :, 0]
-    parts = np.stack([np.where(schi < 0, psi, 0.0), np.where(schi > 0, psi, 0.0)], axis=1)
-    norms = np.linalg.norm(parts, axis=2)
+    parts = np.where(schi == _GOOD_BAD_SIGNS, a[:, None, :, 0], 0.0)  # (rows, 2, dim)
+    norms = np.sqrt(np.add.reduce(parts * parts, axis=2))  # as np.linalg.norm sums them
     has = norms > 0.0
     basis = parts / np.where(has, norms, 1.0)[:, :, None]
     images = -(((basis * schi) @ a) * s0) @ a.transpose(0, 2, 1)
     check_unit_norms(images[has])
     block = images @ basis.transpose(0, 2, 1)  # block[r, i, j] = <Q u_i, u_j>
-    residual = float(np.linalg.norm(images - block @ basis, axis=2).max())
+    off = images - block @ basis
+    residual = float(np.sqrt(np.add.reduce(off * off, axis=2).max()))
     if not residual <= CLOSURE_TOL:
         raise SimulationError(f"Q leaves span{{good, bad}} of A|0>: residual {residual:.3g}")
-    # A row with one basis vector: copy its +-1 to the empty diagonal entry.
-    block[:, 0, 0] += ~has[:, 0] * block[:, 1, 1]
-    block[:, 1, 1] += ~has[:, 1] * block[:, 0, 0]
+    if not has.all():  # a row with one basis vector: copy its +-1 to the empty diagonal entry
+        block[:, 0, 0] += ~has[:, 0] * block[:, 1, 1]
+        block[:, 1, 1] += ~has[:, 1] * block[:, 0, 0]
     c, s = block[:, 0, 0], block[:, 0, 1]
-    skew = np.abs([block[:, 1, 1] - c, block[:, 1, 0] + s]).max()
+    skew = np.abs(block[:, 1] + block[:, 0, ::-1] * _ROTATION_SIGNS).max()
     if not skew <= CLOSURE_TOL:
         raise SimulationError(f"Q on span{{good, bad}} of A|0> is no rotation: off by {skew:.3g}")
     squares = []  # each row's w^(2^k) for k < t, squared on Python complex numbers
@@ -295,11 +306,12 @@ def _subspace_rows(prep: StatePreparation, t: int) -> np.ndarray:
             squares[-1].append(w := w * w / abs(w))
     factors = np.array(squares).T[:, :, None]
     fill = np.empty((prep.rows, 1 << t), dtype=complex)
-    fill[:, 0] = (norms[:, 0] + 1j * norms[:, 1]) * _SQRT2_INV**t
+    lines = fill.view(np.float64).reshape(prep.rows, 1 << t, 2)
+    lines[:, 0] = norms * _SQRT2_INV**t
     for k in range(t):
         half = 1 << k
         np.multiply(fill[:, :half], factors[k], out=fill[:, half : 2 * half])
-    return fill.view(np.float64).reshape(prep.rows, 1 << t, 2)
+    return lines
 
 
 def phase_distributions(prep: StatePreparation, t: int) -> np.ndarray:
@@ -339,11 +351,12 @@ def estimate_amplitude(
     t = config.t_bits
     grover_count = (1 << t) - 1
     if ledger is not None:
-        ledger.add(grover=grover_count)
         # Each Q uses A and its inverse; one extra A prepares the initial state.
         a_applications = 2 * grover_count + 1
-        for kind, per_a in prep.oracle_costs.items():
-            ledger.add(**{kind: per_a * a_applications})
+        ledger.add(
+            grover=grover_count,
+            **{kind: per_a * a_applications for kind, per_a in prep.oracle_costs.items()},
+        )
     y = phase_outcomes(prep, config)[0] if outcome is None else outcome
     return AEResult(
         theta=_fold_outcome(y, t),

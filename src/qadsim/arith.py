@@ -54,6 +54,8 @@ class FixedPointFormat:
         if not math.isfinite(value):
             raise RangeError(f"cannot encode non-finite value {value}")
         scaled = value * (1 << self.frac_bits)
+        if not math.isfinite(scaled):
+            raise RangeError(f"value {value} overflows format {self}")
         word = round(scaled)  # python round is round-half-even
         lo = -(1 << (self.int_bits + self.frac_bits))
         hi = (1 << (self.int_bits + self.frac_bits)) - 1

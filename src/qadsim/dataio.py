@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,16 @@ class DataError(QadsimError):
 
 class DegenerateDataError(QadsimError):
     """A data-dependent constant vanished under the `error` policy."""
+
+
+def _check_magnitudes(values: np.ndarray, what: str) -> None:
+    """Refuse non-finite entries, and entries so large that a sum of n squared
+    deviations, each at most (2 max|x|)^2, could overflow (DataError)."""
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{what} contains non-finite entries")
+    if np.abs(values).max() > (limit := math.sqrt(np.finfo(float).max / (4 * values.size))):
+        raise DataError(f"{what} entries must be at most {limit:.3g} in magnitude "
+                        f"(for {values.size} entries), so that their squared sums stay finite")
 
 
 def _pad_dim(n: int) -> int:
@@ -49,7 +59,7 @@ class QueryLedger:
         self.arithmetic += arithmetic
 
     def snapshot(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a scalar
 
 
 class DataMatrix:
@@ -59,8 +69,7 @@ class DataMatrix:
         values = np.asarray(values, dtype=float)
         if values.ndim != 2 or values.size == 0:
             raise DataError(f"expected a non-empty 2-D matrix, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise DataError("data matrix contains non-finite entries")
+        _check_magnitudes(values, "data matrix")
         self.n_rows, self.n_cols = values.shape
         self.padded_rows = _pad_dim(self.n_rows)
         self.padded_cols = _pad_dim(self.n_cols)
@@ -88,8 +97,7 @@ class QueryPoint:
         values = np.asarray(values, dtype=float).reshape(-1)
         if values.size == 0:
             raise DataError("query point is empty")
-        if not np.all(np.isfinite(values)):
-            raise DataError("query point contains non-finite entries")
+        _check_magnitudes(values, "query point")
         self.dim = values.size
         self.padded_dim = _pad_dim(self.dim)
         self.values = np.zeros(self.padded_dim)
@@ -182,7 +190,7 @@ class Constants:
     C_dprime: float   # max |(x_j^i - mu_j)(x0_j - mu_j)|
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a scalar
 
 
 def compute_constants(

@@ -18,6 +18,7 @@ a monolithic run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,10 +29,12 @@ from .ae import (
     bits_for_epsilon,
     estimate_amplitude,
     grid_epsilon,
+    label_is_zero,
     phase_outcomes,
     row_amps,
 )
 from .arith import FixedPointFormat
+from .config import qubit_cap
 from .dataio import QueryLedger
 from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation
 
@@ -86,6 +89,12 @@ def _index_bits(values: np.ndarray) -> int:
     return values.shape[-1].bit_length() - 1
 
 
+@lru_cache(maxsize=64)
+def _layout(registers: tuple[tuple[str, int], ...], cap: int) -> RegisterLayout:
+    """A preparation's layout, built once per (registers, `qubit_cap()`)."""
+    return RegisterLayout(registers)
+
+
 def interference_prep(name: str, values: np.ndarray, costs: dict) -> StatePreparation:
     """1/2-weighted interference of the rotated branch with the flat branch.
 
@@ -102,10 +111,10 @@ def interference_prep(name: str, values: np.ndarray, costs: dict) -> StatePrepar
     )
     return StatePreparation(
         name=name,
-        layout=RegisterLayout([("s", 1), ("idx", _index_bits(values)), ("anc", 1)]),
+        layout=_layout((("s", 1), ("idx", _index_bits(values)), ("anc", 1)), qubit_cap()),
         ops=ops,
         good_register="s",
-        good_predicate=lambda label: label == 0,
+        good_predicate=label_is_zero,
         oracle_costs=costs,
         rows=len(values) if values.ndim == 2 else 1,
     )
@@ -117,10 +126,10 @@ def squared_mean_prep(name: str, values: np.ndarray, costs: dict) -> StatePrepar
     values = np.asarray(values, dtype=float)
     return StatePreparation(
         name=name,
-        layout=RegisterLayout([("idx", _index_bits(values)), ("anc", 1)]),
+        layout=_layout((("idx", _index_bits(values)), ("anc", 1)), qubit_cap()),
         ops=(HadamardBlock("idx"), ValueKeyedRotation(["idx"], "anc", values)),
         good_register="anc",
-        good_predicate=lambda label: label == 0,
+        good_predicate=label_is_zero,
         oracle_costs=costs,
         rows=len(values) if values.ndim == 2 else 1,
     )

@@ -94,19 +94,28 @@ class RegisterLayout:
         it is shared: it comes from a cache keyed on the layout's registers, so
         equal layouts share it. Larger layouts compute it on every call.
         """
+        return self._shared(_label_field, names)
+
+    def sign_flips(self, names: tuple[str, ...], predicate: Callable | None = None) -> np.ndarray:
+        """Read-only +-1 diagonal of a reflection: -1 where the joint field of
+        the named registers satisfies the predicate (None: where it is 0).
+        Shared as `field` is, keyed on the registers, names and predicate."""
+        return self._shared(_flip_table, names, predicate)
+
+    def _shared(self, build, names: tuple[str, ...], *key) -> np.ndarray:
         for name in names:
             self._require(name)
         if self.dim > _FIELD_CACHE_MAX_DIM:
-            return _label_field.__wrapped__(self.registers, names)
-        return _label_field(self.registers, names)
+            build = build.__wrapped__  # a large layout's array is built on every call
+        return build(self.registers, names, *key)
 
     def _require(self, name: str) -> None:
         if name not in self._widths:
             raise UnknownRegisterError(f"no register named {name!r} (have {self.names})")
 
 
-# Cached label fields are int64 arrays of at most this many labels, and at most
-# 64 of them are kept, so the cache never holds more than 2 MiB.
+# Cached label fields and sign flips are 8-byte arrays of at most this many
+# labels, and each cache keeps at most 64, so neither holds more than 2 MiB.
 _FIELD_CACHE_MAX_DIM = 1 << 12
 
 
@@ -126,6 +135,19 @@ def _label_field(registers: tuple[tuple[str, int], ...], names: tuple[str, ...])
         shift += widths[name]
     joint.flags.writeable = False
     return joint
+
+
+@lru_cache(maxsize=64)
+def _flip_table(registers, names, predicate) -> np.ndarray:
+    field = _label_field.__wrapped__(registers, names)
+    if predicate is None:
+        hits = field == 0
+    else:
+        width = sum(dict(registers)[name] for name in names)
+        hits = np.fromiter((predicate(v) for v in range(1 << width)), dtype=bool)[field]
+    diagonal = np.where(hits, -1.0, 1.0)
+    diagonal.flags.writeable = False
+    return diagonal
 
 
 class StateVector:
@@ -157,9 +179,10 @@ def check_unit_norms(vectors: np.ndarray) -> None:
     if vectors.size == vectors.shape[-1] and abs(np.vdot(vectors, vectors) - 1.0) <= NORM_TOL:
         return  # one vector: the common case, without einsum's fixed cost
     sq = np.einsum("...i,...i->...", vectors, vectors).reshape(-1)
-    if sq.size == 0:
-        return  # an empty stack: nothing to check
-    worst = int(np.abs(sq - 1.0).argmax())  # the first NaN, if any
+    deviation = np.abs(sq - 1.0)
+    if deviation.max(initial=0.0) <= NORM_TOL:
+        return  # every vector, or none in an empty stack; a NaN fails
+    worst = int(deviation.argmax())  # the first NaN, if any
     if not abs(sq[worst] - 1.0) <= NORM_TOL:
         raise SimulationError(f"norm drifted: |psi|^2 = {sq[worst]} (state {worst} of {sq.size})")
 
@@ -183,6 +206,9 @@ class Operation:
     def dagger(self) -> "Operation":
         raise NotImplementedError
 
+
+# (-1)^b for target bit b, on a keyed rotation's (..., 2, low labels) axes.
+_SIGNS = np.array([[1.0], [-1.0]])
 
 _H2 = np.array([[1.0, 1.0], [1.0, -1.0]]) * _SQRT2_INV
 
@@ -289,30 +315,29 @@ class ValueKeyedRotation(Operation):
 
     def __init__(self, key_registers: Sequence[str], target: str, values: np.ndarray):
         values = np.asarray(values, dtype=float)
-        if np.any(np.abs(values) > 1.0 + 1e-12):
+        if (np.abs(values) > 1.0 + 1e-12).any():
             bad = float(np.max(np.abs(values)))
             raise SimulationError(f"rotation value magnitude {bad} exceeds 1")
         self.key_registers = tuple(key_registers)
         self.target = target
-        self.values = np.clip(values, -1.0, 1.0)
+        self.values = np.maximum(np.minimum(values, 1.0), -1.0)
 
     def apply(self, state: StateVector) -> StateVector:
         lay = state.layout
         if lay.width(self.target) != 1:
             raise UnknownRegisterError(f"rotation target {self.target!r} must be 1 qubit")
         lo = 1 << lay.offset(self.target)
-        # The key is read where the target is 0: (high labels, low labels).
-        key = lay.field(*self.key_registers).reshape(-1, 2, lo)[:, 0, :]
+        # The key is read where the target is 0: (high labels, 1, low labels).
+        key = lay.field(*self.key_registers).reshape(-1, 2, lo)[:, :1, :]
         table = self.values.reshape(-1, self.values.shape[-1])
         if self.values.ndim == 2 and state.amps.shape[:-1][:1] != table.shape[:1]:
             raise SimulationError(f"{len(table)} rows cannot key a stack of {state.amps.shape}")
         # Axes: table row, the rest of the stack, high labels, target bit, low labels.
+        # Bit b gets (-1)^b v a_b + s a_(1-b): v a_0 + s a_1 and s a_0 - v a_1, bit for bit.
         v = table[:, None, key]
-        s = np.sqrt(np.clip(1.0 - v * v, 0.0, None))
+        s = np.sqrt(np.maximum(1.0 - v * v, 0.0))
         a = state.amps.reshape(len(table), -1, len(key), 2, lo)
-        out = np.empty_like(a)
-        out[..., 0, :] = v * a[..., 0, :] + s * a[..., 1, :]
-        out[..., 1, :] = s * a[..., 0, :] - v * a[..., 1, :]
+        out = v * _SIGNS * a + s * a[..., ::-1, :]
         state.amps = out.reshape(state.amps.shape)
         state.check_norm()
         return state
@@ -328,14 +353,15 @@ class Controlled(Operation):
         self.control = control
         self.control_value = control_value
         self.inner = inner
+        touched = getattr(inner, "key_registers", ()) + (
+            getattr(inner, "target", None),
+            getattr(inner, "register", None),
+        )
+        self._overlaps = control in touched
 
     def apply(self, state: StateVector) -> StateVector:
         lay = state.layout
-        touched = getattr(self.inner, "key_registers", ()) + (
-            getattr(self.inner, "target", None),
-            getattr(self.inner, "register", None),
-        )
-        if self.control in [t for t in touched if t is not None]:
+        if self._overlaps:
             raise SimulationError(f"control register {self.control!r} overlaps the target")
         width, lo = lay.width(self.control), 1 << lay.offset(self.control)
         if not 0 <= self.control_value < 1 << width:
@@ -362,8 +388,8 @@ class ReflectAboutZero(Operation):
         self.registers = tuple(registers)
 
     def diagonal(self, layout: RegisterLayout) -> np.ndarray:
-        """The +-1 diagonal: -1 where every named register reads 0."""
-        return np.where(layout.field(*self.registers) == 0, -1.0, 1.0)
+        """The read-only +-1 diagonal: -1 where every named register reads 0."""
+        return layout.sign_flips(self.registers)
 
     def apply(self, state: StateVector) -> StateVector:
         state.amps *= self.diagonal(state.layout)
@@ -381,12 +407,8 @@ class ReflectWhere(Operation):
         self.predicate = predicate
 
     def diagonal(self, layout: RegisterLayout) -> np.ndarray:
-        """The +-1 diagonal: -1 where the register's label satisfies the predicate."""
-        hits = np.fromiter(
-            (self.predicate(v) for v in range(1 << layout.width(self.register))),
-            dtype=bool,
-        )
-        return np.where(hits[layout.field(self.register)], -1.0, 1.0)
+        """The read-only +-1 diagonal: -1 where the register's label satisfies the predicate."""
+        return layout.sign_flips((self.register,), self.predicate)
 
     def apply(self, state: StateVector) -> StateVector:
         state.amps *= self.diagonal(state.layout)

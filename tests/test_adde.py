@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +109,11 @@ class TestAssembly:
 
 
 class TestBudget:
+    def test_as_dict_equals_asdict(self):
+        c = Constants(C=2.0, D=1.5, T=2.0, E=1.0, C_prime=1.0, C_dprime=1.0)
+        budget = plan_budget(0.2, 3, c, 0.5)
+        assert list(budget.as_dict().items()) == list(dataclasses.asdict(budget).items())
+
     def test_unit_constants_substitution(self):
         c = Constants(C=1.0, D=1.0, T=1.0, E=1.0, C_prime=1.0, C_dprime=1.0)
         b = plan_budget(0.48, 1, c, 1.0)

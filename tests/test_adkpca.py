@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,11 @@ class TestProximityEstimate:
 
 
 class TestBudget:
+    def test_as_dict_equals_asdict(self):
+        c = Constants(C=2.0, D=1.5, T=2.0, E=1.0, C_prime=1.0, C_dprime=1.0)
+        budget = plan_budget_kpca(0.2, 2, 4, c)
+        assert list(budget.as_dict().items()) == list(dataclasses.asdict(budget).items())
+
     def test_substitution(self):
         c = Constants(C=1.0, D=1.0, T=1.0, E=1.0, C_prime=1.0, C_dprime=1.0)
         b = plan_budget_kpca(0.48, 1, 2, c)

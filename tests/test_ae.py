@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from qadsim.ae import (
     estimate_amplitude,
     grid_epsilon,
     _qpe_rows,
+    _subspace_rows,
     phase_distributions,
     qpe_state,
 )
@@ -21,6 +23,7 @@ from qadsim.dataio import DataMatrix, QueryLedger
 from qadsim.pipelines import interference_prep, squared_mean_prep
 from qadsim.simcore import (
     HadamardBlock,
+    LayoutError,
     Operation,
     ReflectAboutZero,
     RegisterLayout,
@@ -415,6 +418,41 @@ class TestSubspacePath:
         for t in range(1, 12):
             dense = readout_rows(_qpe_rows(prep, t)[1], PHASE_REGISTER)
             np.testing.assert_allclose(phase_distributions(prep, t), dense, rtol=0, atol=1e-12)
+
+    def test_rows_with_one_basis_vector_stack_as_they_run_alone(self):
+        # Row 1 has a = 0 and row 3 a = 1, so each has one basis vector, and
+        # the other rows two. Those two rows match bit for bit; a stacked
+        # matmul may round an ordinary row's Q block in its last bit.
+        table = np.random.default_rng(5).uniform(-0.9, 0.9, size=(4, 4))
+        table[1], table[3] = 0.0, [1.0, -1.0, 1.0, 1.0]
+        stacked = squared_mean_prep("mixed", table, costs={})
+        for t in (1, 4, 10):
+            lines, probs = _subspace_rows(stacked, t), phase_distributions(stacked, t)
+            for r, row in enumerate(table):
+                alone = squared_mean_prep(f"row{r}", row, costs={})
+                want = _subspace_rows(alone, t)[0], phase_distributions(alone, t)[0]
+                for got, expected in zip((lines[r], probs[r]), want):
+                    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+                    if r in (1, 3):
+                        np.testing.assert_array_equal(got, expected)
+
+    def test_phase_register_refusals_keep_the_layout_messages(self, monkeypatch):
+        prep = interference_prep("cap", np.full(4, 0.3), {})  # 4 qubits
+        monkeypatch.setenv("QADSIM_QUBIT_CAP", "7")
+        phase_distributions(prep, 3)
+        with pytest.raises(LayoutError, match=r"^layout needs 8 qubits, exceeding the cap of 7$"):
+            phase_distributions(prep, 4)
+        monkeypatch.delenv("QADSIM_QUBIT_CAP")
+        clash = StatePreparation(
+            name="clash", layout=RegisterLayout([("k", 1), (PHASE_REGISTER, 1)]),
+            ops=(ValueKeyedRotation(["k"], PHASE_REGISTER, np.array([0.6, 0.6])),),
+            good_register=PHASE_REGISTER, good_predicate=lambda label: label == 0,
+        )
+        names = ["k", PHASE_REGISTER, PHASE_REGISTER]
+        with pytest.raises(LayoutError, match=rf"^duplicate register names in {re.escape(str(names))}$"):
+            phase_distributions(clash, 2)
+        with pytest.raises(LayoutError, match="width 0"):
+            _subspace_rows(prep, 0)
 
     def test_a_larger_invariant_space_is_refused(self):
         # S0 leaves out the passive j, so Q's invariant space of A|0> is 4-D.

@@ -27,6 +27,9 @@ class TestFixedPointFormat:
             FMT.encode(-4.125)
         with pytest.raises(RangeError):
             FMT.encode(float("nan"))
+        # Finite, but infinite once scaled by 2^frac_bits.
+        with pytest.raises(RangeError, match="overflows"):
+            FixedPointFormat().encode(1e308)
 
     def test_two_complement_negative(self):
         word = FMT.encode(-0.125)

@@ -219,7 +219,21 @@ FUZZ_CSVS = {
     "query-width": ("1,2\n3,4\n0,3\n", "1,2,3\n"),
     "query-two-rows": ("1,2\n3,4\n0,3\n", "1,2\n3,4\n"),
     "plain": ("1,2\n3,4\n0,3\n2,1\n", "1,3\n"),
+    # Entries whose squared moment sums overflow a double for the input's size.
+    "overflow-1e160": ("1,2\n1e160,4\n0,3\n", "1,3\n"),
+    "overflow-1e308": ("1,2\n1e308,4\n0,3\n", "1,3\n"),
+    "overflow-4x3": ("1,2,1\n1e308,4,2\n0,3,1\n2,1,5\n", "1,3,2\n"),
+    "overflow-query": ("1,2\n3,4\n0,3\n", "1,-1e308\n"),
 }
+# Each overflowing input, under the command that used to end in a traceback,
+# an exit 0 with an infinite variance, or NumPy warnings.
+OVERFLOW_RUNS = [
+    ("overflow-1e160", ["detect", "--t-bits", "8"]),
+    ("overflow-1e308", ["kpca", "--t-bits", "8"]),
+    ("overflow-1e308", ["fit"]),
+    ("overflow-4x3", ["flaws"]),
+    ("overflow-query", ["detect", "--t-bits", "8"]),
+]
 SMALL_T = [["--t-bits", str(t), *mode] for t in (1, 2, 3)
            for mode in ([], ["--mode", "circuit", "--seed", "3"])]
 EXTREME_FLAGS = [
@@ -271,6 +285,23 @@ class TestFuzz:
         for flags in SMALL_T:
             for command in ("detect", "kpca"):
                 self._check([command, *files, *flags], capsys)
+
+    @pytest.mark.parametrize("case,argv", OVERFLOW_RUNS, ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_overflowing_entries_exit_2_with_one_line(self, case, argv, tmp_path, capsys):
+        data, query = (tmp_path / "d.csv", tmp_path / "q.csv")
+        data.write_text(FUZZ_CSVS[case][0])
+        query.write_text(FUZZ_CSVS[case][1])
+        files = ["--data", str(data)] + (["--query", str(query)] if argv[0] != "fit" else [])
+        assert main([argv[0], *files, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line_error(captured.err) and "so that their squared sums stay finite" in captured.err
+
+    def test_an_entry_of_1e100_still_loads(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("1,2\n1e100,4\n0,3\n")
+        assert main(["fit", "--data", str(data)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_verify_without_seeds(self, seeds, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qadsim.config import SIGMA_MIN
 from qadsim.dataio import (
+    Constants,
     DataError,
     DataMatrix,
     DegenerateDataError,
@@ -41,6 +43,18 @@ class TestDataMatrix:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             DataMatrix(np.empty((0, 2)))
+
+    @pytest.mark.parametrize("build", [
+        lambda v: DataMatrix(np.array([[1.0, 2.0], [v, 4.0], [0.0, 3.0]])),
+        lambda v: QueryPoint(np.array([1.0, v, 3.0, 0.0, 2.0, 1.0])),
+    ], ids=["data", "query"])
+    def test_entries_whose_squared_sums_overflow_are_rejected(self, build):
+        # Six entries: |x| <= sqrt(max double / 24) = 2.74e153 keeps 6 (2|x|)^2 finite.
+        build(1e100)
+        build(-2.7e153)
+        for big in (1e160, -1e308):
+            with pytest.raises(DataError, match=r"at most 2\.74e\+153 in magnitude \(for 6 entries\)"):
+                build(big)
 
 
 class TestCsv:
@@ -87,6 +101,14 @@ class TestLedger:
         with pytest.raises(ValueError):
             ledger.add(grover=-1)
 
+    def test_snapshot_equals_asdict(self):
+        ledger = QueryLedger()
+        ledger.add(grover=7, oracle_query=2)
+        snap = ledger.snapshot()
+        assert list(snap.items()) == list(dataclasses.asdict(ledger).items())
+        ledger.add(grover=1)
+        assert snap["grover"] == 7  # a copy, not a view of the ledger
+
     def test_snapshot(self):
         ledger = QueryLedger()
         ledger.add(oracle_data=3, arithmetic=2)
@@ -114,6 +136,10 @@ class TestConstants:
         # max ratio |x0-mu|/sigma = 0.5, so T stays at its floor of 1
         assert c.T == 1.0
         assert c.E == 1e-6
+
+    def test_as_dict_equals_asdict(self):
+        c = Constants(C=4.0, D=1.0, T=2.0, E=1e-6, C_prime=0.5, C_dprime=0.25)
+        assert list(c.as_dict().items()) == list(dataclasses.asdict(c).items())
 
     def test_T_power_of_two(self):
         x = np.array([[0.0], [1.0]])

@@ -99,6 +99,22 @@ class TestPreparations:
         prep = squared_mean_prep("t", values, costs={})
         assert prep.good_probability() == pytest.approx(np.mean(values**2), abs=1e-12)
 
+    def test_preparations_of_one_shape_share_layout_and_diagonals(self):
+        one = interference_prep("a", np.full((2, 4), 0.3), costs={})
+        two = interference_prep("b", np.full((3, 4), -0.2), costs={})
+        assert one.layout is two.layout
+        for flip_one, flip_two in zip(one.reflections(), two.reflections()):
+            assert flip_one.diagonal(one.layout) is flip_two.diagonal(two.layout)
+
+    def test_cached_layout_follows_the_qubit_cap(self, monkeypatch):
+        values = np.full(8, 0.3)  # s, 3 index qubits and anc: 5 qubits
+        assert interference_prep("a", values, costs={}).layout.n_qubits == 5
+        monkeypatch.setenv("QADSIM_QUBIT_CAP", "4")
+        with pytest.raises(LayoutError, match="cap of 4"):
+            interference_prep("a", values, costs={})
+        with pytest.raises(LayoutError, match="cap of 4"):
+            squared_mean_prep("a", np.full(16, 0.3), costs={})
+
     def test_signed_overlap_recovered(self):
         values = np.array([-0.3, -0.3])
         prep = interference_prep("t", values, costs={})

@@ -4,8 +4,12 @@ each op, and Q, acts on every state exactly as on that state alone, and the
 norm check holds each state to unit norm on its own.
 
 Layouts, register order, widths (1 to 6 qubits), rotation values, control
-values and reflection predicates are drawn at random.
+values and reflection predicates are drawn at random. The keyed rotation's
+one-pass kernel is held bit for bit to its two-line form, and the cached
+reflection diagonals to a label-by-label evaluation.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -24,6 +28,7 @@ from qadsim.simcore import (  # noqa: E402
     SimulationError,
     StateVector,
     ValueKeyedRotation,
+    _flip_table,
     operation_matrix,
 )
 
@@ -176,3 +181,75 @@ def test_check_norm_catches_weight_moved_between_rows(k, bits, moved, seed):
     assert np.sum(amps * amps) == pytest.approx(k, abs=1e-9)
     with pytest.raises(SimulationError, match="norm drifted"):
         StateVector(layout, amps).check_norm()
+
+
+rotation_values = st.one_of(st.sampled_from([1.0, -1.0, 0.0, float("nan")]), unit_values)
+
+
+@st.composite
+def keyed_stacks(draw):
+    """A (k, C, H, 2, lo) amplitude stack and a (k, H) table: key register of
+    H labels above the target, lo labels below it, C states per table row."""
+    k, c = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    key_bits, low_bits = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    registers = [("low", low_bits)] * (low_bits > 0) + [("t", 1), ("k", key_bits)]
+    layout = RegisterLayout(registers)
+    table = np.array(draw(st.lists(rotation_values, min_size=k << key_bits,
+                                   max_size=k << key_bits))).reshape(k, -1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=(k, c, layout.dim))
+    return layout, table, amps
+
+
+@settings(deadline=None, max_examples=200)
+@given(keyed_stacks())
+def test_keyed_rotation_kernel_equals_the_two_line_form(case):
+    layout, table, amps = case
+    k, lo, h = len(table), 1 << layout.offset("t"), table.shape[1]
+    a = amps.reshape(k, -1, h, 2, lo)
+    v = np.clip(table, -1.0, 1.0)[:, None, :, None]
+    s = np.sqrt(np.clip(1.0 - v * v, 0.0, None))
+    want = np.empty_like(a)
+    want[..., 0, :] = v * a[..., 0, :] + s * a[..., 1, :]
+    want[..., 1, :] = s * a[..., 0, :] - v * a[..., 1, :]
+    with mock.patch.object(StateVector, "check_norm", lambda self: None):  # the kernel alone
+        got = ValueKeyedRotation(["k"], "t", table).apply(StateVector(layout, amps.copy()))
+    np.testing.assert_array_equal(got.amps, want.reshape(amps.shape))
+
+
+@st.composite
+def reflections(draw):
+    """A random layout, a subset of its registers and a predicate on their labels."""
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    layout = RegisterLayout(
+        [(name, draw(st.integers(1, 3))) for name in draw(st.permutations(names))]
+    )
+    register = draw(st.sampled_from(names))
+    hits = frozenset(draw(st.lists(st.integers(0, (1 << layout.width(register)) - 1))))
+    zero = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    return layout, register, (lambda label: label in hits), zero
+
+
+@settings(deadline=None, max_examples=80)
+@given(reflections())
+def test_cached_diagonals_equal_a_fresh_evaluation(case):
+    layout, register, predicate, zero = case
+    labels = np.arange(layout.dim)
+    where = np.array([predicate(v) for v in layout.extract(labels, register)])
+    at_zero = np.all([layout.extract(labels, name) == 0 for name in zero], axis=0)
+    for op, hits in ((ReflectWhere(register, predicate), where), (ReflectAboutZero(zero), at_zero)):
+        diagonal = op.diagonal(layout)
+        np.testing.assert_array_equal(diagonal, np.where(hits, -1.0, 1.0))
+        assert not diagonal.flags.writeable
+        assert op.diagonal(RegisterLayout(layout.registers)) is diagonal  # shared by equal layouts
+
+
+def test_diagonals_of_large_layouts_are_not_cached():
+    layout = RegisterLayout([("a", 6), ("b", 7)])  # 8192 labels
+    before = _flip_table.cache_info().currsize
+    for op in (ReflectWhere("b", lambda label: label == 3), ReflectAboutZero(["a"])):
+        diagonal = op.diagonal(layout)
+        assert not diagonal.flags.writeable
+        assert op.diagonal(layout) is not diagonal
+        np.testing.assert_array_equal(diagonal, op.diagonal(layout))
+    assert _flip_table.cache_info().currsize == before

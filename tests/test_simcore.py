@@ -342,6 +342,14 @@ class TestReflections:
         ReflectWhere("a", lambda v: v % 2 == 1).apply(state)
         np.testing.assert_allclose(state.amps, [0.5, -0.5, 0.5, -0.5])
 
+    def test_unknown_register_is_refused_by_both_reflections(self):
+        lay = RegisterLayout([("a", 1), ("b", 1)])
+        for op in (ReflectWhere("zz", lambda v: v == 0), ReflectAboutZero(["a", "zz"])):
+            with pytest.raises(UnknownRegisterError):
+                op.diagonal(lay)
+            with pytest.raises(UnknownRegisterError):
+                op.apply(new_state(lay))
+
 
 class TestMeasurement:
     def test_marginal_probs(self):
