@@ -36,9 +36,9 @@ from .simcore import (
     StateVector,
     check_unit_norms,
     draw,
-    new_state,
     operation_matrix,
     readout_rows,
+    walsh_start,
 )
 
 PHASE_REGISTER = "__phase"
@@ -96,8 +96,13 @@ class StatePreparation:
         return state
 
     def prepare(self) -> StateVector:
-        """A|0> of every row, as a (rows, dim) stack."""
-        return self.apply(new_state(self.layout, self.rows))
+        """A|0> of every row, as a (rows, dim) stack. The replay starts from
+        A's leading Hadamard blocks on |0>, built once per shape (`walsh_start`)."""
+        start, rest = walsh_start(self.ops, self.layout)
+        state = StateVector(self.layout, np.repeat(start[None], self.rows, axis=0))
+        for op in rest:
+            op.apply(state)
+        return state
 
     def good_probabilities(self) -> np.ndarray:
         """Exact probability of the good subspace in each row's A|0>, in one replay."""
@@ -286,7 +291,7 @@ def _subspace_rows(prep: StatePreparation, t: int) -> np.ndarray:
     has = norms > 0.0
     basis = parts / np.where(has, norms, 1.0)[:, :, None]
     images = -(((basis * schi) @ a) * s0) @ a.transpose(0, 2, 1)
-    check_unit_norms(images[has])
+    check_unit_norms(images if has.all() else images[has])
     block = images @ basis.transpose(0, 2, 1)  # block[r, i, j] = <Q u_i, u_j>
     off = images - block @ basis
     residual = float(np.sqrt(np.add.reduce(off * off, axis=2).max()))
@@ -372,12 +377,17 @@ def bits_for_epsilon(eps_target: float) -> tuple[int, str | None]:
     """Smallest t with pi/2^t + pi^2/2^(2t) <= eps_target.
 
     Returns (t, mode_hint); the hint is "ideal" when t exceeds the circuit-mode
-    phase-register cap. Raises ValueError, from grid_epsilon, when no grid of
-    at most MAX_GRID_BITS bits is that fine.
+    phase-register cap. Raises ValueError unless eps_target > 0 (so on NaN),
+    and from grid_epsilon when no grid of at most MAX_GRID_BITS bits is that
+    fine. The search starts at floor(log2(pi / eps_target)), clamped.
     """
-    if eps_target <= 0.0:
-        raise ValueError("epsilon target must be positive")
-    t = 1
+    if not eps_target > 0.0:
+        raise ValueError(f"epsilon target must be positive, got {eps_target}")
+    # log2(pi / eps_target) as a difference: pi / eps_target overflows for a subnormal eps.
+    gap = math.log2(math.pi) - math.log2(eps_target)
+    t = int(min(max(gap, 1.0), float(MAX_GRID_BITS)))
+    while t > 1 and grid_epsilon(t - 1) <= eps_target:
+        t -= 1
     while grid_epsilon(t) > eps_target:
         t += 1
     hint = "ideal" if t > MAX_PHASE_BITS else None

@@ -74,6 +74,12 @@ class RegisterLayout:
     def __contains__(self, name: str) -> bool:
         return name in self._widths
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RegisterLayout) and self.registers == other.registers
+
+    def __hash__(self) -> int:
+        return hash(self.registers)
+
     def width(self, name: str) -> int:
         self._require(name)
         return self._widths[name]
@@ -114,8 +120,8 @@ class RegisterLayout:
             raise UnknownRegisterError(f"no register named {name!r} (have {self.names})")
 
 
-# Cached label fields and sign flips are 8-byte arrays of at most this many
-# labels, and each cache keeps at most 64, so neither holds more than 2 MiB.
+# Cached label fields, sign flips and Walsh starts are 8-byte arrays of at most
+# this many entries, and each cache keeps at most 64, so none holds more than 2 MiB.
 _FIELD_CACHE_MAX_DIM = 1 << 12
 
 
@@ -177,11 +183,14 @@ class StateVector:
 def check_unit_norms(vectors: np.ndarray) -> None:
     """Raise SimulationError unless every vector on the last axis has unit norm."""
     if vectors.size == vectors.shape[-1] and abs(np.vdot(vectors, vectors) - 1.0) <= NORM_TOL:
-        return  # one vector: the common case, without einsum's fixed cost
-    sq = np.einsum("...i,...i->...", vectors, vectors).reshape(-1)
-    deviation = np.abs(sq - 1.0)
-    if deviation.max(initial=0.0) <= NORM_TOL:
+        return  # one vector: the common case, without vecdot's fixed cost
+    sq = np.vecdot(vectors, vectors)
+    # Strict bounds: 1 -+ NORM_TOL round to the one double each that |sq - 1|
+    # <= NORM_TOL refuses, so a vector there goes on to the exact check below.
+    if sq.size == 0 or (sq.min() > 1.0 - NORM_TOL and sq.max() < 1.0 + NORM_TOL):
         return  # every vector, or none in an empty stack; a NaN fails
+    sq = sq.reshape(-1)
+    deviation = np.abs(sq - 1.0)
     worst = int(deviation.argmax())  # the first NaN, if any
     if not abs(sq[worst] - 1.0) <= NORM_TOL:
         raise SimulationError(f"norm drifted: |psi|^2 = {sq[worst]} (state {worst} of {sq.size})")
@@ -445,8 +454,16 @@ def draw(probs: np.ndarray, rngs: Sequence[np.random.Generator | int]) -> list[i
         raise SimulationError("outcome probabilities must be finite, >= 0 and sum to 1")
     cdf = np.cumsum(probs / total, axis=1)
     cdf /= cdf[:, -1:]
-    uniforms = [np.random.default_rng(rng).random() for rng in rngs]
-    return [int(row.searchsorted(u, side="right")) for row, u in zip(cdf, uniforms)]
+    return [int(row.searchsorted(uniform(rng), side="right")) for row, rng in zip(cdf, rngs)]
+
+
+def uniform(rng: np.random.Generator | int) -> float:
+    """`default_rng(rng).random()`: a Generator's next uniform, or a seed's
+    first. A seed's is PCG64's next_double, the top 53 bits of its first raw
+    output times 2^-53, taken without building a Generator."""
+    if isinstance(rng, np.random.Generator):
+        return rng.random()
+    return (int(np.random.PCG64(rng).random_raw()) >> 11) * 2.0**-53
 
 
 def measure(
@@ -469,16 +486,45 @@ def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout, rows=None
     """Dense matrix of a composed operation sequence (small layouts only).
 
     The ops run once on a stack of every basis column, so each op's own norm
-    check checks every column's norm. The stack is checked once more, for ops
-    that do not check themselves. With `rows`, the ops run on a (rows, dim,
-    dim) stack, and row r of a (rows, n) rotation table keys block r of the
-    (rows, dim, dim) result.
+    check checks every column's norm; the leading Hadamard blocks' columns
+    come from `walsh_start`, checked when it built them. The stack is checked
+    once more, for ops that do not check themselves. With `rows`, the ops run
+    on a (rows, dim, dim) stack, and row r of a (rows, n) rotation table keys
+    block r of the (rows, dim, dim) result.
     """
-    dim = layout.dim
-    if dim > 1 << 12:
+    if layout.dim > 1 << 12:
         raise SimulationError("operation_matrix supports at most 12 qubits")
-    batch = StateVector(layout, np.tile(np.eye(dim), (1, 1) if rows is None else (rows, 1, 1)))
-    for op in ops:
+    start, rest = walsh_start(ops, layout, columns=True)
+    batch = StateVector(layout, start.copy() if rows is None else np.repeat(start[None], rows, axis=0))
+    for op in rest:
         op.apply(batch)
     batch.check_norm()
     return np.ascontiguousarray(np.swapaxes(batch.amps, -1, -2))
+
+
+def walsh_start(
+    ops: Sequence[Operation], layout: RegisterLayout, columns: bool = False
+) -> tuple[np.ndarray, Sequence[Operation]]:
+    """The leading HadamardBlocks of `ops` applied to |0> (shape (dim,)) or,
+    with `columns`, to every basis state (line i of (dim, dim) from |i>), and
+    the ops after them. The result is read-only. It depends on no value, so
+    starts of at most _FIELD_CACHE_MAX_DIM entries are cached, keyed on the
+    layout's registers (equal layouts share them), the blocks' registers and
+    `columns`; the blocks' norm checks run when an entry is built."""
+    lead = 0
+    while lead < len(ops) and type(ops[lead]) is HadamardBlock:
+        lead += 1
+    registers = tuple(op.register for op in ops[:lead])
+    build = _walsh_start
+    if (layout.dim * layout.dim if columns else layout.dim) > _FIELD_CACHE_MAX_DIM:
+        build = build.__wrapped__  # a large start is built on every call
+    return build(layout, registers, columns), ops[lead:]
+
+
+@lru_cache(maxsize=64)
+def _walsh_start(layout: RegisterLayout, registers: tuple[str, ...], columns: bool) -> np.ndarray:
+    state = StateVector(layout, np.eye(layout.dim)) if columns else new_state(layout)
+    for register in registers:
+        HadamardBlock(register).apply(state)
+    state.amps.flags.writeable = False
+    return state.amps

@@ -6,6 +6,7 @@ import pytest
 
 from qadsim import ae
 from qadsim.ae import (
+    MAX_GRID_BITS,
     PHASE_REGISTER,
     AEConfig,
     AEResult,
@@ -228,6 +229,38 @@ class TestPrecisionPlanning:
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError):
             bits_for_epsilon(0.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1e-3, float("-inf")])
+    def test_nan_and_negative_targets_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon target must be positive"):
+            bits_for_epsilon(eps)
+
+    def test_closed_form_start_equals_the_stepping_loop(self):
+        def stepped(eps):
+            t = 1
+            while grid_epsilon(t) > eps:
+                t += 1
+            return t
+
+        def outcome(plan, eps):
+            try:
+                return plan(eps)
+            except ValueError as exc:  # finer than the widest grid: both refuse alike
+                return str(exc)
+
+        targets = [*np.logspace(-150, math.log10(0.99), 2000), 0.99, 1.0, 7.0, float("inf")]
+        for t in range(1, MAX_GRID_BITS + 1):
+            g = grid_epsilon(t)
+            targets += [g, np.nextafter(g, 0.0), np.nextafter(g, np.inf)]
+        for eps in map(float, targets):
+            assert outcome(lambda e: bits_for_epsilon(e)[0], eps) == outcome(stepped, eps), eps
+
+    def test_finer_than_the_widest_grid_rejected(self):
+        finest = grid_epsilon(MAX_GRID_BITS)
+        assert bits_for_epsilon(finest)[0] == MAX_GRID_BITS
+        for eps in (np.nextafter(finest, 0.0), 1e-200, 1e-310, 5e-324):
+            with pytest.raises(ValueError, match=f"got {MAX_GRID_BITS + 1}$"):
+                bits_for_epsilon(float(eps))
 
     def test_grid_epsilon_consistency(self):
         for t in range(1, 12):

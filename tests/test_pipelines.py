@@ -14,8 +14,16 @@ from qadsim.ae import (
     row_amps,
 )
 from qadsim.arith import FixedPointFormat, RangeError
+from qadsim.config import QadsimError
 from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint
-from qadsim.simcore import LayoutError, SimulationError
+from qadsim.simcore import (
+    LayoutError,
+    SimulationError,
+    StateVector,
+    new_state,
+    operation_matrix,
+)
+from qadsim.verify import _monolithic_mean_prep
 from qadsim.pipelines import (
     EstimatorRun,
     PipelineConfig,
@@ -267,3 +275,65 @@ class TestStacked:
             assert runner.ledger.grover == 7 * 63
             assert runner.ledger.oracle_data == 7 * (2 * 63 + 1)
         assert got[0] == got[1]
+
+
+def _replayed(prep):
+    """A|0> of every row and A's (rows, dim, dim) blocks, op by op from
+    |0> and from the identity's columns: the replay `walsh_start` shortens."""
+    state = prep.apply(new_state(prep.layout, prep.rows))
+    columns = StateVector(prep.layout, np.tile(np.eye(prep.layout.dim), (prep.rows, 1, 1)))
+    for op in prep.ops:
+        op.apply(columns)
+    return state.amps, np.swapaxes(columns.amps, -1, -2)
+
+
+def _circuit_t10_preparations() -> dict:
+    """One preparation per (builder, rows, padded) shape that circuit mode at
+    t = 10 builds for `run_adde` and `run_adkpca` on every M x d instance,
+    M in 2..8 and d in 1..4. The shapes depend on M and d only."""
+    preps = {}
+    builders = {"interference": interference_prep, "squared_mean": squared_mean_prep}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, build in builders.items():
+            def spy(label, values, costs, name=name, build=build):
+                prep = build(label, values, costs)
+                preps.setdefault((name, prep.rows, np.shape(values)[-1]), prep)
+                return prep
+
+            patch.setattr(pipelines, name + "_prep", spy)
+        rng = np.random.default_rng(18)
+        for m in range(2, 9):
+            for d in range(1, 5):
+                x = rng.uniform(-2.0, 2.0, size=(m, d))
+                x[:2] = [[-1.5] * d, [1.5] * d]  # every feature spread out
+                data, query = DataMatrix(x), QueryPoint(x.mean(axis=0) + 0.7)
+                for run in (run_adde, run_adkpca):
+                    config = PipelineConfig(t_bits=10, mode="circuit", seed=m * d, policy="epsilon-floor")
+                    try:
+                        run(data, query, config)
+                    except QadsimError:
+                        pass  # the stages before the raise still ran
+    return preps
+
+
+class TestWalshStartedReplays:
+    """`prepare` and `operation_matrix` start from the cached Hadamard
+    prefix; they must equal the op-by-op replay bit for bit."""
+
+    def test_every_circuit_t10_shape(self):
+        preps = _circuit_t10_preparations()
+        assert len(preps) == 32  # every shape of the circuit-t10 benchmark workload
+        assert {padded for _, _, padded in preps} == {2, 4, 8}
+        for prep in preps.values():
+            state, blocks = _replayed(prep)
+            np.testing.assert_array_equal(prep.prepare().amps, state)
+            np.testing.assert_array_equal(operation_matrix(prep.ops, prep.layout, prep.rows), blocks)
+
+    def test_the_monolithic_mean_preparation(self):
+        data = DataMatrix(np.array([[0.3, -0.7], [0.9, 0.1]]))
+        mono = _monolithic_mean_prep(data, 1.0)
+        state, blocks = _replayed(mono)
+        np.testing.assert_array_equal(mono.prepare().amps, state)
+        np.testing.assert_array_equal(operation_matrix(mono.ops, mono.layout), blocks[0])
+        np.testing.assert_array_equal(operation_matrix(mono.ops, mono.layout, 1), blocks)
+

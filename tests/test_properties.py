@@ -5,8 +5,9 @@ norm check holds each state to unit norm on its own.
 
 Layouts, register order, widths (1 to 6 qubits), rotation values, control
 values and reflection predicates are drawn at random. The keyed rotation's
-one-pass kernel is held bit for bit to its two-line form, and the cached
-reflection diagonals to a label-by-label evaluation.
+one-pass kernel is held bit for bit to its two-line form, the cached
+reflection diagonals to a label-by-label evaluation, and a replay that starts
+from the cached Hadamard prefix to the op-by-op replay.
 """
 from unittest import mock
 
@@ -17,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qadsim.ae import GroverOperator  # noqa: E402
+from qadsim.ae import GroverOperator, StatePreparation, label_is_zero  # noqa: E402
 from qadsim.pipelines import interference_prep, squared_mean_prep  # noqa: E402
 from qadsim.simcore import (  # noqa: E402
     Controlled,
@@ -29,7 +30,9 @@ from qadsim.simcore import (  # noqa: E402
     StateVector,
     ValueKeyedRotation,
     _flip_table,
+    new_state,
     operation_matrix,
+    walsh_start,
 )
 
 TOL = 1e-12
@@ -253,3 +256,48 @@ def test_diagonals_of_large_layouts_are_not_cached():
         assert op.diagonal(layout) is not diagonal
         np.testing.assert_array_equal(diagonal, op.diagonal(layout))
     assert _flip_table.cache_info().currsize == before
+
+
+@st.composite
+def prefixed_preparations(draw):
+    """A preparation whose ops open with 0-3 Hadamard blocks on distinct
+    registers, then 0-3 other ops: the prefix is none, some or all of the
+    list. Distinct registers keep every entry of the prefix's start a single
+    product, as in both builders. Rotations key on a (k, n) table, or with
+    k = 0 on one row of n values."""
+    layout = draw(layouts())
+    k = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prefix = [HadamardBlock(name) for name in draw(st.lists(st.sampled_from(layout.names),
+                                                            max_size=3, unique=True))]
+    rest = []
+    for kind in draw(st.lists(st.sampled_from(["rotation", "controlled", "hadamard", "reflect"]),
+                              max_size=3)):
+        n = 1 << layout.width("k")
+        rotation = ValueKeyedRotation(["k"], "t", rng.uniform(-1.0, 1.0, size=(k, n) if k else n))
+        if kind == "rotation" or (kind == "hadamard" and not rest):  # the prefix ends here
+            rest.append(rotation)
+        elif kind == "controlled":
+            rest.append(Controlled("c", draw(st.integers(0, (1 << layout.width("c")) - 1)), rotation))
+        elif kind == "hadamard":
+            rest.append(HadamardBlock(draw(st.sampled_from(layout.names))))
+        else:
+            rest.append(ReflectAboutZero([draw(st.sampled_from(layout.names))]))
+    prep = StatePreparation(name="prefixed", layout=layout, ops=(*prefix, *rest),
+                            good_register="t", good_predicate=label_is_zero, rows=max(k, 1))
+    return prep, len(prefix), k or None
+
+
+@settings(deadline=None, max_examples=150)
+@given(prefixed_preparations())
+def test_a_replay_from_the_walsh_start_equals_the_op_by_op_replay(case):
+    prep, lead, rows = case
+    assert walsh_start(prep.ops, prep.layout)[1] == prep.ops[lead:]
+    np.testing.assert_array_equal(prep.prepare().amps,
+                                  prep.apply(new_state(prep.layout, prep.rows)).amps)
+    eye = np.eye(prep.layout.dim)
+    columns = StateVector(prep.layout, eye if rows is None else np.tile(eye, (rows, 1, 1)))
+    for op in prep.ops:
+        op.apply(columns)
+    np.testing.assert_array_equal(operation_matrix(prep.ops, prep.layout, rows),
+                                  np.swapaxes(columns.amps, -1, -2))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from qadsim.simcore import (
     UnknownRegisterError,
     ValueKeyedRotation,
     _label_field,
+    _walsh_start,
     check_unit_norms,
     draw,
     marginal_probs,
@@ -23,7 +26,10 @@ from qadsim.simcore import (
     new_state,
     operation_matrix,
     readout_rows,
+    uniform,
+    walsh_start,
 )
+from qadsim.config import NORM_TOL
 
 
 class TestRegisterLayout:
@@ -454,6 +460,18 @@ class TestDraw:
         gens = [np.random.default_rng(s) for s in range(4)]
         assert draw(probs, gens) == draw(probs, range(4))
 
+    def test_a_seeds_uniform_is_default_rng_random(self):
+        # PCG64's next_double, read without a Generator, bit for bit.
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, *range(2, 9996)]
+        assert len(seeds) == 10_000
+        for seed in seeds:
+            assert uniform(seed) == np.random.default_rng(seed).random()
+        assert uniform(np.int64(7)) == np.random.default_rng(7).random()
+
+    def test_a_generator_draws_its_next_uniform(self):
+        gen, twin = np.random.default_rng(11), np.random.default_rng(11)
+        assert [uniform(gen) for _ in range(3)] == [twin.random() for _ in range(3)]
+
     @pytest.mark.parametrize(
         "bad", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.0, 0.0, 0.0], [np.inf, 0.0, 1.0]]
     )
@@ -558,6 +576,96 @@ def test_an_empty_stack_passes_the_norm_check():
     check_unit_norms(np.zeros((0, 4)))
 
 
+@pytest.mark.parametrize("off", [2 * NORM_TOL, -2 * NORM_TOL])
+def test_a_vector_off_by_twice_the_tolerance_is_refused(off):
+    bad = np.array([np.sqrt(1.0 + off), 0.0])
+    stack = np.array([[1.0, 0.0], [0.0, 1.0], bad])
+    for vectors, where in ((bad, "state 0 of 1"), (stack, "state 2 of 3")):
+        message = f"norm drifted: |psi|^2 = {np.vdot(bad, bad)} ({where})"
+        with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+            check_unit_norms(vectors)
+
+
+@pytest.mark.parametrize("entry", [0.99999999995, 1.00000000005])
+def test_norms_on_the_rounded_bounds_are_refused(entry):
+    # entry^2 rounds to the double nearest 1 -+ NORM_TOL, which lies just
+    # outside the tolerance: refused alone and in a stack, as |sq - 1| says.
+    sq = entry * entry
+    assert sq in (1.0 - NORM_TOL, 1.0 + NORM_TOL) and not abs(sq - 1.0) <= NORM_TOL
+    for vectors in (np.array([entry]), np.array([[1.0], [entry]])):
+        with pytest.raises(SimulationError, match="norm drifted"):
+            check_unit_norms(vectors)
+    inside = np.nextafter(entry, 1.0)
+    check_unit_norms(np.array([[1.0], [inside]]))
+
+
+class TestWalshStart:
+    """`walsh_start` splits off the leading Hadamard blocks and returns their
+    result on |0> or on every basis state, from a bounded cache."""
+
+    @staticmethod
+    def _ops():
+        values = np.array([0.3, -0.9, 0.1, 1.0])
+        rotation = ValueKeyedRotation(["k"], "t", values)
+        return [HadamardBlock("c"), HadamardBlock("k"), Controlled("c", 0, rotation), HadamardBlock("c")]
+
+    def test_splits_off_the_leading_blocks(self):
+        lay = RegisterLayout([("c", 1), ("k", 2), ("t", 1)])
+        ops = self._ops()
+        for columns, want in ((False, new_state(lay)), (True, StateVector(lay, np.eye(lay.dim)))):
+            for op in ops[:2]:
+                op.apply(want)
+            start, rest = walsh_start(ops, lay, columns)
+            assert rest == ops[2:]
+            np.testing.assert_array_equal(start, want.amps)
+        assert walsh_start(ops[2:], lay)[1] == ops[2:]  # no leading block
+        np.testing.assert_array_equal(walsh_start(ops[2:], lay)[0], new_state(lay).amps)
+
+    def test_entries_are_read_only_and_shared_by_equal_layouts(self):
+        ops = self._ops()
+        one = RegisterLayout([("c", 1), ("k", 2), ("t", 1)])
+        two = RegisterLayout([("c", 1), ("k", 2), ("t", 1)])
+        assert one is not two and one == two and hash(one) == hash(two)
+        assert one != RegisterLayout([("k", 2), ("c", 1), ("t", 1)])
+        for columns in (False, True):
+            start = walsh_start(ops, one, columns)[0]
+            assert walsh_start(ops, two, columns)[0] is start
+            assert not start.flags.writeable
+            with pytest.raises(ValueError):
+                start[0] = 1.0
+
+    def test_starts_of_more_than_4096_entries_are_not_cached(self):
+        ops = [HadamardBlock("k")]
+        cached = RegisterLayout([("k", 6)])  # 64 x 64 = 4096 entries
+        assert walsh_start(ops, cached, True)[0] is walsh_start(ops, cached, True)[0]
+        for layout, columns in ((RegisterLayout([("k", 7)]), True), (RegisterLayout([("k", 13)]), False)):
+            before = _walsh_start.cache_info()
+            first, second = walsh_start(ops, layout, columns)[0], walsh_start(ops, layout, columns)[0]
+            assert first is not second and not first.flags.writeable
+            np.testing.assert_array_equal(first, second)
+            after = _walsh_start.cache_info()
+            assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+
+    def test_the_blocks_norm_checks_run_when_an_entry_is_built(self, monkeypatch):
+        _walsh_start.cache_clear()
+        lay = RegisterLayout([("c", 1), ("k", 2), ("t", 1)])
+        seen = []
+        original = StateVector.check_norm
+
+        def counting(self):
+            seen.append(self.amps.shape)
+            original(self)
+
+        monkeypatch.setattr(StateVector, "check_norm", counting)
+        walsh_start(self._ops(), lay)
+        walsh_start(self._ops(), lay)
+        assert seen == [(16,), (16,)]  # H(c) and H(k), once
+
+    def test_an_unknown_register_is_refused(self):
+        with pytest.raises(UnknownRegisterError):
+            walsh_start([HadamardBlock("x")], RegisterLayout([("a", 1)]))
+
+
 def test_norm_invariant_enforced():
     lay = RegisterLayout([("a", 1)])
     state = StateVector(lay, np.array([2.0, 0.0]))
@@ -587,6 +695,7 @@ def test_column_checks_go_through_statevector_check_norm(monkeypatch):
         seen.append(self.amps.shape)
         original(self)
 
+    _walsh_start.cache_clear()  # the leading block's check runs when its start is built
     monkeypatch.setattr(StateVector, "check_norm", counting)
     operation_matrix([HadamardBlock("a")], RegisterLayout([("a", 2)]))
     assert seen == [(4, 4), (4, 4)]  # the op's own check and the finished matrix's
