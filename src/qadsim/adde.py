@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ae import bits_for_epsilon
 from .dataio import (
     Constants,
     DataMatrix,
@@ -26,6 +25,8 @@ from .dataio import (
 from .pipelines import EstimatorRun, PipelineConfig, report_dict
 
 LOG_2PI = math.log(2.0 * math.pi)
+# The stages `budget_shares` splits epsilon over; the tail stage runs p and q.
+STAGES = ("mean", "var", "tail")
 
 
 @dataclass(frozen=True)
@@ -33,28 +34,6 @@ class GaussianModel:
     mu: np.ndarray
     sigma2: np.ndarray
     source: str  # "classical" or "quantum"
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Sub-precision allocation for a total target epsilon.
-
-    eps_mean / eps_var / eps_tail are the amplitude-estimation targets for the
-    mean, variance, and final (p and q) stages respectively.
-    """
-
-    epsilon: float
-    eps_mean: float
-    eps_var: float
-    eps_tail: float
-    t_mean: int
-    t_var: int
-    t_tail: int
-    mode_hint: str | None
-    planned_grover: int
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))  # every field is a scalar
 
 
 def classical_fit(data: DataMatrix, policy: str = "error") -> GaussianModel:
@@ -91,32 +70,16 @@ def log_density_estimate(p_hat: float, q_hat: float, d: int, t_const: float, e_c
     return -0.5 * d * LOG_2PI - 0.5 * d * e_const * q_hat - 0.5 * d * t_const**2 * p_hat
 
 
-def plan_budget(
+def budget_shares(
     epsilon: float, d: int, constants: Constants, min_sigma2: float
-) -> ErrorBudget:
-    """Allocate the three sub-precisions for a total epsilon target."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
+) -> tuple[float, float, float]:
+    """The amplitude-estimation shares of the mean, variance and tail (p and
+    q) stages for a total epsilon target, in the order of `STAGES`."""
     C, D, T = constants.C, constants.D, constants.T
     eps_tail = epsilon / (3.0 * d * T**2)
     eps_var = min_sigma2 * epsilon / (3.0 * d * T**2 * D)
     eps_mean = min_sigma2 * epsilon / (3.0 * d * (8.0 * T**2 * C**2 + 8.0 * C**2))
-    t_mean, hint1 = bits_for_epsilon(eps_mean)
-    t_var, hint2 = bits_for_epsilon(eps_var)
-    t_tail, hint3 = bits_for_epsilon(eps_tail)
-    hint = next((h for h in (hint1, hint2, hint3) if h is not None), None)
-    planned = d * ((1 << t_mean) - 1) + d * ((1 << t_var) - 1) + 2 * ((1 << t_tail) - 1)
-    return ErrorBudget(
-        epsilon=epsilon,
-        eps_mean=eps_mean,
-        eps_var=eps_var,
-        eps_tail=eps_tail,
-        t_mean=t_mean,
-        t_var=t_var,
-        t_tail=t_tail,
-        mode_hint=hint,
-        planned_grover=planned,
-    )
+    return eps_mean, eps_var, eps_tail
 
 
 # ---------------------------------------------------------------------------
@@ -256,13 +219,15 @@ def run_adde(
     ln_p_classical = classical_log_density(model, query)
     d = data.n_cols
 
-    budget = None
-    if config.epsilon is not None:
-        budget = plan_budget(config.epsilon, d, constants, float(np.min(model.sigma2)))
-
     runner = EstimatorRun(config)
-    shares = (budget.eps_mean, budget.eps_var, budget.eps_tail) if budget else (None,) * 3
-    (t_mean, eps_mean), (t_var, eps_var), (t_tail, eps_tail) = map(runner.precision, shares)
+    plan, budget = runner.plan(
+        STAGES, lambda epsilon: budget_shares(epsilon, d, constants, float(np.min(model.sigma2)))
+    )
+    (t_mean, eps_mean), (t_var, eps_var), (t_tail, eps_tail) = plan
+    if budget is not None:
+        budget["planned_grover"] = (
+            d * ((1 << t_mean) - 1) + d * ((1 << t_var) - 1) + 2 * ((1 << t_tail) - 1)
+        )
 
     mu_hat = estimate_means(data, constants, runner, t_mean)
     sigma2_hat, _d_used = estimate_variances(data, mu_hat, constants, runner, t_var)
@@ -279,7 +244,7 @@ def run_adde(
         "q": eps_tail * (query.padded_dim / d),
     }
     if budget is not None:
-        bounds["lnP"] = budget.epsilon
+        bounds["lnP"] = budget["epsilon"]
 
     sigma2_floored = floor_variance(sigma2_hat, "epsilon-floor", "estimated variance")
     p_formula = float(
@@ -297,7 +262,7 @@ def run_adde(
     return ADDEReport(
         config=config.echo(),
         constants=constants.as_dict(),
-        budget=budget.as_dict() if budget else None,
+        budget=budget,
         mu_hat=mu_hat,
         sigma2_hat=sigma2_hat,
         p_hat=p_hat,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ae import bits_for_epsilon
 from .config import QadsimError
 from .dataio import (
     Constants,
@@ -24,6 +23,10 @@ from .dataio import (
 )
 from .pipelines import EstimatorRun, PipelineConfig, report_dict
 from .adde import classical_fit, estimate_means
+
+# The stages `budget_shares` splits epsilon over: mean, distance, overlap
+# (omega) and omega-square averaging (b).
+STAGES = ("mean", "dist", "omega", "bsum")
 
 
 class InsufficientDataError(QadsimError):
@@ -38,25 +41,6 @@ class ConstantViolationError(QadsimError):
 class MomentModel:
     mu: np.ndarray
     covariance: np.ndarray  # divisor M - 1
-
-
-@dataclass(frozen=True)
-class KPCABudget:
-    """Four sub-precisions for a total epsilon target (composed claim: 2 eps)."""
-
-    epsilon: float
-    eps_mean: float      # mean-stage AE
-    eps_dist: float      # squared-distance AE
-    eps_omega: float     # per-point overlap AE
-    eps_bsum: float      # omega-square averaging AE
-    t_mean: int
-    t_dist: int
-    t_omega: int
-    t_bsum: int
-    mode_hint: str | None
-
-    def as_dict(self) -> dict:
-        return dict(vars(self))  # every field is a scalar
 
 
 def classical_moments(data: DataMatrix) -> MomentModel:
@@ -83,28 +67,16 @@ def proximity_estimate(
     return d * c_prime**2 * a_hat - (m / (m - 1)) * (d * c_dprime) ** 2 * b_hat
 
 
-def plan_budget_kpca(epsilon: float, d: int, m: int, constants: Constants) -> KPCABudget:
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
+def budget_shares(epsilon: float, d: int, constants: Constants) -> tuple[float, ...]:
+    """The amplitude-estimation shares of the mean, distance, overlap and
+    omega-square averaging stages for a total epsilon target (composed
+    claim: 2 epsilon), in the order of `STAGES`."""
     cdp = constants.C_dprime
     eps_mean = epsilon / (48.0 * d**2 * cdp)
     eps_dist = epsilon / (d * cdp**2)
     eps_omega = epsilon / (3.0 * d**2 * cdp**2)
     eps_bsum = epsilon / (3.0 * d**2 * cdp**2)
-    ts = [bits_for_epsilon(e) for e in (eps_mean, eps_dist, eps_omega, eps_bsum)]
-    hint = next((h for _, h in ts if h is not None), None)
-    return KPCABudget(
-        epsilon=epsilon,
-        eps_mean=eps_mean,
-        eps_dist=eps_dist,
-        eps_omega=eps_omega,
-        eps_bsum=eps_bsum,
-        t_mean=ts[0][0],
-        t_dist=ts[1][0],
-        t_omega=ts[2][0],
-        t_bsum=ts[3][0],
-        mode_hint=hint,
-    )
+    return eps_mean, eps_dist, eps_omega, eps_bsum
 
 
 # ---------------------------------------------------------------------------
@@ -214,19 +186,9 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     d = data.n_cols
     m = data.n_rows
 
-    budget = None
-    if config.epsilon is not None:
-        budget = plan_budget_kpca(config.epsilon, d, m, constants)
-
     runner = EstimatorRun(config)
-    shares = (
-        (budget.eps_mean, budget.eps_dist, budget.eps_omega, budget.eps_bsum)
-        if budget
-        else (None,) * 4
-    )
-    (t_mean, eps_mean), (t_dist, eps_dist), (t_omega, eps_omega), (t_bsum, eps_bsum) = map(
-        runner.precision, shares
-    )
+    plan, budget = runner.plan(STAGES, lambda epsilon: budget_shares(epsilon, d, constants))
+    (t_mean, eps_mean), (t_dist, eps_dist), (t_omega, eps_omega), (t_bsum, eps_bsum) = plan
 
     mu_hat = estimate_means(data, constants, runner, t_mean)
     a_hat, cp_used = estimate_a(query, mu_hat, constants.C_prime, runner, t_dist)
@@ -242,7 +204,7 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
         "b": eps_bsum + eps_omega + 16.0 * C**2 * eps_mean / cdp,
     }
     if budget is not None:
-        bounds["f"] = 2.0 * budget.epsilon
+        bounds["f"] = 2.0 * budget["epsilon"]
 
     z = query.real_values - model.mu
     centered = data.real_values - model.mu
@@ -256,7 +218,7 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     return ADKPCAReport(
         config=config.echo(),
         constants=constants.as_dict(),
-        budget=budget.as_dict() if budget else None,
+        budget=budget,
         a_hat=a_hat,
         omegas_hat=omegas_hat,
         b_hat=b_hat,

@@ -36,6 +36,7 @@ from .simcore import (
     StateVector,
     check_unit_norms,
     draw,
+    marginal_probs,
     operation_matrix,
     readout_rows,
     walsh_start,
@@ -106,11 +107,8 @@ class StatePreparation:
 
     def good_probabilities(self) -> np.ndarray:
         """Exact probability of the good subspace in each row's A|0>, in one replay."""
-        state, lay, reg = self.prepare(), self.layout, self.good_register
-        labels = 1 << lay.width(reg)
-        amps = state.amps.reshape(self.rows, -1, labels, 1 << lay.offset(reg))
-        probs = np.einsum("rhbl,rhbl->rb", amps, amps)
-        return sum((probs[:, b] for b in range(labels) if self.good_predicate(b)), np.zeros(self.rows))
+        probs = marginal_probs(self.prepare(), self.good_register)
+        return sum((probs[:, b] for b in range(probs.shape[1]) if self.good_predicate(b)), np.zeros(self.rows))
 
     def reflections(self) -> tuple[ReflectWhere, ReflectAboutZero]:
         """Q's two reflections: Schi on the good subspace and S0 about |0>."""
@@ -183,6 +181,8 @@ class AEConfig:
                 )
             if self.seed is None:
                 raise ValueError("circuit mode requires a seed")
+            if self.seed < 0:
+                raise ValueError(f"circuit mode requires a non-negative seed, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -373,13 +373,12 @@ def estimate_amplitude(
     )
 
 
-def bits_for_epsilon(eps_target: float) -> tuple[int, str | None]:
+def bits_for_epsilon(eps_target: float) -> int:
     """Smallest t with pi/2^t + pi^2/2^(2t) <= eps_target.
 
-    Returns (t, mode_hint); the hint is "ideal" when t exceeds the circuit-mode
-    phase-register cap. Raises ValueError unless eps_target > 0 (so on NaN),
-    and from grid_epsilon when no grid of at most MAX_GRID_BITS bits is that
-    fine. The search starts at floor(log2(pi / eps_target)), clamped.
+    Raises ValueError unless eps_target > 0 (so on NaN), and from
+    grid_epsilon when no grid of at most MAX_GRID_BITS bits is that fine.
+    The search starts at floor(log2(pi / eps_target)), clamped.
     """
     if not eps_target > 0.0:
         raise ValueError(f"epsilon target must be positive, got {eps_target}")
@@ -390,8 +389,7 @@ def bits_for_epsilon(eps_target: float) -> tuple[int, str | None]:
         t -= 1
     while grid_epsilon(t) > eps_target:
         t += 1
-    hint = "ideal" if t > MAX_PHASE_BITS else None
-    return t, hint
+    return t
 
 
 def grid_epsilon(t: int) -> float:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .ae import (
     row_amps,
 )
 from .arith import FixedPointFormat
-from .config import qubit_cap
+from .config import MAX_PHASE_BITS, qubit_cap
 from .dataio import QueryLedger
 from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation
 
@@ -56,8 +57,13 @@ class PipelineConfig:
     def __post_init__(self):
         if (self.t_bits is None) == (self.epsilon is None):
             raise ValueError("exactly one of t_bits / epsilon must be given")
-        if self.mode == "circuit" and self.seed is None:
-            raise ValueError("circuit mode requires a seed")
+        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
+            raise ValueError("epsilon must be in (0, 1)")
+        if self.mode == "circuit":
+            if self.seed is None:
+                raise ValueError("circuit mode requires a seed")
+            if self.seed < 0:
+                raise ValueError(f"circuit mode requires a non-negative seed, got {self.seed}")
 
     def echo(self) -> dict:
         return {
@@ -136,7 +142,7 @@ def squared_mean_prep(name: str, values: np.ndarray, costs: dict) -> StatePrepar
 
 
 class EstimatorRun:
-    """Chooses each stage's phase grid and error charge, runs the stages' AEs
+    """Plans each stage's phase grid and error charge, runs the stages' AEs
     in order, and charges them to its ledger."""
 
     def __init__(self, config: PipelineConfig):
@@ -144,17 +150,38 @@ class EstimatorRun:
         self.ledger = QueryLedger()
         self._run_index = 0
 
-    def precision(self, eps_target: float | None) -> tuple[int, float]:
-        """(phase bits, amplitude error charged) for one estimator stage.
+    def plan(
+        self, stages: tuple[str, ...], shares: Callable[[float], tuple[float, ...]]
+    ) -> tuple[list[tuple[int, float]], dict | None]:
+        """Each stage's (phase bits, amplitude error charged), in order, and
+        the report's budget.
 
-        A configured t wins and is charged its grid's worst-case error;
-        otherwise the stage gets the coarsest grid meeting its budget share
-        eps_target and is charged that share.
+        A configured t runs every stage and is charged its grid's worst-case
+        error; there is no budget. Otherwise `shares(epsilon)` splits the
+        run's epsilon into one share per stage, and each stage gets the
+        coarsest grid meeting its share and is charged that share. The budget
+        holds epsilon, the shares (`eps_<stage>`), the grids (`t_<stage>`)
+        and `mode_hint`, "ideal" when some grid is finer than circuit mode
+        allows. Circuit mode refuses such a plan here, before any stage runs.
         """
-        if self.config.t_bits is not None:
-            return self.config.t_bits, grid_epsilon(self.config.t_bits)
-        t, _hint = bits_for_epsilon(eps_target)
-        return t, eps_target
+        cfg = self.config
+        if cfg.t_bits is not None:
+            plan, budget = [(cfg.t_bits, grid_epsilon(cfg.t_bits))] * len(stages), None
+        else:
+            plan = [(bits_for_epsilon(share), share) for share in shares(cfg.epsilon)]
+            budget = {
+                "epsilon": cfg.epsilon,
+                **{f"eps_{stage}": share for stage, (_, share) in zip(stages, plan)},
+                **{f"t_{stage}": t for stage, (t, _) in zip(stages, plan)},
+                "mode_hint": "ideal" if max(t for t, _ in plan) > MAX_PHASE_BITS else None,
+            }
+        for stage, (t, _) in zip(stages, plan):
+            if cfg.mode == "circuit" and t > MAX_PHASE_BITS:
+                raise ValueError(
+                    f"circuit mode supports at most {MAX_PHASE_BITS} phase bits: "
+                    f"the {stage} stage plans t = {t}; use --mode ideal"
+                )
+        return plan, budget
 
     def _next_config(self, t_bits: int) -> AEConfig:
         """The config of a stack that starts at the next AE run: seeded with

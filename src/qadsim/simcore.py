@@ -287,7 +287,7 @@ class Qft:
         return readout_rows(np.ascontiguousarray(amps).reshape(1, n, -1), self.register)[0]
 
 
-def readout_rows(amps: np.ndarray, register: str = "phase") -> np.ndarray:
+def readout_rows(amps: np.ndarray, register: str) -> np.ndarray:
     """(k, N) outcome distributions of a register after the inverse QFT, one
     per real state of a (k, N, rest) stack whose axis 1 is the register.
 

@@ -70,6 +70,8 @@ def bounds_suite(seeds: int = 100, t_bits: int = 10, base_seed: int = 0) -> dict
     """Per-stage error-bound compliance in ideal mode over random instances."""
     if seeds < 1:
         raise ValueError(f"the bounds suite needs at least 1 seed, got {seeds}")
+    if base_seed < 0:
+        raise ValueError(f"the bounds suite needs a non-negative base seed, got {base_seed}")
     cfg = PipelineConfig(t_bits=t_bits, mode="ideal", policy="epsilon-floor")
     failures = []
     for seed in range(base_seed, base_seed + seeds):

@@ -1,10 +1,11 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from qadsim.adde import (
+    STAGES,
+    budget_shares,
     classical_fit,
     classical_log_density,
     estimate_means,
@@ -13,7 +14,6 @@ from qadsim.adde import (
     estimate_variances,
     flag_anomaly,
     log_density_estimate,
-    plan_budget,
     run_adde,
 )
 from qadsim.dataio import (
@@ -108,31 +108,31 @@ class TestAssembly:
         assert log_density_estimate(0.0, 0.0, 2, 1.0, 1.0) == pytest.approx(-LOG_2PI)
 
 
-class TestBudget:
-    def test_as_dict_equals_asdict(self):
-        c = Constants(C=2.0, D=1.5, T=2.0, E=1.0, C_prime=1.0, C_dprime=1.0)
-        budget = plan_budget(0.2, 3, c, 0.5)
-        assert list(budget.as_dict().items()) == list(dataclasses.asdict(budget).items())
+def _budget(epsilon, d, c, min_sigma2):
+    """The budget `run_adde` plans for these inputs."""
+    runner = EstimatorRun(PipelineConfig(epsilon=epsilon))
+    return runner.plan(STAGES, lambda eps: budget_shares(eps, d, c, min_sigma2))[1]
 
+
+class TestBudget:
     def test_unit_constants_substitution(self):
         c = Constants(C=1.0, D=1.0, T=1.0, E=1.0, C_prime=1.0, C_dprime=1.0)
-        b = plan_budget(0.48, 1, c, 1.0)
-        assert b.eps_tail == pytest.approx(0.48 / 3)
-        assert b.eps_var == pytest.approx(0.48 / 3)
-        assert b.eps_mean == pytest.approx(0.48 / 48)
+        b = _budget(0.48, 1, c, 1.0)
+        assert b["eps_tail"] == pytest.approx(0.48 / 3)
+        assert b["eps_var"] == pytest.approx(0.48 / 3)
+        assert b["eps_mean"] == pytest.approx(0.48 / 48)
 
     def test_linearity(self):
         c = Constants(C=2.0, D=1.5, T=2.0, E=1.0, C_prime=1.0, C_dprime=1.0)
-        b1 = plan_budget(0.4, 3, c, 0.5)
-        b2 = plan_budget(0.2, 3, c, 0.5)
-        assert b2.eps_mean == pytest.approx(b1.eps_mean / 2)
-        assert b2.eps_var == pytest.approx(b1.eps_var / 2)
-        assert b2.eps_tail == pytest.approx(b1.eps_tail / 2)
+        b1 = _budget(0.4, 3, c, 0.5)
+        b2 = _budget(0.2, 3, c, 0.5)
+        assert b2["eps_mean"] == pytest.approx(b1["eps_mean"] / 2)
+        assert b2["eps_var"] == pytest.approx(b1["eps_var"] / 2)
+        assert b2["eps_tail"] == pytest.approx(b1["eps_tail"] / 2)
 
     def test_epsilon_range(self):
-        c = Constants(C=1.0, D=1.0, T=1.0, E=1.0, C_prime=1.0, C_dprime=1.0)
-        with pytest.raises(ValueError):
-            plan_budget(1.5, 1, c, 1.0)
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+            PipelineConfig(epsilon=1.5)
 
     def test_planned_grover_matches_ledger(self):
         data, query = random_instance(5)

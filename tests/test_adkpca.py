@@ -1,18 +1,17 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from qadsim.adkpca import (
+    STAGES,
     InsufficientDataError,
+    budget_shares,
     classical_moments,
     classical_proximity,
-    plan_budget_kpca,
     proximity_estimate,
     run_adkpca,
 )
 from qadsim.dataio import Constants, DataMatrix, QueryPoint
-from qadsim.pipelines import PipelineConfig
+from qadsim.pipelines import EstimatorRun, PipelineConfig
 
 from qadsim.verify import random_instance
 
@@ -100,30 +99,30 @@ class TestProximityEstimate:
         assert got == -4.0
 
 
-class TestBudget:
-    def test_as_dict_equals_asdict(self):
-        c = Constants(C=2.0, D=1.5, T=2.0, E=1.0, C_prime=1.0, C_dprime=1.0)
-        budget = plan_budget_kpca(0.2, 2, 4, c)
-        assert list(budget.as_dict().items()) == list(dataclasses.asdict(budget).items())
+def _budget(epsilon, d, c):
+    """The budget `run_adkpca` plans for these inputs."""
+    runner = EstimatorRun(PipelineConfig(epsilon=epsilon))
+    return runner.plan(STAGES, lambda eps: budget_shares(eps, d, c))[1]
 
+
+class TestBudget:
     def test_substitution(self):
         c = Constants(C=1.0, D=1.0, T=1.0, E=1.0, C_prime=1.0, C_dprime=1.0)
-        b = plan_budget_kpca(0.48, 1, 2, c)
-        assert b.eps_mean == pytest.approx(0.48 / 48)
-        assert b.eps_omega == pytest.approx(0.48 / 3)
-        assert b.eps_bsum == pytest.approx(0.48 / 3)
+        b = _budget(0.48, 1, c)
+        assert b["eps_mean"] == pytest.approx(0.48 / 48)
+        assert b["eps_omega"] == pytest.approx(0.48 / 3)
+        assert b["eps_bsum"] == pytest.approx(0.48 / 3)
 
     def test_linearity(self):
         c = Constants(C=2.0, D=1.0, T=1.0, E=1.0, C_prime=1.5, C_dprime=2.5)
-        b1 = plan_budget_kpca(0.4, 2, 4, c)
-        b2 = plan_budget_kpca(0.2, 2, 4, c)
+        b1 = _budget(0.4, 2, c)
+        b2 = _budget(0.2, 2, c)
         for k in ("eps_mean", "eps_dist", "eps_omega", "eps_bsum"):
-            assert getattr(b2, k) == pytest.approx(getattr(b1, k) / 2)
+            assert b2[k] == pytest.approx(b1[k] / 2)
 
     def test_epsilon_range(self):
-        c = Constants(C=1.0, D=1.0, T=1.0, E=1.0, C_prime=1.0, C_dprime=1.0)
-        with pytest.raises(ValueError):
-            plan_budget_kpca(0.0, 1, 2, c)
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+            PipelineConfig(epsilon=0.0)
 
 
 class TestEndToEnd:

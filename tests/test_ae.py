@@ -21,7 +21,7 @@ from qadsim.ae import (
     qpe_state,
 )
 from qadsim.dataio import DataMatrix, QueryLedger
-from qadsim.pipelines import interference_prep, squared_mean_prep
+from qadsim.pipelines import EstimatorRun, PipelineConfig, interference_prep, squared_mean_prep
 from qadsim.simcore import (
     HadamardBlock,
     LayoutError,
@@ -213,18 +213,19 @@ class TestCircuitMode:
 class TestPrecisionPlanning:
     def test_bits_for_epsilon_known_values(self):
         # smallest t with pi/2^t + pi^2/4^t <= eps, computed by hand
-        assert bits_for_epsilon(0.5)[0] == 4
-        assert bits_for_epsilon(0.01)[0] == 9
+        assert bits_for_epsilon(0.5) == 4
+        assert bits_for_epsilon(0.01) == 9
 
     def test_boundary_single_bit(self):
         eps = math.pi / 2 + math.pi**2 / 4 + 1e-12
-        assert bits_for_epsilon(eps)[0] == 1
+        assert bits_for_epsilon(eps) == 1
 
     def test_mode_hint_for_deep_registers(self):
-        t, hint = bits_for_epsilon(1e-6)
+        runner = EstimatorRun(PipelineConfig(epsilon=0.5))
+        [(t, _)], budget = runner.plan(("deep",), lambda eps: (1e-6,))
         assert t > 14
-        assert hint == "ideal"
-        assert bits_for_epsilon(0.1)[1] is None
+        assert budget["mode_hint"] == "ideal"
+        assert runner.plan(("shallow",), lambda eps: (0.1,))[1]["mode_hint"] is None
 
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError):
@@ -253,18 +254,18 @@ class TestPrecisionPlanning:
             g = grid_epsilon(t)
             targets += [g, np.nextafter(g, 0.0), np.nextafter(g, np.inf)]
         for eps in map(float, targets):
-            assert outcome(lambda e: bits_for_epsilon(e)[0], eps) == outcome(stepped, eps), eps
+            assert outcome(bits_for_epsilon, eps) == outcome(stepped, eps), eps
 
     def test_finer_than_the_widest_grid_rejected(self):
         finest = grid_epsilon(MAX_GRID_BITS)
-        assert bits_for_epsilon(finest)[0] == MAX_GRID_BITS
+        assert bits_for_epsilon(finest) == MAX_GRID_BITS
         for eps in (np.nextafter(finest, 0.0), 1e-200, 1e-310, 5e-324):
             with pytest.raises(ValueError, match=f"got {MAX_GRID_BITS + 1}$"):
                 bits_for_epsilon(float(eps))
 
     def test_grid_epsilon_consistency(self):
         for t in range(1, 12):
-            assert bits_for_epsilon(grid_epsilon(t))[0] <= t
+            assert bits_for_epsilon(grid_epsilon(t)) <= t
 
 
 def test_error_bound_formula():

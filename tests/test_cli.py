@@ -254,6 +254,12 @@ EXTREME_FLAGS = [
     ["--t-bits", "2", "--delta", "-1"],
     ["--t-bits", "2", "--delta", "1e300"],
 ]
+# What the refusal of some of EXTREME_FLAGS says.
+EXTREME_MESSAGES = {
+    "--t-bits 15 --mode circuit --seed 1":
+        "at most 14 phase bits: the mean stage plans t = 15; use --mode ideal",
+    "--t-bits 2 --mode circuit --seed -5": "circuit mode requires a non-negative seed, got -5",
+}
 
 
 def _exit_code(argv: list[str]) -> int:
@@ -273,6 +279,7 @@ class TestFuzz:
         assert "Traceback" not in err, argv
         if code == 2 and err.startswith("error: "):
             assert err.count("\n") == 1, (argv, err)
+        return code, err
 
     @pytest.mark.parametrize("case", sorted(FUZZ_CSVS))
     def test_csv_inputs(self, case, tmp_path, capsys):
@@ -311,9 +318,17 @@ class TestFuzz:
         assert "PASS" not in captured.out
         assert _one_line_error(captured.err) and "at least 1 seed" in captured.err
 
+    def test_verify_with_a_negative_base_seed(self, capsys):
+        assert main(["verify", "--suite", "bounds", "--seeds", "1", "--base-seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert _one_line_error(captured.err) and "non-negative base seed, got -3" in captured.err
+
     @pytest.mark.parametrize("flags", EXTREME_FLAGS, ids=" ".join)
     def test_extreme_flags(self, flags, data_csv, query_csv, capsys):
         for command in ("detect", "kpca"):
             if "--delta" in flags and command == "kpca":
                 continue
-            self._check([command, "--data", data_csv, "--query", query_csv, *flags], capsys)
+            code, err = self._check([command, "--data", data_csv, "--query", query_csv, *flags], capsys)
+            if " ".join(flags) in EXTREME_MESSAGES:
+                assert code == 2 and EXTREME_MESSAGES[" ".join(flags)] in err, (command, err)

@@ -14,7 +14,7 @@ from qadsim.ae import (
     row_amps,
 )
 from qadsim.arith import FixedPointFormat, RangeError
-from qadsim.config import QadsimError
+from qadsim.config import MAX_PHASE_BITS, QadsimError
 from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint
 from qadsim.simcore import (
     LayoutError,
@@ -23,7 +23,7 @@ from qadsim.simcore import (
     new_state,
     operation_matrix,
 )
-from qadsim.verify import _monolithic_mean_prep
+from qadsim.verify import _monolithic_mean_prep, random_instance
 from qadsim.pipelines import (
     EstimatorRun,
     PipelineConfig,
@@ -45,6 +45,13 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(t_bits=6, mode="circuit")
         PipelineConfig(t_bits=6, mode="circuit", seed=1)
+
+    def test_circuit_refuses_a_negative_seed(self):
+        for make in (PipelineConfig, AEConfig):
+            with pytest.raises(ValueError, match="non-negative seed, got -5"):
+                make(t_bits=6, mode="circuit", seed=-5)
+            make(t_bits=6, mode="circuit", seed=0)
+        PipelineConfig(t_bits=6, seed=-5)  # ideal mode ignores the seed
 
     def test_echo(self):
         cfg = PipelineConfig(t_bits=6, seed=3, fp_format=FixedPointFormat(4, 10))
@@ -85,6 +92,24 @@ class TestFixedPointRange:
         data, query = DataMatrix(self.BIG * 6), QueryPoint(np.array([1.0, 2.0]))
         with pytest.raises(RangeError, match="value 300.0 overflows"):
             run_adkpca(data, query, PipelineConfig(t_bits=4))
+        assert charged == []
+
+    def test_circuit_plan_past_the_phase_cap_rejected_before_any_run(self, charged):
+        data = DataMatrix(np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 3.0], [2.0, 1.0]]))
+        cfg = PipelineConfig(epsilon=0.02, mode="circuit", seed=1)
+        with pytest.raises(ValueError, match=(
+            "^circuit mode supports at most 14 phase bits: "
+            "the mean stage plans t = 18; use --mode ideal$"
+        )):
+            run_adde(data, QueryPoint(np.array([1.0, 3.0])), cfg)
+        assert charged == []
+
+    def test_kpca_omega_past_the_cap_rejected_before_the_mean_runs(self, charged):
+        # The plan is t_mean = t_dist = 13, t_omega = t_bsum = 15.
+        data = DataMatrix(np.array([[8.0], [-8.0], [7.0], [-7.0]]))
+        cfg = PipelineConfig(epsilon=0.9, mode="circuit", seed=1)
+        with pytest.raises(ValueError, match="the omega stage plans t = 15; use --mode ideal$"):
+            run_adkpca(data, QueryPoint(np.array([6.0])), cfg)
         assert charged == []
 
     def test_wider_format_accepts(self):
@@ -134,14 +159,35 @@ class TestEstimatorRun:
     def test_t_for_fixed(self):
         runner = EstimatorRun(PipelineConfig(t_bits=7))
         # The configured t wins and is charged its grid's worst-case error.
-        assert runner.precision(None) == (7, grid_epsilon(7))
-        assert runner.precision(0.001) == (7, grid_epsilon(7))
+        plan = runner.plan(("a", "b"), lambda eps: (None, 0.001))
+        assert plan == ([(7, grid_epsilon(7))] * 2, None)
 
     def test_t_for_epsilon(self):
         runner = EstimatorRun(PipelineConfig(epsilon=0.1))
         # The coarsest grid meeting the share, charged the share itself.
-        assert runner.precision(0.5) == (4, 0.5)
+        plan, budget = runner.plan(("a",), lambda eps: (5 * eps,))
+        assert plan == [(4, 0.5)]
+        assert list(budget.items()) == [
+            ("epsilon", 0.1), ("eps_a", 0.5), ("t_a", 4), ("mode_hint", None)
+        ]
         assert grid_epsilon(4) <= 0.5 < grid_epsilon(3)
+
+    @pytest.mark.parametrize("epsilon", [0.1, 0.2, 0.3])
+    def test_budget_grids_are_the_ones_that_ran(self, epsilon):
+        # Each AE a stage runs is charged 2^t - 1 Grover calls at its stage's t.
+        cfg = PipelineConfig(epsilon=epsilon, policy="epsilon-floor")
+        for seed in range(20):
+            data, query = random_instance(seed)
+            d, m = data.n_cols, data.n_rows
+            for run, runs in (
+                (run_adde, [("mean", d), ("var", d), ("tail", 1), ("tail", 1)]),
+                (run_adkpca, [("mean", d), ("dist", 1), ("omega", m), ("bsum", 1)]),
+            ):
+                report = run(data, query, cfg)
+                ts = [report.budget[f"t_{stage}"] for stage, _ in runs]
+                grover = sum(rows * ((1 << t) - 1) for (_, rows), t in zip(runs, ts))
+                assert report.ledger["grover"] == grover, (run.__name__, seed)
+                assert (report.budget["mode_hint"] == "ideal") == (max(ts) > MAX_PHASE_BITS)
 
     def test_run_sequence_reproducible(self):
         prep = squared_mean_prep("t", np.array([0.4, 0.7]), costs={})

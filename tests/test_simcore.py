@@ -199,10 +199,10 @@ class TestQft:
 
     def test_stacked_readout_checks_every_row(self):
         rows = np.full((3, 4, 4), 0.25)
-        np.testing.assert_allclose(readout_rows(rows).sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(readout_rows(rows, "y").sum(axis=1), 1.0, rtol=0, atol=1e-15)
         rows[2] *= 1.01
-        with pytest.raises(SimulationError, match="drifted"):
-            readout_rows(rows)
+        with pytest.raises(SimulationError, match="readout of 'y' drifted"):
+            readout_rows(rows, "y")
 
     def test_acts_only_on_named_register(self):
         lay = RegisterLayout([("a", 1), ("b", 2)])
@@ -569,7 +569,7 @@ class TestNanIsRefused:
 
     def test_readout(self):
         with pytest.raises(SimulationError, match="drifted"):
-            readout_rows(np.full((1, 4, 1), np.nan))
+            readout_rows(np.full((1, 4, 1), np.nan), "y")
 
 
 def test_an_empty_stack_passes_the_norm_check():
