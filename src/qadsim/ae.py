@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
@@ -34,8 +35,9 @@ from .simcore import (
     RegisterLayout,
     SimulationError,
     StateVector,
+    _readout,
+    _sample,
     check_unit_norms,
-    draw,
     marginal_probs,
     operation_matrix,
     readout_rows,
@@ -44,11 +46,13 @@ from .simcore import (
 
 PHASE_REGISTER = "__phase"
 
+MODES = ("circuit", "ideal")  # the phase-estimation circuit, or nearest-grid rounding
+
 # Widest phase grid in either mode: 4^t must stay a finite double.
 MAX_GRID_BITS = 511
 
-# The signs of u_g and u_b in Schi's diagonal, which split A|0> into them.
-_GOOD_BAD_SIGNS = np.array([[-1.0], [1.0]])
+# Schi's signs on u_g and u_b times Q's leading minus: Q u = A S0 A^T (-Schi u).
+_IMAGE_SIGNS = np.array([[1.0], [-1.0]])
 # Signs that turn a rotation's first line [c, s], reversed, into its second [-s, c].
 _ROTATION_SIGNS = np.array([1.0, -1.0])
 
@@ -129,7 +133,7 @@ class GroverOperator:
     Q = -(A diag(S0)) A^T diag(Schi), and every column of the product is
     checked for unit norm. A's matrix is kept as `_a` (stacked by row) for
     `_qpe_rows`, which reads A|0> from its column 0 rather than replaying A.
-    Circuit mode builds none: `_subspace_rows` reads the two reflections' diagonals.
+    Circuit mode builds none: `_subspace_rows` reads Schi's split and S0's diagonal.
     """
 
     def __init__(self, prep: StatePreparation):
@@ -170,7 +174,7 @@ class AEConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("circuit", "ideal"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown AE mode {self.mode!r}")
         if not 1 <= self.t_bits <= MAX_GRID_BITS:
             raise ValueError(f"t_bits must be in 1..{MAX_GRID_BITS}, got {self.t_bits}")
@@ -285,27 +289,27 @@ def _subspace_rows(prep: StatePreparation, t: int) -> np.ndarray:
     if t < 1 or PHASE_REGISTER in lay or lay.n_qubits + t > qubit_cap():
         RegisterLayout([*lay.registers, (PHASE_REGISTER, t)])  # raises its LayoutError
     a = operation_matrix(prep.ops, lay, prep.rows)
-    schi, s0 = (flip.diagonal(lay) for flip in prep.reflections())
-    parts = np.where(schi == _GOOD_BAD_SIGNS, a[:, None, :, 0], 0.0)  # (rows, 2, dim)
+    parts = _good_bad(lay, prep.good_register, prep.good_predicate) * a[:, None, :, 0]
     norms = np.sqrt(np.add.reduce(parts * parts, axis=2))  # as np.linalg.norm sums them
     has = norms > 0.0
-    basis = parts / np.where(has, norms, 1.0)[:, :, None]
-    images = -(((basis * schi) @ a) * s0) @ a.transpose(0, 2, 1)
-    check_unit_norms(images if has.all() else images[has])
+    full = bool(has.all())
+    basis = parts / (norms if full else np.where(has, norms, 1.0))[:, :, None]
+    s0 = prep.reflections()[1].diagonal(lay)
+    images = (((basis * _IMAGE_SIGNS) @ a) * s0) @ a.transpose(0, 2, 1)
+    check_unit_norms(images if full else images[has])
     block = images @ basis.transpose(0, 2, 1)  # block[r, i, j] = <Q u_i, u_j>
     off = images - block @ basis
     residual = float(np.sqrt(np.add.reduce(off * off, axis=2).max()))
     if not residual <= CLOSURE_TOL:
         raise SimulationError(f"Q leaves span{{good, bad}} of A|0>: residual {residual:.3g}")
-    if not has.all():  # a row with one basis vector: copy its +-1 to the empty diagonal entry
+    if not full:  # a row with one basis vector: copy its +-1 to the empty diagonal entry
         block[:, 0, 0] += ~has[:, 0] * block[:, 1, 1]
         block[:, 1, 1] += ~has[:, 1] * block[:, 0, 0]
-    c, s = block[:, 0, 0], block[:, 0, 1]
     skew = np.abs(block[:, 1] + block[:, 0, ::-1] * _ROTATION_SIGNS).max()
     if not skew <= CLOSURE_TOL:
         raise SimulationError(f"Q on span{{good, bad}} of A|0> is no rotation: off by {skew:.3g}")
     squares = []  # each row's w^(2^k) for k < t, squared on Python complex numbers
-    for w in (c + 1j * s).tolist():
+    for w in block[:, 0].view(complex)[:, 0].tolist():  # w = c + i s, the first line [c, s]
         squares.append([w])
         for _ in range(t - 1):
             squares[-1].append(w := w * w / abs(w))
@@ -317,6 +321,14 @@ def _subspace_rows(prep: StatePreparation, t: int) -> np.ndarray:
         half = 1 << k
         np.multiply(fill[:, :half], factors[k], out=fill[:, half : 2 * half])
     return lines
+
+
+@lru_cache(maxsize=64)
+def _good_bad(layout: RegisterLayout, register: str, predicate: Callable) -> np.ndarray:
+    """Read-only (2, dim) 0/1 projector of Schi's split: good labels, then bad."""
+    projector = (1.0 - _IMAGE_SIGNS * layout.sign_flips((register,), predicate)) / 2.0
+    projector.flags.writeable = False
+    return projector
 
 
 def phase_distributions(prep: StatePreparation, t: int) -> np.ndarray:
@@ -334,7 +346,8 @@ def phase_outcomes(prep: StatePreparation, config: AEConfig) -> list[int]:
     """
     t = config.t_bits
     if config.mode == "circuit":
-        return draw(phase_distributions(prep, t), range(config.seed, config.seed + prep.rows))
+        probs, total = _readout(_subspace_rows(prep, t), PHASE_REGISTER)
+        return _sample(probs, total, range(config.seed, config.seed + prep.rows))
     goods = prep.good_probabilities().tolist()
     thetas = [math.asin(math.sqrt(min(max(a, 0.0), 1.0))) for a in goods]
     return [min(max(round(theta * (1 << t) / math.pi), 0), 1 << (t - 1)) for theta in thetas]

@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .ae import (
+    MODES,
     AEConfig,
     AEResult,
     StatePreparation,
@@ -59,6 +60,8 @@ class PipelineConfig:
             raise ValueError("exactly one of t_bits / epsilon must be given")
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown AE mode {self.mode!r}")
         if self.mode == "circuit":
             if self.seed is None:
                 raise ValueError("circuit mode requires a seed")

@@ -207,9 +207,19 @@ def new_state(layout: RegisterLayout, rows: int | None = None) -> StateVector:
 # operations
 
 class Operation:
-    """A unitary acting on named registers; applied in place."""
+    """A unitary acting on named registers; applied in place. `apply` runs the
+    op's one unchecked pass over the stack, `kernel`, then the norm check if
+    the op sets `checks_norm` (reflections, which keep every norm, do not)."""
+
+    checks_norm = False
 
     def apply(self, state: StateVector) -> StateVector:
+        self.kernel(state)
+        if self.checks_norm:
+            state.check_norm()
+        return state
+
+    def kernel(self, state: StateVector) -> None:
         raise NotImplementedError
 
     def dagger(self) -> "Operation":
@@ -246,10 +256,12 @@ class HadamardBlock(Operation):
     symmetric), a batch of small ones above it. Up to four qubits take one.
     """
 
+    checks_norm = True
+
     def __init__(self, register: str):
         self.register = register
 
-    def apply(self, state: StateVector) -> StateVector:
+    def kernel(self, state: StateVector) -> None:
         lay = state.layout
         w = lay.width(self.register)
         off = lay.offset(self.register)
@@ -261,8 +273,6 @@ class HadamardBlock(Operation):
             else:
                 a = state.amps.reshape(-1, 1 << bits, 1 << (off + k))
                 state.amps = np.matmul(_walsh(bits), a).reshape(shape)
-        state.check_norm()
-        return state
 
     def dagger(self) -> "HadamardBlock":
         return self
@@ -295,6 +305,11 @@ def readout_rows(amps: np.ndarray, register: str) -> np.ndarray:
     P(y) = P(N - y) exactly: y = 0..N/2 come from `np.fft.rfft`, the rest are
     mirrored, and each row must sum to 1 within NORM_TOL.
     """
+    return _readout(amps, register)[0]
+
+
+def _readout(amps: np.ndarray, register: str) -> tuple[np.ndarray, np.ndarray]:
+    """`readout_rows` and its checked (k,) row sums, which `_sample` takes."""
     n = amps.shape[1]
     spectrum = np.fft.rfft(amps, axis=1)
     parts = spectrum.view(np.float64)  # re and im of each entry, side by side
@@ -303,7 +318,7 @@ def readout_rows(amps: np.ndarray, register: str) -> np.ndarray:
     total = probs.sum(axis=1)
     if not np.abs(total - 1.0).max() <= NORM_TOL:
         raise SimulationError(f"readout of {register!r} drifted: sum P = {total}")
-    return probs
+    return probs, total
 
 
 class ValueKeyedRotation(Operation):
@@ -322,6 +337,8 @@ class ValueKeyedRotation(Operation):
     stack, and the states under row r of the stack get values[r].
     """
 
+    checks_norm = True
+
     def __init__(self, key_registers: Sequence[str], target: str, values: np.ndarray):
         values = np.asarray(values, dtype=float)
         if (np.abs(values) > 1.0 + 1e-12).any():
@@ -331,7 +348,7 @@ class ValueKeyedRotation(Operation):
         self.target = target
         self.values = np.maximum(np.minimum(values, 1.0), -1.0)
 
-    def apply(self, state: StateVector) -> StateVector:
+    def kernel(self, state: StateVector) -> None:
         lay = state.layout
         if lay.width(self.target) != 1:
             raise UnknownRegisterError(f"rotation target {self.target!r} must be 1 qubit")
@@ -348,46 +365,43 @@ class ValueKeyedRotation(Operation):
         a = state.amps.reshape(len(table), -1, len(key), 2, lo)
         out = v * _SIGNS * a + s * a[..., ::-1, :]
         state.amps = out.reshape(state.amps.shape)
-        state.check_norm()
-        return state
 
     def dagger(self) -> "ValueKeyedRotation":
         return self
 
 
 class Controlled(Operation):
-    """Apply an inner operation only where a control register holds a value."""
+    """Apply an inner operation only where a control register holds a value.
+    Its kernel runs on that value's slice alone, a stack over the layout without
+    the control (so an inner op that names it raises), and the stack is checked once."""
+
+    checks_norm = True
 
     def __init__(self, control: str, control_value: int, inner: Operation):
         self.control = control
         self.control_value = control_value
         self.inner = inner
-        touched = getattr(inner, "key_registers", ()) + (
-            getattr(inner, "target", None),
-            getattr(inner, "register", None),
-        )
-        self._overlaps = control in touched
 
-    def apply(self, state: StateVector) -> StateVector:
+    def kernel(self, state: StateVector) -> None:
         lay = state.layout
-        if self._overlaps:
-            raise SimulationError(f"control register {self.control!r} overlaps the target")
         width, lo = lay.width(self.control), 1 << lay.offset(self.control)
         if not 0 <= self.control_value < 1 << width:
             raise SimulationError(f"control value {self.control_value} is out of {self.control!r}")
-        # Save and restore the other values' slices of a (-1, 2^width, lo) view.
-        cv, view = self.control_value, (-1, 1 << width, lo)
-        amps = state.amps.reshape(view)
-        below, above = amps[:, :cv].copy(), amps[:, cv + 1 :].copy()
-        self.inner.apply(state)
-        amps = state.amps.reshape(view)  # a copy if amps is not contiguous
-        amps[:, :cv], amps[:, cv + 1 :] = below, above
-        state.amps = amps.reshape(state.amps.shape)
-        state.check_norm()
-        return state
+        shape = state.amps.shape
+        amps = state.amps.reshape(-1, 1 << width, lo)  # a copy if amps is not contiguous
+        part = StateVector(_without(lay, self.control), amps[:, self.control_value].reshape(*shape[:-1], -1))
+        self.inner.kernel(part)
+        amps[:, self.control_value] = part.amps.reshape(-1, lo)
+        state.amps = amps.reshape(shape)
 
     def dagger(self) -> "Controlled":
         return Controlled(self.control, self.control_value, self.inner.dagger())
+
+
+@lru_cache(maxsize=64)
+def _without(layout: RegisterLayout, register: str) -> RegisterLayout:
+    """The layout without one register: the labels of a slice where it holds one value."""
+    return RegisterLayout(item for item in layout.registers if item[0] != register)
 
 
 class ReflectAboutZero(Operation):
@@ -400,9 +414,8 @@ class ReflectAboutZero(Operation):
         """The read-only +-1 diagonal: -1 where every named register reads 0."""
         return layout.sign_flips(self.registers)
 
-    def apply(self, state: StateVector) -> StateVector:
+    def kernel(self, state: StateVector) -> None:
         state.amps *= self.diagonal(state.layout)
-        return state
 
     def dagger(self) -> "ReflectAboutZero":
         return self
@@ -419,9 +432,8 @@ class ReflectWhere(Operation):
         """The read-only +-1 diagonal: -1 where the register's label satisfies the predicate."""
         return layout.sign_flips((self.register,), self.predicate)
 
-    def apply(self, state: StateVector) -> StateVector:
+    def kernel(self, state: StateVector) -> None:
         state.amps *= self.diagonal(state.layout)
-        return state
 
     def dagger(self) -> "ReflectWhere":
         return self
@@ -447,12 +459,19 @@ def draw(probs: np.ndarray, rngs: Sequence[np.random.Generator | int]) -> list[i
     `Generator.choice(n, p=row / row.sum())`, so with its outcome. A row
     choice rejects is rejected: one with a negative or NaN entry, or with a
     sum that is not finite and positive, the one way a row normalised here
-    can miss choice's check that it sums to 1.
+    can miss choice's check that it sums to 1. So is a count of rngs not k.
     """
-    total = probs.sum(axis=1, keepdims=True)
+    total = probs.sum(axis=1)
     if not (probs.min() >= 0.0 and total.min() > 0.0 and total.max() < np.inf):
         raise SimulationError("outcome probabilities must be finite, >= 0 and sum to 1")
-    cdf = np.cumsum(probs / total, axis=1)
+    return _sample(probs, total, rngs)
+
+
+def _sample(probs: np.ndarray, total: np.ndarray, rngs: Sequence[np.random.Generator | int]) -> list[int]:
+    """`draw` on rows whose (k,) sums `total` are known finite and positive."""
+    if len(rngs) != len(probs):
+        raise SimulationError(f"{len(rngs)} generators or seeds for {len(probs)} rows")
+    cdf = np.cumsum(probs / total[:, None], axis=1)
     cdf /= cdf[:, -1:]
     return [int(row.searchsorted(uniform(rng), side="right")) for row, rng in zip(cdf, rngs)]
 
@@ -488,7 +507,8 @@ def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout, rows=None
     The ops run once on a stack of every basis column, so each op's own norm
     check checks every column's norm; the leading Hadamard blocks' columns
     come from `walsh_start`, checked when it built them. The stack is checked
-    once more, for ops that do not check themselves. With `rows`, the ops run
+    once more only if the last op does not check itself; else its check covers
+    every op before it. With `rows`, the ops run
     on a (rows, dim, dim) stack, and row r of a (rows, n) rotation table keys
     block r of the (rows, dim, dim) result.
     """
@@ -498,7 +518,8 @@ def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout, rows=None
     batch = StateVector(layout, start.copy() if rows is None else np.repeat(start[None], rows, axis=0))
     for op in rest:
         op.apply(batch)
-    batch.check_norm()
+    if not ops or not ops[-1].checks_norm:
+        batch.check_norm()
     return np.ascontiguousarray(np.swapaxes(batch.amps, -1, -2))
 
 

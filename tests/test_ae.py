@@ -31,6 +31,9 @@ from qadsim.simcore import (
     SimulationError,
     StateVector,
     ValueKeyedRotation,
+    _readout,
+    _sample,
+    draw,
     marginal_probs,
     operation_matrix,
     readout_rows,
@@ -511,6 +514,22 @@ class TestSubspacePath:
         prep = interference_prep("nan", np.array([[0.3, -0.5], [0.2, 0.9]]), {})
         with pytest.raises(SimulationError, match="leaves span"):
             phase_distributions(prep, 3)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_the_stage_draws_are_draw_on_the_readout(self, k):
+        # The stage samples with the row sums its readout checked; `draw` sums
+        # and guards them again. Both give the same outcome for every seed.
+        prep = interference_prep("draws", np.random.default_rng(k).uniform(-0.95, 0.95, (k, 8)), {})
+        for t in (1, 4, 10):
+            lines = _subspace_rows(prep, t)
+            probs, total = _readout(lines, PHASE_REGISTER)
+            np.testing.assert_array_equal(probs, readout_rows(lines, PHASE_REGISTER))
+            for seed in range(1000):
+                seeds = range(seed, seed + k)
+                assert _sample(probs, total, seeds) == draw(probs, seeds)
+            for seed in (0, 7, 999):
+                want = draw(probs, range(seed, seed + k))
+                assert ae.phase_outcomes(prep, AEConfig(t, "circuit", seed)) == want
 
     def test_a_block_that_is_no_rotation_is_refused(self, monkeypatch):
         # With S0 turned into the identity, Q = -Schi keeps the plane and unit

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qadsim import pipelines
+from qadsim import adde, pipelines
 from qadsim.adde import run_adde
 from qadsim.adkpca import run_adkpca
 from qadsim.ae import (
@@ -52,6 +52,14 @@ class TestPipelineConfig:
                 make(t_bits=6, mode="circuit", seed=-5)
             make(t_bits=6, mode="circuit", seed=0)
         PipelineConfig(t_bits=6, seed=-5)  # ideal mode ignores the seed
+
+    def test_an_unknown_mode_is_refused_before_the_fit(self, monkeypatch):
+        fitted = []
+        monkeypatch.setattr(adde, "compute_constants", lambda *args, **kw: fitted.append(args))
+        data, query = random_instance(0)
+        with pytest.raises(ValueError, match="^unknown AE mode 'Circuit'$"):
+            run_adde(data, query, PipelineConfig(t_bits=4, mode="Circuit"))
+        assert fitted == []
 
     def test_echo(self):
         cfg = PipelineConfig(t_bits=6, seed=3, fp_format=FixedPointFormat(4, 10))

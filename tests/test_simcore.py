@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from qadsim import simcore
 from qadsim.arith import FixedPointFormat
 from qadsim.simcore import (
     Controlled,
@@ -321,6 +322,29 @@ class TestControlled:
                 want = np.where(on[:, None], dense, np.eye(lay.dim))
                 got = operation_matrix([Controlled("c", value, inner)], lay)
                 np.testing.assert_array_equal(got, want)
+        # A (3, 4) table on a 3-row stack: block r is row r's masked dense form.
+        table = np.array([[0.3, -0.9, 0.1, 1.0], [-0.2, 0.5, 0.0, -1.0], [0.7, 0.7, -0.6, 0.4]])
+        stacked = ValueKeyedRotation(["k"], "t", table)
+        for value in range(1 << lay.width("c")):
+            on = lay.field("c") == value
+            got = operation_matrix([Controlled("c", value, stacked)], lay, rows=3)
+            for r, row in enumerate(table):
+                dense = operation_matrix([ValueKeyedRotation(["k"], "t", row)], lay)
+                np.testing.assert_array_equal(got[r], np.where(on[:, None], dense, np.eye(lay.dim)))
+        # A nested Controlled acts where both controls hold their values.
+        wide = RegisterLayout([*registers, ("e", 1)])
+        dense = operation_matrix([inners[1]], wide)
+        for value in range(1 << wide.width("c")):
+            on = (wide.field("c") == value) & (wide.field("e") == 1)
+            got = operation_matrix([Controlled("c", value, Controlled("e", 1, inners[1]))], wide)
+            np.testing.assert_array_equal(got, np.where(on[:, None], dense, np.eye(wide.dim)))
+
+    def test_an_inner_kernel_that_breaks_the_norm_is_refused(self):
+        lay = RegisterLayout([("c", 1), ("k", 1), ("t", 1)])
+        state = new_state(lay, rows=2)
+        HadamardBlock("c").apply(state)
+        with pytest.raises(SimulationError, match="norm drifted"):
+            Controlled("c", 1, _Scale("k", 1.01)).apply(state)
 
     def test_control_value_out_of_range_rejected(self):
         lay = RegisterLayout([("c", 1), ("t", 1)])
@@ -472,6 +496,12 @@ class TestDraw:
         gen, twin = np.random.default_rng(11), np.random.default_rng(11)
         assert [uniform(gen) for _ in range(3)] == [twin.random() for _ in range(3)]
 
+    def test_a_count_of_seeds_other_than_the_rows_is_refused(self):
+        probs = self._distributions(3, 8)
+        for seeds in (range(2), range(4), []):
+            with pytest.raises(SimulationError, match=f"^{len(seeds)} generators or seeds for 3 rows$"):
+                draw(probs, seeds)
+
     @pytest.mark.parametrize(
         "bad", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.0, 0.0, 0.0], [np.inf, 0.0, 1.0]]
     )
@@ -519,6 +549,16 @@ class _Squeeze(Operation):
         bit = lay.extract(np.arange(lay.dim), self.register)
         state.amps = np.where(bit == 0, np.sqrt(2.0) * state.amps, 0.0)
         return state
+
+
+class _Scale(Operation):
+    """Scales every amplitude: unchecked, so only an enclosing op can catch it."""
+
+    def __init__(self, register: str, factor: float):
+        self.register, self.factor = register, factor
+
+    def kernel(self, state: StateVector) -> None:
+        state.amps = state.amps * self.factor
 
 
 def test_operation_matrix_checks_every_column():
@@ -685,6 +725,32 @@ def test_amplitudes_are_real():
         StateVector(lay, np.array([1.0, 1e-300j]))
 
 
+def test_operation_matrix_checks_once_per_self_checking_op(monkeypatch):
+    # One check per op that checks itself, Controlled included (its inner
+    # kernel runs unchecked); the finished matrix is checked again only when
+    # the last op is a reflection or an op that does not check itself.
+    lay = RegisterLayout([("k", 2), ("t", 1), ("c", 1)])
+    rotation = ValueKeyedRotation(["k"], "t", np.array([0.3, -0.9, 0.1, 1.0]))
+    flip = ReflectWhere("t", lambda v: v == 1)
+    calls = []
+    monkeypatch.setattr(simcore, "check_unit_norms", lambda vectors: calls.append(vectors.shape))
+    cases = [
+        ([rotation, HadamardBlock("c"), Controlled("c", 1, rotation)], 3),
+        ([rotation, flip, Controlled("c", 0, rotation)], 2),
+        ([rotation, Controlled("c", 1, rotation), flip], 3),
+        ([rotation, ReflectAboutZero(["k"]), flip], 2),
+        ([rotation, _Scale("k", 1.0)], 2),
+        ([HadamardBlock("k"), HadamardBlock("c"), rotation], 3),  # the start's two, then one
+        ([HadamardBlock("k")], 1),
+        ([], 1),
+    ]
+    for ops, checks in cases:
+        _walsh_start.cache_clear()
+        calls.clear()
+        operation_matrix(ops, lay)
+        assert len(calls) == checks, ops
+
+
 def test_column_checks_go_through_statevector_check_norm(monkeypatch):
     # A profiler that wraps StateVector.check_norm must see the column checks
     # of a matrix build as well: the batch has no check of its own.
@@ -697,5 +763,6 @@ def test_column_checks_go_through_statevector_check_norm(monkeypatch):
 
     _walsh_start.cache_clear()  # the leading block's check runs when its start is built
     monkeypatch.setattr(StateVector, "check_norm", counting)
-    operation_matrix([HadamardBlock("a")], RegisterLayout([("a", 2)]))
-    assert seen == [(4, 4), (4, 4)]  # the op's own check and the finished matrix's
+    operation_matrix([HadamardBlock("a"), ReflectAboutZero(["a"])], RegisterLayout([("a", 2)]))
+    # The block's own check, and the finished matrix's after the trailing reflection.
+    assert seen == [(4, 4), (4, 4)]
