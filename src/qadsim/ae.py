@@ -2,17 +2,19 @@
 
 A :class:`StatePreparation` names a replayable pipeline A mapping |0...0> to a
 target state together with a predicate designating the good subspace.  The
-Grover operator is Q = -A S0 Adag Schi, and the estimator runs either a
-faithful phase-estimation circuit (`circuit` mode, stochastic under a seed) or
-a deterministic nearest-grid rounding of the exact angle (`ideal` mode).  Both
-modes charge the same 2^t - 1 Grover applications to the ledger.
+Grover operator is Q = -A S0 Adag Schi, and the estimator runs either the
+phase-estimation circuit's outcome distribution (`circuit` mode, stochastic
+under a seed) or a deterministic nearest-grid rounding of the exact angle
+(`ideal` mode).  Both modes charge the same 2^t - 1 Grover applications to
+the ledger.
 
-A and Q are real orthogonal, and Q keeps the plane spanned by the good and bad
-parts of A|0>, where it rotates by 2 theta (Brassard, Hoyer, Mosca, Tapp,
-quant-ph/0005055, Lemma 1). Circuit mode therefore runs each row's phase
-estimation in that plane (`phase_distributions`) and never builds Q; its
-state before the inverse QFT is real, and `simcore.readout_rows` reads the
-phase register off it exactly. The dense path (`GroverOperator.matrix`,
+When S0 acts on every register, Q rotates the plane of the good and bad parts
+of A|0> by 2 theta, so the phase distribution depends on A only through their
+masses g and b (Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055, Lemma 1).
+Both modes replay A once per stage, on |0> (`StatePreparation.masses`);
+circuit mode writes each row's real pre-QFT state in that plane from (g, b)
+(`_mass_rows`), and `simcore.readout_rows` reads the phase register off it
+exactly. The dense path (`GroverOperator.matrix`,
 `_qpe_rows`, `qpe_state`) simulates the whole circuit; it is the reference the
 `equivalence` suite and the tests compare against.
 """
@@ -20,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import CLOSURE_TOL, MAX_PHASE_BITS, qubit_cap
+from .config import MAX_PHASE_BITS, qubit_cap
 from .dataio import QueryLedger
 from .simcore import (
     _SQRT2_INV,
@@ -50,11 +51,6 @@ MODES = ("circuit", "ideal")  # the phase-estimation circuit, or nearest-grid ro
 
 # Widest phase grid in either mode: 4^t must stay a finite double.
 MAX_GRID_BITS = 511
-
-# Schi's signs on u_g and u_b times Q's leading minus: Q u = A S0 A^T (-Schi u).
-_IMAGE_SIGNS = np.array([[1.0], [-1.0]])
-# Signs that turn a rotation's first line [c, s], reversed, into its second [-s, c].
-_ROTATION_SIGNS = np.array([1.0, -1.0])
 
 
 def label_is_zero(label: int) -> bool:
@@ -109,10 +105,16 @@ class StatePreparation:
             op.apply(state)
         return state
 
-    def good_probabilities(self) -> np.ndarray:
-        """Exact probability of the good subspace in each row's A|0>, in one replay."""
+    def masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """Good and bad masses (g, b) of each row's A|0>, summed label by label in one replay."""
         probs = marginal_probs(self.prepare(), self.good_register)
-        return sum((probs[:, b] for b in range(probs.shape[1]) if self.good_predicate(b)), np.zeros(self.rows))
+        good, bad = np.zeros(self.rows), np.zeros(self.rows)
+        for b in range(probs.shape[1]):
+            if self.good_predicate(b):
+                good += probs[:, b]
+            else:
+                bad += probs[:, b]
+        return good, bad
 
     def reflections(self) -> tuple[ReflectWhere, ReflectAboutZero]:
         """Q's two reflections: Schi on the good subspace and S0 about |0>."""
@@ -121,7 +123,7 @@ class StatePreparation:
 
     def good_probability(self) -> float:
         """Exact probability of the good subspace in (row 0's) A|0>."""
-        return float(self.good_probabilities()[0])
+        return float(self.masses()[0][0])
 
 
 class GroverOperator:
@@ -133,7 +135,7 @@ class GroverOperator:
     Q = -(A diag(S0)) A^T diag(Schi), and every column of the product is
     checked for unit norm. A's matrix is kept as `_a` (stacked by row) for
     `_qpe_rows`, which reads A|0> from its column 0 rather than replaying A.
-    Circuit mode builds none: `_subspace_rows` reads Schi's split and S0's diagonal.
+    The dense reference's Q; no pipeline builds one (circuit mode: `_mass_rows`).
     """
 
     def __init__(self, prep: StatePreparation):
@@ -205,13 +207,6 @@ class AEResult:
         """The measured phase outcome y; ideal mode measures none."""
         return self.outcome if self.mode == "circuit" else None
 
-    @property
-    def error_bound(self) -> float:
-        """A-priori amplitude error bound at the estimated amplitude."""
-        a = self.amplitude
-        n = 1 << self.t_bits
-        return 2.0 * math.pi * math.sqrt(max(a * (1.0 - a), 0.0)) / n + math.pi**2 / n**2
-
 
 def _fold_outcome(y: int, t: int) -> float:
     n = 1 << t
@@ -239,7 +234,7 @@ def _grid_amplitude(y: int, t: int) -> float:
 def _qpe_rows(prep: StatePreparation, t: int) -> tuple[RegisterLayout, np.ndarray]:
     """Each row's phase-estimation layout and the (rows, 2^t, dim) stack of
     the rows' real states right before the inverse QFT: the dense reference
-    for `_subspace_rows`, reached through `qpe_state` and the tests only.
+    for `_mass_rows`, reached through `qpe_state` and the tests only.
 
     Line y of a row's (2^t, dim) state is Q^y A|0> / sqrt(2^t). A is replayed
     once, on the 2^n register only, to build Q; its column 0 is A|0>. Line 0
@@ -271,93 +266,68 @@ def qpe_state(prep: StatePreparation, t: int) -> StateVector:
     return StateVector(layout, rows.reshape(-1))
 
 
-def _subspace_rows(prep: StatePreparation, t: int) -> np.ndarray:
+def _mass_rows(prep: StatePreparation, t: int) -> np.ndarray:
     """The (rows, 2^t, 2) stack of the rows' states right before the inverse
     QFT, each line in its row's basis {u_g, u_b}: the normalised good and bad
-    parts of A|0>, which span Q's invariant plane (BHMT Lemma 1).
+    parts of A|0>, which span Q's invariant plane when S0 acts on every
+    register (BHMT Lemma 1); a preparation whose S0 leaves one out is refused.
 
-    A is replayed once; its column 0 is A|0>. Q = -A S0 A^T Schi is applied
-    to the (rows, 2, dim) basis by two matmuls and is never formed. Each image
-    must have unit norm and close in the span within CLOSURE_TOL, and Q's
-    block there must be a rotation [[c, s], [-s, c]]; otherwise
-    SimulationError. On coefficients z = z_g + i z_b the block multiplies by
-    w = c + i s, so line 0 is |psi_g| + i |psi_b| times (1/sqrt 2)^t and lines
-    [2^k, 2^(k+1)) are lines [0, 2^k) times w^(2^k), each square scaled back
-    to |w|. A row with a in {0, 1} has one basis vector, on which Q is +-1.
+    Each row's masses g and b come from one replay of A (`masses`). On
+    coefficients z = z_g + i z_b, Q multiplies by w = ((b - g) - 2i sqrt(gb)) / n,
+    n = g + b, so line 0 is (sqrt(g/n), sqrt(b/n)) times (1/sqrt 2)^t and
+    lines [2^k, 2^(k+1)) are lines [0, 2^k) times w^(2^k), each square scaled
+    back to |w|. A row with a in {0, 1} gets w = +-1.
     """
     lay = prep.layout
     if t < 1 or PHASE_REGISTER in lay or lay.n_qubits + t > qubit_cap():
         RegisterLayout([*lay.registers, (PHASE_REGISTER, t)])  # raises its LayoutError
-    a = operation_matrix(prep.ops, lay, prep.rows)
-    parts = _good_bad(lay, prep.good_register, prep.good_predicate) * a[:, None, :, 0]
-    norms = np.sqrt(np.add.reduce(parts * parts, axis=2))  # as np.linalg.norm sums them
-    has = norms > 0.0
-    full = bool(has.all())
-    basis = parts / (norms if full else np.where(has, norms, 1.0))[:, :, None]
-    s0 = prep.reflections()[1].diagonal(lay)
-    images = (((basis * _IMAGE_SIGNS) @ a) * s0) @ a.transpose(0, 2, 1)
-    check_unit_norms(images if full else images[has])
-    block = images @ basis.transpose(0, 2, 1)  # block[r, i, j] = <Q u_i, u_j>
-    off = images - block @ basis
-    residual = float(np.sqrt(np.add.reduce(off * off, axis=2).max()))
-    if not residual <= CLOSURE_TOL:
-        raise SimulationError(f"Q leaves span{{good, bad}} of A|0>: residual {residual:.3g}")
-    if not full:  # a row with one basis vector: copy its +-1 to the empty diagonal entry
-        block[:, 0, 0] += ~has[:, 0] * block[:, 1, 1]
-        block[:, 1, 1] += ~has[:, 1] * block[:, 0, 0]
-    skew = np.abs(block[:, 1] + block[:, 0, ::-1] * _ROTATION_SIGNS).max()
-    if not skew <= CLOSURE_TOL:
-        raise SimulationError(f"Q on span{{good, bad}} of A|0> is no rotation: off by {skew:.3g}")
+    left_out = [name for name in lay.names if name not in prep.reflection_registers]
+    if left_out:
+        raise SimulationError(f"Q leaves span{{good, bad}} of A|0>: S0 leaves out {left_out}")
+    good, bad = prep.masses()
+    total = good + bad
     squares = []  # each row's w^(2^k) for k < t, squared on Python complex numbers
-    for w in block[:, 0].view(complex)[:, 0].tolist():  # w = c + i s, the first line [c, s]
-        squares.append([w])
+    for c, s in zip(((bad - good) / total).tolist(), (-2.0 * np.sqrt(good * bad) / total).tolist()):
+        squares.append([w := complex(c, s)])
         for _ in range(t - 1):
             squares[-1].append(w := w * w / abs(w))
     factors = np.array(squares).T[:, :, None]
     fill = np.empty((prep.rows, 1 << t), dtype=complex)
     lines = fill.view(np.float64).reshape(prep.rows, 1 << t, 2)
-    lines[:, 0] = norms * _SQRT2_INV**t
+    lines[:, 0] = np.sqrt(np.stack([good, bad], axis=1) / total[:, None]) * _SQRT2_INV**t
     for k in range(t):
         half = 1 << k
         np.multiply(fill[:, :half], factors[k], out=fill[:, half : 2 * half])
     return lines
 
 
-@lru_cache(maxsize=64)
-def _good_bad(layout: RegisterLayout, register: str, predicate: Callable) -> np.ndarray:
-    """Read-only (2, dim) 0/1 projector of Schi's split: good labels, then bad."""
-    projector = (1.0 - _IMAGE_SIGNS * layout.sign_flips((register,), predicate)) / 2.0
-    projector.flags.writeable = False
-    return projector
-
-
 def phase_distributions(prep: StatePreparation, t: int) -> np.ndarray:
     """(rows, 2^t) distributions of the phase-register outcome, one per row,
-    read from `_subspace_rows`: no dense Q and no (2^t, dim) state."""
-    return readout_rows(_subspace_rows(prep, t), PHASE_REGISTER)
+    read from `_mass_rows`: no dense Q and no (2^t, dim) state."""
+    return readout_rows(_mass_rows(prep, t), PHASE_REGISTER)
 
 
 def phase_outcomes(prep: StatePreparation, config: AEConfig) -> list[int]:
     """The phase outcome y of each row of a preparation, in row order.
 
     Ideal mode takes the grid point nearest each row's exact angle, read from
-    `good_probabilities`. Circuit mode draws row i from its phase
+    the good masses. Circuit mode draws row i from its phase
     distribution with seed config.seed + i.
     """
     t = config.t_bits
     if config.mode == "circuit":
-        probs, total = _readout(_subspace_rows(prep, t), PHASE_REGISTER)
+        probs, total = _readout(_mass_rows(prep, t), PHASE_REGISTER)
         return _sample(probs, total, range(config.seed, config.seed + prep.rows))
-    goods = prep.good_probabilities().tolist()
+    goods = prep.masses()[0].tolist()
     thetas = [math.asin(math.sqrt(min(max(a, 0.0), 1.0))) for a in goods]
     return [min(max(round(theta * (1 << t) / math.pi), 0), 1 << (t - 1)) for theta in thetas]
 
 
 def row_amps(dim: int, t_bits: int, mode: str) -> int:
     """Amplitudes `phase_outcomes` holds per row of a preparation of `dim`
-    labels: in ideal mode the row's state; in circuit mode A's (dim, dim)
-    block and the row's (2^t, 2) phase state of `_subspace_rows`."""
-    return dim if mode == "ideal" else dim * dim + (2 << t_bits)
+    labels: the row's state, and in circuit mode also its (2^t, 2) phase
+    state of `_mass_rows`."""
+    return dim if mode == "ideal" else dim + (2 << t_bits)
 
 
 def estimate_amplitude(

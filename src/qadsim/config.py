@@ -10,10 +10,6 @@ import os
 # Statevector norm must stay within this of 1 after every operation.
 NORM_TOL = 1e-10
 
-# Largest residual of Q's images outside the span they must close in, and
-# largest deviation of Q's block there from a rotation (circuit-mode AE).
-CLOSURE_TOL = 1e-9
-
 # Hard limit on total qubits in a single statevector (overridable via env).
 DEFAULT_QUBIT_CAP = 26
 

@@ -502,49 +502,45 @@ def measure(
 
 
 def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout, rows=None) -> np.ndarray:
-    """Dense matrix of a composed operation sequence (small layouts only).
+    """Dense matrix of a composed operation sequence (small layouts only); the
+    dense reference's replay of A, which no pipeline runs.
 
     The ops run once on a stack of every basis column, so each op's own norm
-    check checks every column's norm; the leading Hadamard blocks' columns
-    come from `walsh_start`, checked when it built them. The stack is checked
-    once more only if the last op does not check itself; else its check covers
-    every op before it. With `rows`, the ops run
-    on a (rows, dim, dim) stack, and row r of a (rows, n) rotation table keys
-    block r of the (rows, dim, dim) result.
+    check checks every column's norm. The stack is checked once more only if
+    the last op does not check itself; else its check covers every op before
+    it. With `rows`, the ops run on a (rows, dim, dim) stack, and row r of a
+    (rows, n) rotation table keys block r of the (rows, dim, dim) result.
     """
     if layout.dim > 1 << 12:
         raise SimulationError("operation_matrix supports at most 12 qubits")
-    start, rest = walsh_start(ops, layout, columns=True)
-    batch = StateVector(layout, start.copy() if rows is None else np.repeat(start[None], rows, axis=0))
-    for op in rest:
+    eye = np.eye(layout.dim)
+    batch = StateVector(layout, eye if rows is None else np.repeat(eye[None], rows, axis=0))
+    for op in ops:
         op.apply(batch)
     if not ops or not ops[-1].checks_norm:
         batch.check_norm()
     return np.ascontiguousarray(np.swapaxes(batch.amps, -1, -2))
 
 
-def walsh_start(
-    ops: Sequence[Operation], layout: RegisterLayout, columns: bool = False
-) -> tuple[np.ndarray, Sequence[Operation]]:
-    """The leading HadamardBlocks of `ops` applied to |0> (shape (dim,)) or,
-    with `columns`, to every basis state (line i of (dim, dim) from |i>), and
+def walsh_start(ops: Sequence[Operation], layout: RegisterLayout) -> tuple[np.ndarray, Sequence[Operation]]:
+    """The leading HadamardBlocks of `ops` applied to |0> (shape (dim,)), and
     the ops after them. The result is read-only. It depends on no value, so
     starts of at most _FIELD_CACHE_MAX_DIM entries are cached, keyed on the
-    layout's registers (equal layouts share them), the blocks' registers and
-    `columns`; the blocks' norm checks run when an entry is built."""
+    layout's registers (equal layouts share them) and the blocks' registers;
+    the blocks' norm checks run when an entry is built."""
     lead = 0
     while lead < len(ops) and type(ops[lead]) is HadamardBlock:
         lead += 1
     registers = tuple(op.register for op in ops[:lead])
     build = _walsh_start
-    if (layout.dim * layout.dim if columns else layout.dim) > _FIELD_CACHE_MAX_DIM:
+    if layout.dim > _FIELD_CACHE_MAX_DIM:
         build = build.__wrapped__  # a large start is built on every call
-    return build(layout, registers, columns), ops[lead:]
+    return build(layout, registers), ops[lead:]
 
 
 @lru_cache(maxsize=64)
-def _walsh_start(layout: RegisterLayout, registers: tuple[str, ...], columns: bool) -> np.ndarray:
-    state = StateVector(layout, np.eye(layout.dim)) if columns else new_state(layout)
+def _walsh_start(layout: RegisterLayout, registers: tuple[str, ...]) -> np.ndarray:
+    state = new_state(layout)
     for register in registers:
         HadamardBlock(register).apply(state)
     state.amps.flags.writeable = False

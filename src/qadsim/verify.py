@@ -22,9 +22,9 @@ from .flawlab import (
     expectation_audit,
     interfere_and_postselect,
 )
-from .pipelines import PipelineConfig, interference_prep
-from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation
-from .ae import PHASE_REGISTER, StatePreparation, qpe_state
+from .pipelines import PipelineConfig, interference_prep, squared_mean_prep
+from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation, readout_rows
+from .ae import PHASE_REGISTER, StatePreparation, _qpe_rows, qpe_state
 
 SUITES = ("bounds", "equivalence", "scaling", "flaws")
 
@@ -138,6 +138,8 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
     full complex FFT, a second path to `phase_distributions`' rfft readout.
     The stacked run of both features as one stage, as both modes run it, must
     give each feature the same distribution and good probability as both.
+    The stage's other builder, the squared-mean preparation, runs the same
+    stacked rows, and each row must match its dense `_qpe_rows` readout.
     """
     data = DataMatrix(np.array([[0.3, -0.7], [0.9, 0.1]]))
     c_const = 1.0
@@ -155,7 +157,10 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
 
     stacked_prep = interference_prep("mean", data.values.T / c_const, {})
     stacked = phase_distributions(stacked_prep, t_bits)
-    stacked_good = stacked_prep.good_probabilities()
+    stacked_good = stacked_prep.masses()[0]
+    squared_prep = squared_mean_prep("square", data.values.T / c_const, {})
+    squared = phase_distributions(squared_prep, t_bits)
+    squared_dense = readout_rows(_qpe_rows(squared_prep, t_bits)[1], PHASE_REGISTER)
     failures = []
     max_dev = 0.0
     for j in range(data.n_cols):
@@ -173,6 +178,7 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
             ("stacked_vs_branch", stacked[j], expected),
             ("good_probability", branch.good_probability(), good_mono),
             ("stacked_good_probability", stacked_good[j], good_mono),
+            ("squared_mean_vs_dense", squared[j], squared_dense[j]),
         ):
             dev = float(np.max(np.abs(got - want)))
             max_dev = max(max_dev, dev)

@@ -4,29 +4,29 @@ import re
 import numpy as np
 import pytest
 
-from qadsim import ae
+from qadsim import ae, simcore
 from qadsim.ae import (
     MAX_GRID_BITS,
     PHASE_REGISTER,
     AEConfig,
-    AEResult,
     GroverOperator,
     StatePreparation,
     bits_for_epsilon,
     estimate_amplitude,
     grid_epsilon,
+    _mass_rows,
     _qpe_rows,
-    _subspace_rows,
     phase_distributions,
     qpe_state,
 )
+from qadsim.adde import run_adde
+from qadsim.adkpca import run_adkpca
 from qadsim.dataio import DataMatrix, QueryLedger
 from qadsim.pipelines import EstimatorRun, PipelineConfig, interference_prep, squared_mean_prep
 from qadsim.simcore import (
     HadamardBlock,
     LayoutError,
     Operation,
-    ReflectAboutZero,
     RegisterLayout,
     SimulationError,
     StateVector,
@@ -38,7 +38,7 @@ from qadsim.simcore import (
     operation_matrix,
     readout_rows,
 )
-from qadsim.verify import _monolithic_mean_prep
+from qadsim.verify import _monolithic_mean_prep, random_instance
 
 
 def const_prep(a: float) -> StatePreparation:
@@ -271,12 +271,6 @@ class TestPrecisionPlanning:
             assert bits_for_epsilon(grid_epsilon(t)) <= t
 
 
-def test_error_bound_formula():
-    res = AEResult(theta=0.0, amplitude=0.5, t_bits=4, mode="ideal", grover_count=15)
-    want = 2 * math.pi * 0.5 / 16 + math.pi**2 / 256
-    assert res.error_bound == pytest.approx(want)
-
-
 # ---------------------------------------------------------------------------
 # independent references: dense linear algebra and the closed form of BHMT
 
@@ -388,7 +382,8 @@ class TestIndependentReferences:
 
     def test_grover_matrix_checks_its_columns(self):
         # Every column of A keeps unit norm, so the per-op checks pass, but A
-        # is not unitary; Q's own column check must catch it.
+        # is not unitary; Q's own column check must catch it. The stage path
+        # replays A on |0> only and cannot see it: only this reference does.
         prep = StatePreparation(
             name="merge",
             layout=RegisterLayout([("a", 1), ("b", 1)]),
@@ -399,8 +394,6 @@ class TestIndependentReferences:
         operation_matrix(prep.ops, prep.layout)
         with pytest.raises(SimulationError, match="norm drifted"):
             GroverOperator(prep).matrix()
-        with pytest.raises(SimulationError, match="norm drifted"):
-            phase_distributions(prep, 3)
 
     def test_qpe_state_equals_naive_powers_and_dft(self):
         for prep, _ in reference_preps():
@@ -420,7 +413,7 @@ class TestIndependentReferences:
     def test_phase_distribution_equals_bhmt_closed_form(self):
         for prep, a in reference_preps():
             assert prep.good_probability() == pytest.approx(a, abs=1e-12)
-            for t in (1, 3, 6, 9, 11):
+            for t in (1, 3, 6, 9, 11, 12):
                 np.testing.assert_allclose(
                     phase_distributions(prep, t)[0], bhmt_distribution(a, t), rtol=0, atol=1e-12
                 )
@@ -435,8 +428,9 @@ class TestIndependentReferences:
 
 
 class TestSubspacePath:
-    """`phase_distributions` runs in each row's plane span{u_g, u_b}; the
-    dense `_qpe_rows` is its reference."""
+    """`phase_distributions` runs in each row's plane span{u_g, u_b}, from the
+    row's good and bad masses (`_mass_rows`); the dense `_qpe_rows` is its
+    reference."""
 
     @pytest.mark.parametrize("build", [interference_prep, squared_mean_prep])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
@@ -457,17 +451,17 @@ class TestSubspacePath:
             np.testing.assert_allclose(phase_distributions(prep, t), dense, rtol=0, atol=1e-12)
 
     def test_rows_with_one_basis_vector_stack_as_they_run_alone(self):
-        # Row 1 has a = 0 and row 3 a = 1, so each has one basis vector, and
-        # the other rows two. Those two rows match bit for bit; a stacked
-        # matmul may round an ordinary row's Q block in its last bit.
+        # Row 1 has a = 0 and row 3 a = 1, so each has w = +-1, and the other
+        # rows a w off the axes. Those two rows match bit for bit; the stacked
+        # fill's multiply may round an ordinary row's line in its last bit.
         table = np.random.default_rng(5).uniform(-0.9, 0.9, size=(4, 4))
         table[1], table[3] = 0.0, [1.0, -1.0, 1.0, 1.0]
         stacked = squared_mean_prep("mixed", table, costs={})
         for t in (1, 4, 10):
-            lines, probs = _subspace_rows(stacked, t), phase_distributions(stacked, t)
+            lines, probs = _mass_rows(stacked, t), phase_distributions(stacked, t)
             for r, row in enumerate(table):
                 alone = squared_mean_prep(f"row{r}", row, costs={})
-                want = _subspace_rows(alone, t)[0], phase_distributions(alone, t)[0]
+                want = _mass_rows(alone, t)[0], phase_distributions(alone, t)[0]
                 for got, expected in zip((lines[r], probs[r]), want):
                     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
                     if r in (1, 3):
@@ -489,10 +483,11 @@ class TestSubspacePath:
         with pytest.raises(LayoutError, match=rf"^duplicate register names in {re.escape(str(names))}$"):
             phase_distributions(clash, 2)
         with pytest.raises(LayoutError, match="width 0"):
-            _subspace_rows(prep, 0)
+            _mass_rows(prep, 0)
 
     def test_a_larger_invariant_space_is_refused(self):
-        # S0 leaves out the passive j, so Q's invariant space of A|0> is 4-D.
+        # S0 leaves out the passive j, so Q's invariant space of A|0> is 4-D:
+        # the stage refuses any preparation whose S0 misses a register.
         mono = _monolithic_mean_prep(DataMatrix(np.array([[0.3, -0.7], [0.9, 0.1]])), 1.0)
         qpe_state(mono, 3)  # the dense path runs it
         with pytest.raises(SimulationError, match="leaves span"):
@@ -500,20 +495,21 @@ class TestSubspacePath:
 
     @pytest.mark.parametrize("poisoned_rows", [[1], [0, 1]])
     def test_a_nan_row_is_refused(self, monkeypatch, poisoned_rows):
-        # A poisoned row's A|0> is all NaN: neither of its parts has a norm > 0,
-        # so no image of it is norm-checked (with every row poisoned, none is),
-        # and the closure check must refuse it.
-        replay = ae.operation_matrix
+        # A poisoned row's A|0> is all NaN, and so are its masses, its w and
+        # its lines: the readout's sum check must refuse it.
+        replay = StatePreparation.prepare
 
-        def poisoned(*args):
-            a = replay(*args)
-            a[poisoned_rows, :, 0] = np.nan
-            return a
+        def poisoned(self):
+            state = replay(self)
+            state.amps[poisoned_rows] = np.nan
+            return state
 
-        monkeypatch.setattr(ae, "operation_matrix", poisoned)
+        monkeypatch.setattr(StatePreparation, "prepare", poisoned)
         prep = interference_prep("nan", np.array([[0.3, -0.5], [0.2, 0.9]]), {})
-        with pytest.raises(SimulationError, match="leaves span"):
+        with pytest.raises(SimulationError, match="drifted"):
             phase_distributions(prep, 3)
+        with pytest.raises(SimulationError, match="drifted"):
+            ae.phase_outcomes(prep, AEConfig(3, "circuit", 0))
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_the_stage_draws_are_draw_on_the_readout(self, k):
@@ -521,7 +517,7 @@ class TestSubspacePath:
         # and guards them again. Both give the same outcome for every seed.
         prep = interference_prep("draws", np.random.default_rng(k).uniform(-0.95, 0.95, (k, 8)), {})
         for t in (1, 4, 10):
-            lines = _subspace_rows(prep, t)
+            lines = _mass_rows(prep, t)
             probs, total = _readout(lines, PHASE_REGISTER)
             np.testing.assert_array_equal(probs, readout_rows(lines, PHASE_REGISTER))
             for seed in range(1000):
@@ -531,10 +527,16 @@ class TestSubspacePath:
                 want = draw(probs, range(seed, seed + k))
                 assert ae.phase_outcomes(prep, AEConfig(t, "circuit", seed)) == want
 
-    def test_a_block_that_is_no_rotation_is_refused(self, monkeypatch):
-        # With S0 turned into the identity, Q = -Schi keeps the plane and unit
-        # norms but acts on it as the reflection diag(1, -1).
-        prep = const_prep(0.3)
-        monkeypatch.setattr(ReflectAboutZero, "diagonal", lambda self, layout: np.ones(layout.dim))
-        with pytest.raises(SimulationError, match="no rotation"):
-            phase_distributions(prep, 3)
+    @pytest.mark.parametrize("run", [run_adde, run_adkpca])
+    def test_a_circuit_run_builds_no_dense_reference(self, monkeypatch, run):
+        # Each stage reads its rows' masses from one replay of A on |0>: no
+        # replay on every basis column and no dense Q.
+        def refused(*args, **kwargs):
+            raise AssertionError("the dense reference ran")
+
+        for owner in (ae, simcore):
+            monkeypatch.setattr(owner, "operation_matrix", refused)
+        monkeypatch.setattr(GroverOperator, "matrix", refused)
+        data, query = random_instance(1)
+        report = run(data, query, PipelineConfig(t_bits=6, mode="circuit", seed=3))
+        assert report.ledger["grover"] > 0

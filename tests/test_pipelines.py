@@ -282,7 +282,7 @@ class TestStacked:
         blocks = GroverOperator(stacked).matrix().reshape(k, dim, dim)
         dists = phase_distributions(stacked, t)
         assert dists.shape == (k, 1 << t)
-        goods = stacked.good_probabilities()
+        goods = stacked.masses()[0]
         for block, dist, good, single in zip(blocks, dists, goods, singles):
             np.testing.assert_allclose(block, GroverOperator(single).matrix(), rtol=0, atol=1e-12)
             np.testing.assert_allclose(dist, phase_distributions(single, t)[0], rtol=0, atol=1e-12)
@@ -333,7 +333,7 @@ class TestStacked:
 
 def _replayed(prep):
     """A|0> of every row and A's (rows, dim, dim) blocks, op by op from
-    |0> and from the identity's columns: the replay `walsh_start` shortens."""
+    |0> and from the identity's columns."""
     state = prep.apply(new_state(prep.layout, prep.rows))
     columns = StateVector(prep.layout, np.tile(np.eye(prep.layout.dim), (prep.rows, 1, 1)))
     for op in prep.ops:
@@ -371,8 +371,8 @@ def _circuit_t10_preparations() -> dict:
 
 
 class TestWalshStartedReplays:
-    """`prepare` and `operation_matrix` start from the cached Hadamard
-    prefix; they must equal the op-by-op replay bit for bit."""
+    """`prepare` starts from the cached Hadamard prefix (`walsh_start`); it
+    and `operation_matrix` must equal the op-by-op replay bit for bit."""
 
     def test_every_circuit_t10_shape(self):
         preps = _circuit_t10_preparations()

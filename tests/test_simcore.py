@@ -641,7 +641,7 @@ def test_norms_on_the_rounded_bounds_are_refused(entry):
 
 class TestWalshStart:
     """`walsh_start` splits off the leading Hadamard blocks and returns their
-    result on |0> or on every basis state, from a bounded cache."""
+    result on |0>, from a bounded cache."""
 
     @staticmethod
     def _ops():
@@ -652,12 +652,12 @@ class TestWalshStart:
     def test_splits_off_the_leading_blocks(self):
         lay = RegisterLayout([("c", 1), ("k", 2), ("t", 1)])
         ops = self._ops()
-        for columns, want in ((False, new_state(lay)), (True, StateVector(lay, np.eye(lay.dim)))):
-            for op in ops[:2]:
-                op.apply(want)
-            start, rest = walsh_start(ops, lay, columns)
-            assert rest == ops[2:]
-            np.testing.assert_array_equal(start, want.amps)
+        want = new_state(lay)
+        for op in ops[:2]:
+            op.apply(want)
+        start, rest = walsh_start(ops, lay)
+        assert rest == ops[2:]
+        np.testing.assert_array_equal(start, want.amps)
         assert walsh_start(ops[2:], lay)[1] == ops[2:]  # no leading block
         np.testing.assert_array_equal(walsh_start(ops[2:], lay)[0], new_state(lay).amps)
 
@@ -667,24 +667,23 @@ class TestWalshStart:
         two = RegisterLayout([("c", 1), ("k", 2), ("t", 1)])
         assert one is not two and one == two and hash(one) == hash(two)
         assert one != RegisterLayout([("k", 2), ("c", 1), ("t", 1)])
-        for columns in (False, True):
-            start = walsh_start(ops, one, columns)[0]
-            assert walsh_start(ops, two, columns)[0] is start
-            assert not start.flags.writeable
-            with pytest.raises(ValueError):
-                start[0] = 1.0
+        start = walsh_start(ops, one)[0]
+        assert walsh_start(ops, two)[0] is start
+        assert not start.flags.writeable
+        with pytest.raises(ValueError):
+            start[0] = 1.0
 
     def test_starts_of_more_than_4096_entries_are_not_cached(self):
         ops = [HadamardBlock("k")]
-        cached = RegisterLayout([("k", 6)])  # 64 x 64 = 4096 entries
-        assert walsh_start(ops, cached, True)[0] is walsh_start(ops, cached, True)[0]
-        for layout, columns in ((RegisterLayout([("k", 7)]), True), (RegisterLayout([("k", 13)]), False)):
-            before = _walsh_start.cache_info()
-            first, second = walsh_start(ops, layout, columns)[0], walsh_start(ops, layout, columns)[0]
-            assert first is not second and not first.flags.writeable
-            np.testing.assert_array_equal(first, second)
-            after = _walsh_start.cache_info()
-            assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+        cached = RegisterLayout([("k", 12)])  # 4096 entries
+        assert walsh_start(ops, cached)[0] is walsh_start(ops, cached)[0]
+        layout = RegisterLayout([("k", 13)])
+        before = _walsh_start.cache_info()
+        first, second = walsh_start(ops, layout)[0], walsh_start(ops, layout)[0]
+        assert first is not second and not first.flags.writeable
+        np.testing.assert_array_equal(first, second)
+        after = _walsh_start.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
 
     def test_the_blocks_norm_checks_run_when_an_entry_is_built(self, monkeypatch):
         _walsh_start.cache_clear()
@@ -740,12 +739,11 @@ def test_operation_matrix_checks_once_per_self_checking_op(monkeypatch):
         ([rotation, Controlled("c", 1, rotation), flip], 3),
         ([rotation, ReflectAboutZero(["k"]), flip], 2),
         ([rotation, _Scale("k", 1.0)], 2),
-        ([HadamardBlock("k"), HadamardBlock("c"), rotation], 3),  # the start's two, then one
+        ([HadamardBlock("k"), HadamardBlock("c"), rotation], 3),
         ([HadamardBlock("k")], 1),
         ([], 1),
     ]
     for ops, checks in cases:
-        _walsh_start.cache_clear()
         calls.clear()
         operation_matrix(ops, lay)
         assert len(calls) == checks, ops
@@ -761,7 +759,6 @@ def test_column_checks_go_through_statevector_check_norm(monkeypatch):
         seen.append(self.amps.shape)
         original(self)
 
-    _walsh_start.cache_clear()  # the leading block's check runs when its start is built
     monkeypatch.setattr(StateVector, "check_norm", counting)
     operation_matrix([HadamardBlock("a"), ReflectAboutZero(["a"])], RegisterLayout([("a", 2)]))
     # The block's own check, and the finished matrix's after the trailing reflection.

@@ -3,7 +3,8 @@
 `perfbench/tracer.py` wraps qadsim functions and methods by name: a traced
 run wraps each entry of `targets()`, and every benchmark run installs a
 `Probe` on `ae.qpe_state` and `ae.estimate_amplitude`. A wrap of a name that
-is gone raises, so deleting or renaming one of them breaks the benchmark.
+is gone raises, so deleting or renaming one of them breaks the benchmark. So
+does deleting an attribute the `Probe` reads off a result (`raw_outcome`).
 """
 import importlib.util
 from pathlib import Path
@@ -35,3 +36,16 @@ def test_probe_wraps_its_names_and_restores_them():
     finally:
         probe.uninstall()
     assert (ae.qpe_state, ae.estimate_amplitude) == originals
+
+
+def test_probe_reads_the_raw_outcome_off_each_result():
+    from qadsim import ae
+    from qadsim.verify import _fixed_amplitude_prep
+
+    probe = _tracer().Probe()
+    probe.install(keep_raw_outcomes=True)
+    try:
+        result = ae.estimate_amplitude(_fixed_amplitude_prep(0.3), ae.AEConfig(4, "circuit", 1))
+    finally:
+        probe.uninstall()
+    assert probe.raw == [result.outcome]
