@@ -16,7 +16,10 @@ circuit mode writes each row's real pre-QFT state in that plane from (g, b)
 (`_mass_rows`), and `simcore.readout_rows` reads the phase register off it
 exactly. The dense path (`GroverOperator.matrix`,
 `_qpe_rows`, `qpe_state`) simulates the whole circuit; it is the reference the
-`equivalence` suite and the tests compare against.
+`equivalence` suite and the tests compare against. Q is only a dense matrix,
+never run op by op. The benchmark's tracer (`perfbench/tracer.py`) wraps
+`qpe_state`, `GroverOperator.matrix` and `good_probability` by name, and
+reads `AEResult.raw_outcome`, which nothing else does.
 """
 from __future__ import annotations
 
@@ -91,11 +94,6 @@ class StatePreparation:
                 raise SimulationError(f"reflection register {name!r} not in layout")
         object.__setattr__(self, "reflection_registers", tuple(refl))
 
-    def apply(self, state: StateVector) -> StateVector:
-        for op in self.ops:
-            op.apply(state)
-        return state
-
     def prepare(self) -> StateVector:
         """A|0> of every row, as a (rows, dim) stack. The replay starts from
         A's leading Hadamard blocks on |0>, built once per shape (`walsh_start`)."""
@@ -127,40 +125,23 @@ class StatePreparation:
 
 
 class GroverOperator:
-    """Q = -A S0 Adag Schi for a state preparation.
+    """Q = -A S0 Adag Schi for a state preparation, as the dense reference's
+    matrix only; no pipeline builds it (circuit mode: `_mass_rows`).
 
-    `apply` runs Q on a state op by op: Schi, then A's ops undone in reverse,
-    S0, and A's ops. `matrix` builds Q from a single replay of A: with A's
-    dense matrix and the +-1 diagonals of the two reflections,
-    Q = -(A diag(S0)) A^T diag(Schi), and every column of the product is
-    checked for unit norm. A's matrix is kept as `_a` (stacked by row) for
-    `_qpe_rows`, which reads A|0> from its column 0 rather than replaying A.
-    The dense reference's Q; no pipeline builds one (circuit mode: `_mass_rows`).
+    `matrix` builds Q from a single replay of A: with A's dense matrix and
+    the +-1 diagonals of the two reflections, Q = -(A diag(S0)) A^T diag(Schi),
+    and every column of the product is checked for unit norm. A's matrix is
+    kept as `_a` (stacked by row) for `_qpe_rows`, which reads A|0> from its
+    column 0 rather than replaying A.
     """
 
     def __init__(self, prep: StatePreparation):
         self.prep = prep
         self.good_flip, self.zero_flip = prep.reflections()
-        # Schi, then Adag, S0 and A, in the order they act on a state.
-        self.ops = (
-            self.good_flip,
-            *(op.dagger() for op in reversed(prep.ops)),
-            self.zero_flip,
-            *prep.ops,
-        )
-
-    def apply(self, state: StateVector, ledger: QueryLedger | None = None) -> StateVector:
-        for op in self.ops:
-            op.apply(state)
-        state.amps *= -1.0
-        if ledger is not None:
-            ledger.add(grover=1)
-        return state
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of Q on the preparation's layout (small layouts); for a
-        stacked preparation, the (rows, dim, dim) blocks of its rows. The
-        reference path's Q; no pipeline builds it."""
+        stacked preparation, the (rows, dim, dim) blocks of its rows."""
         prep = self.prep
         self._a = a = operation_matrix(prep.ops, prep.layout, prep.rows)
         q = (a * -self.zero_flip.diagonal(prep.layout)) @ a.transpose(0, 2, 1)
@@ -176,19 +157,22 @@ class AEConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown AE mode {self.mode!r}")
+        check_mode(self.mode, self.seed)
         if not 1 <= self.t_bits <= MAX_GRID_BITS:
             raise ValueError(f"t_bits must be in 1..{MAX_GRID_BITS}, got {self.t_bits}")
-        if self.mode == "circuit":
-            if self.t_bits > MAX_PHASE_BITS:
-                raise ValueError(
-                    f"circuit mode supports at most {MAX_PHASE_BITS} phase bits"
-                )
-            if self.seed is None:
-                raise ValueError("circuit mode requires a seed")
-            if self.seed < 0:
-                raise ValueError(f"circuit mode requires a non-negative seed, got {self.seed}")
+        if self.mode == "circuit" and self.t_bits > MAX_PHASE_BITS:
+            raise ValueError(f"circuit mode supports at most {MAX_PHASE_BITS} phase bits")
+
+
+def check_mode(mode: str, seed: int | None) -> None:
+    """Refuse (ValueError) an unknown mode, and in circuit mode a missing or negative seed."""
+    if mode not in MODES:
+        raise ValueError(f"unknown AE mode {mode!r}")
+    if mode == "circuit":
+        if seed is None:
+            raise ValueError("circuit mode requires a seed")
+        if seed < 0:
+            raise ValueError(f"circuit mode requires a non-negative seed, got {seed}")
 
 
 @dataclass(frozen=True)

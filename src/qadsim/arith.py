@@ -45,10 +45,6 @@ class FixedPointFormat:
     def word_bits(self) -> int:
         return 1 + self.int_bits + self.frac_bits
 
-    @property
-    def resolution(self) -> float:
-        return 2.0**-self.frac_bits
-
     def encode(self, value: float) -> int:
         """Word for a real value, round-to-nearest-even. Raises on overflow."""
         if not math.isfinite(value):

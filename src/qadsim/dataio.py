@@ -109,23 +109,27 @@ class QueryPoint:
 
 
 def _parse_csv(path: str, has_header: bool) -> list[list[float]]:
-    rows: list[list[float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            parsed = []
-            for colno, cell in enumerate(row, start=1):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell {cell!r} at row {lineno}, column {colno}"
-                    ) from None
-            rows.append(parsed)
+        try:
+            records = list(reader)
+        except csv.Error as exc:  # e.g. a cell past the csv module's field size limit
+            raise DataError(f"{path}: unreadable CSV at row {reader.line_num}: {exc}") from None
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(records, start=1):
+        if has_header and lineno == 1:
+            continue
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        parsed = []
+        for colno, cell in enumerate(row, start=1):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric cell {cell!r} at row {lineno}, column {colno}"
+                ) from None
+        rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

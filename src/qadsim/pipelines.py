@@ -24,11 +24,11 @@ from typing import Callable
 import numpy as np
 
 from .ae import (
-    MODES,
     AEConfig,
     AEResult,
     StatePreparation,
     bits_for_epsilon,
+    check_mode,
     estimate_amplitude,
     grid_epsilon,
     label_is_zero,
@@ -60,13 +60,7 @@ class PipelineConfig:
             raise ValueError("exactly one of t_bits / epsilon must be given")
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown AE mode {self.mode!r}")
-        if self.mode == "circuit":
-            if self.seed is None:
-                raise ValueError("circuit mode requires a seed")
-            if self.seed < 0:
-                raise ValueError(f"circuit mode requires a non-negative seed, got {self.seed}")
+        check_mode(self.mode, self.seed)
 
     def echo(self) -> dict:
         return {

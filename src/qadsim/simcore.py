@@ -14,9 +14,13 @@ alone; a :class:`ValueKeyedRotation` with a (k, n) table gives row r of a
 Amplitudes are real (float64): every operation A and Q use is real orthogonal
 (Walsh-Hadamard blocks, keyed rotations, controlled versions of these, +-1
 reflections). Each op re-checks the norm invariant except the reflections,
-exact sign flips that cannot change it. The one complex step, the inverse QFT
-of phase estimation, is never applied to a state: :class:`Qft` reads the
-register's outcome distribution off the real state with a half-spectrum FFT.
+exact sign flips that cannot change it. No op has an inverse: Q is only a
+dense matrix, from A's (`operation_matrix`) and the reflections' diagonals.
+The one complex step, the inverse QFT of phase estimation, is never applied
+to a state: `readout_rows` reads the register's outcome distribution off real
+states with a half-spectrum FFT. :class:`Qft`, `measure` (with `draw` and
+`StateVector.norm_sq`) and the reflections' `kernel` serve no product path;
+the benchmark's tracer (`perfbench/tracer.py`) wraps them by name.
 Digital arithmetic is not simulated gate by gate: an oracle write, a
 controlled rotation on the written value and the uncompute collapse into one
 :class:`ValueKeyedRotation` on the index.
@@ -87,10 +91,6 @@ class RegisterLayout:
     def offset(self, name: str) -> int:
         self._require(name)
         return self._offsets[name]
-
-    def extract(self, labels, name: str):
-        """Register field of full basis label(s); vectorized over arrays."""
-        return (labels >> self.offset(name)) & ((1 << self.width(name)) - 1)
 
     def field(self, *names: str) -> np.ndarray:
         """Joint field of the named registers for every basis label.
@@ -222,9 +222,6 @@ class Operation:
     def kernel(self, state: StateVector) -> None:
         raise NotImplementedError
 
-    def dagger(self) -> "Operation":
-        raise NotImplementedError
-
 
 # (-1)^b for target bit b, on a keyed rotation's (..., 2, low labels) axes.
 _SIGNS = np.array([[1.0], [-1.0]])
@@ -273,9 +270,6 @@ class HadamardBlock(Operation):
             else:
                 a = state.amps.reshape(-1, 1 << bits, 1 << (off + k))
                 state.amps = np.matmul(_walsh(bits), a).reshape(shape)
-
-    def dagger(self) -> "HadamardBlock":
-        return self
 
 
 class Qft:
@@ -366,9 +360,6 @@ class ValueKeyedRotation(Operation):
         out = v * _SIGNS * a + s * a[..., ::-1, :]
         state.amps = out.reshape(state.amps.shape)
 
-    def dagger(self) -> "ValueKeyedRotation":
-        return self
-
 
 class Controlled(Operation):
     """Apply an inner operation only where a control register holds a value.
@@ -394,9 +385,6 @@ class Controlled(Operation):
         amps[:, self.control_value] = part.amps.reshape(-1, lo)
         state.amps = amps.reshape(shape)
 
-    def dagger(self) -> "Controlled":
-        return Controlled(self.control, self.control_value, self.inner.dagger())
-
 
 @lru_cache(maxsize=64)
 def _without(layout: RegisterLayout, register: str) -> RegisterLayout:
@@ -417,9 +405,6 @@ class ReflectAboutZero(Operation):
     def kernel(self, state: StateVector) -> None:
         state.amps *= self.diagonal(state.layout)
 
-    def dagger(self) -> "ReflectAboutZero":
-        return self
-
 
 class ReflectWhere(Operation):
     """Sign flip on basis states whose register label satisfies a predicate."""
@@ -434,9 +419,6 @@ class ReflectWhere(Operation):
 
     def kernel(self, state: StateVector) -> None:
         state.amps *= self.diagonal(state.layout)
-
-    def dagger(self) -> "ReflectWhere":
-        return self
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class TestFixedPointFormat:
     def test_resolution_bound(self):
         rng = np.random.default_rng(0)
         for v in rng.uniform(-3.5, 3.5, size=50):
-            assert abs(FMT.quantize(v) - v) <= FMT.resolution / 2
+            assert abs(FMT.quantize(v) - v) <= 2.0**-FMT.frac_bits / 2  # half the resolution
 
     @pytest.mark.parametrize("widths", [(-1, 16), (8, -1), (100_000_000_000, 16), (48, 16)])
     def test_bad_widths_rejected(self, widths):

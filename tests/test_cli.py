@@ -224,6 +224,8 @@ FUZZ_CSVS = {
     "overflow-1e308": ("1,2\n1e308,4\n0,3\n", "1,3\n"),
     "overflow-4x3": ("1,2,1\n1e308,4,2\n0,3,1\n2,1,5\n", "1,3,2\n"),
     "overflow-query": ("1,2\n3,4\n0,3\n", "1,-1e308\n"),
+    # A cell past the csv module's field size limit of 131072 characters.
+    "overlong-cell": ("1,2\n3," + "4" * 131073 + "\n0,3\n", "1,3\n"),
 }
 # Each overflowing input, under the command that used to end in a traceback,
 # an exit 0 with an infinite variance, or NumPy warnings.

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,13 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("1,2\n3,oops\n")
         with pytest.raises(DataError, match="row 2, column 2"):
+            load_csv(str(p))
+
+    def test_overlong_cell_is_a_data_error_naming_the_row(self, tmp_path):
+        # The csv module refuses a cell past its field size limit (131072 characters).
+        p = tmp_path / "d.csv"
+        p.write_text("1,2\n3," + "4" * 131073 + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: unreadable CSV at row 2: field larger"):
             load_csv(str(p))
 
     def test_ragged_rows(self, tmp_path):

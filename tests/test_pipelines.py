@@ -334,9 +334,10 @@ class TestStacked:
 def _replayed(prep):
     """A|0> of every row and A's (rows, dim, dim) blocks, op by op from
     |0> and from the identity's columns."""
-    state = prep.apply(new_state(prep.layout, prep.rows))
+    state = new_state(prep.layout, prep.rows)
     columns = StateVector(prep.layout, np.tile(np.eye(prep.layout.dim), (prep.rows, 1, 1)))
     for op in prep.ops:
+        op.apply(state)
         op.apply(columns)
     return state.amps, np.swapaxes(columns.amps, -1, -2)
 

@@ -1,7 +1,8 @@
 """Property tests: every operation that A and Q are built from is a real
-orthogonal map, and its `dagger` inverts it. On a (k, dim) stack of states
-each op, and Q, acts on every state exactly as on that state alone, and the
-norm check holds each state to unit norm on its own.
+orthogonal map. On a (k, dim) stack of states each op acts on every state
+exactly as on that state alone, a stacked preparation's Q is the Q of each
+row alone, block by block, and the norm check holds each state to unit norm
+on its own.
 
 Layouts, register order, widths (1 to 6 qubits), rotation values, control
 values and reflection predicates are drawn at random. The keyed rotation's
@@ -86,14 +87,11 @@ def ops(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(ops())
-def test_op_is_real_orthogonal_and_dagger_inverts(case):
+def test_op_is_real_orthogonal(case):
     layout, op = case
     mat = operation_matrix([op], layout)
     assert mat.dtype == np.float64
-    eye = np.eye(layout.dim)
-    np.testing.assert_allclose(mat @ mat.T, eye, rtol=0, atol=TOL)
-    inverse = operation_matrix([op.dagger()], layout)
-    np.testing.assert_allclose(inverse @ mat, eye, rtol=0, atol=TOL)
+    np.testing.assert_allclose(mat @ mat.T, np.eye(layout.dim), rtol=0, atol=TOL)
 
 
 @settings(deadline=None, max_examples=30)
@@ -156,18 +154,14 @@ def test_op_on_a_stack_equals_the_op_on_each_row(case):
 
 @settings(deadline=None, max_examples=30)
 @given(st.integers(1, 8), st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
-def test_grover_apply_on_a_stack_equals_each_row(k, bits, squared, seed):
+def test_grover_matrix_on_a_stack_equals_each_row(k, bits, squared, seed):
     build = squared_mean_prep if squared else interference_prep
-    rng = np.random.default_rng(seed)
-    table = rng.uniform(-0.99, 0.99, size=(k, 1 << bits))
+    table = np.random.default_rng(seed).uniform(-0.99, 0.99, size=(k, 1 << bits))
     stacked = build("stack", table, {})
-    amps = rng.normal(size=(k, stacked.layout.dim))
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
-    got = GroverOperator(stacked).apply(StateVector(stacked.layout, amps.copy())).amps
-    for out, row, values in zip(got, amps, table):
-        single = build("row", values, {})
-        want = GroverOperator(single).apply(StateVector(single.layout, row.copy())).amps
-        np.testing.assert_array_equal(out, want)
+    # A one-row stack gives one (dim, dim) matrix, not a stack of one.
+    blocks = GroverOperator(stacked).matrix().reshape(k, stacked.layout.dim, -1)
+    for block, values in zip(blocks, table):
+        np.testing.assert_array_equal(block, GroverOperator(build("row", values, {})).matrix())
 
 
 @settings(deadline=None, max_examples=30)
@@ -238,8 +232,12 @@ def reflections(draw):
 def test_cached_diagonals_equal_a_fresh_evaluation(case):
     layout, register, predicate, zero = case
     labels = np.arange(layout.dim)
-    where = np.array([predicate(v) for v in layout.extract(labels, register)])
-    at_zero = np.all([layout.extract(labels, name) == 0 for name in zero], axis=0)
+
+    def extract(name):  # a register's field of each label, by bit arithmetic
+        return (labels >> layout.offset(name)) & ((1 << layout.width(name)) - 1)
+
+    where = np.array([predicate(v) for v in extract(register)])
+    at_zero = np.all([extract(name) == 0 for name in zero], axis=0)
     for op, hits in ((ReflectWhere(register, predicate), where), (ReflectAboutZero(zero), at_zero)):
         diagonal = op.diagonal(layout)
         np.testing.assert_array_equal(diagonal, np.where(hits, -1.0, 1.0))
@@ -293,8 +291,10 @@ def prefixed_preparations(draw):
 def test_a_replay_from_the_walsh_start_equals_the_op_by_op_replay(case):
     prep, lead, rows = case
     assert walsh_start(prep.ops, prep.layout)[1] == prep.ops[lead:]
-    np.testing.assert_array_equal(prep.prepare().amps,
-                                  prep.apply(new_state(prep.layout, prep.rows)).amps)
+    state = new_state(prep.layout, prep.rows)
+    for op in prep.ops:
+        op.apply(state)
+    np.testing.assert_array_equal(prep.prepare().amps, state.amps)
     eye = np.eye(prep.layout.dim)
     columns = StateVector(prep.layout, eye if rows is None else np.tile(eye, (rows, 1, 1)))
     for op in prep.ops:

@@ -33,6 +33,11 @@ from qadsim.simcore import (
 from qadsim.config import NORM_TOL
 
 
+def extract(layout: RegisterLayout, labels: np.ndarray, name: str) -> np.ndarray:
+    """A register's field of each basis label, by bit arithmetic."""
+    return (labels >> layout.offset(name)) & ((1 << layout.width(name)) - 1)
+
+
 class TestRegisterLayout:
     def test_first_register_is_least_significant(self):
         lay = RegisterLayout([("a", 2), ("b", 3)])
@@ -44,15 +49,14 @@ class TestRegisterLayout:
     def test_extract_and_replace_roundtrip(self):
         lay = RegisterLayout([("a", 2), ("b", 3)])
         label = (5 << 2) | 3  # b=5, a=3
-        assert lay.extract(label, "a") == 3
-        assert lay.extract(label, "b") == 5
-        rebuilt = sum(int(lay.extract(label, n)) << lay.offset(n) for n in lay.names)
+        assert lay.field("a")[label] == 3
+        assert lay.field("b")[label] == 5
+        rebuilt = sum(int(lay.field(n)[label]) << lay.offset(n) for n in lay.names)
         assert rebuilt == label
 
     def test_extract_vectorized(self):
         lay = RegisterLayout([("a", 1), ("b", 1)])
-        labels = np.arange(4)
-        assert lay.extract(labels, "b").tolist() == [0, 0, 1, 1]
+        assert lay.field("b").tolist() == [0, 0, 1, 1]
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(LayoutError):
@@ -78,11 +82,11 @@ class TestRegisterLayout:
         labels = np.arange(lay.dim)
         for name in lay.names:
             field = lay.field(name)
-            np.testing.assert_array_equal(field, lay.extract(labels, name))
+            np.testing.assert_array_equal(field, extract(lay, labels, name))
             assert not field.flags.writeable
             with pytest.raises(ValueError):
                 field[0] = 1
-        joint = lay.extract(labels, "c") | (lay.extract(labels, "a") << 3)
+        joint = extract(lay, labels, "c") | (extract(lay, labels, "a") << 3)
         np.testing.assert_array_equal(lay.field("c", "a"), joint)
 
     def test_field_is_shared_by_equal_layouts(self):
@@ -96,7 +100,7 @@ class TestRegisterLayout:
         lay = RegisterLayout([("a", 6), ("b", 7)])
         before = _label_field.cache_info().currsize
         field = lay.field("b")
-        np.testing.assert_array_equal(field, lay.extract(np.arange(lay.dim), "b"))
+        np.testing.assert_array_equal(field, extract(lay, np.arange(lay.dim), "b"))
         assert not field.flags.writeable
         assert lay.field("b") is not field
         assert _label_field.cache_info().currsize == before
@@ -235,7 +239,7 @@ class TestValueKeyedRotation:
         amps /= np.linalg.norm(amps)
         state = StateVector(lay, amps.copy())
         rot.apply(state)
-        rot.dagger().apply(state)
+        rot.apply(state)
         np.testing.assert_allclose(state.amps, amps, atol=1e-12)
 
     def test_value_out_of_range_rejected(self):
@@ -546,7 +550,7 @@ class _Squeeze(Operation):
 
     def apply(self, state: StateVector) -> StateVector:
         lay = state.layout
-        bit = lay.extract(np.arange(lay.dim), self.register)
+        bit = extract(lay, np.arange(lay.dim), self.register)
         state.amps = np.where(bit == 0, np.sqrt(2.0) * state.amps, 0.0)
         return state
 
