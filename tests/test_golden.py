@@ -5,7 +5,9 @@ of the seeded raw outcomes, so every report must match its stored copy
 exactly. A change that moves any number here changes what qadsim computes.
 
 `circuit-digest.json` pins many more circuit runs by hash: the sha256 of each
-report's sorted JSON, or the type and message of the error a run raises.
+report's sorted JSON. A run that is refused is pinned, in both kinds of file,
+by its error's type and message; under `circuit-eps0.9` some ADDE plans need
+more phase bits than circuit mode allows.
 
 Regenerate the files (only when a change of results is intended) with
 
@@ -31,20 +33,29 @@ CONFIGS = {
     "circuit-t4": dict(t_bits=4, mode="circuit", seed=40),
     "circuit-t6": dict(t_bits=6, mode="circuit", seed=60),
     "circuit-t10": dict(t_bits=10, mode="circuit", seed=100),
+    "circuit-eps0.9": dict(epsilon=0.9, mode="circuit", seed=90),
 }
 DIGEST_SEEDS = range(100)
-DIGEST_CONFIGS = ("circuit-t6", "circuit-t10")
+DIGEST_CONFIGS = ("circuit-t6", "circuit-t10", "circuit-eps0.9")
+PIPELINES = (("adde", run_adde), ("adkpca", run_adkpca))
+
+
+def _report(run, seed: int, name: str) -> dict | str:
+    """One run's report dict, or the type and message of the error that refused it."""
+    data, query = random_instance(seed)
+    try:
+        return run(data, query, PipelineConfig(**CONFIGS[name])).as_dict()
+    except (QadsimError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def reports(name: str) -> dict:
     """{'<pipeline>/<seed>': report dict} for one configuration."""
     out = {}
     for seed in SEEDS:
-        data, query = random_instance(seed)
-        for pipeline, run in (("adde", run_adde), ("adkpca", run_adkpca)):
-            rep = run(data, query, PipelineConfig(**CONFIGS[name]))
+        for pipeline, run in PIPELINES:
             # A JSON round trip gives the stored form (tuples become lists).
-            out[f"{pipeline}/{seed}"] = json.loads(json.dumps(rep.as_dict()))
+            out[f"{pipeline}/{seed}"] = json.loads(json.dumps(_report(run, seed, name)))
     return out
 
 
@@ -54,14 +65,11 @@ def digests() -> dict:
     for name in DIGEST_CONFIGS:
         out[name] = {}
         for seed in DIGEST_SEEDS:
-            data, query = random_instance(seed)
-            for pipeline, run in (("adde", run_adde), ("adkpca", run_adkpca)):
-                try:
-                    body = json.dumps(run(data, query, PipelineConfig(**CONFIGS[name])).as_dict(), sort_keys=True)
-                except QadsimError as exc:
-                    out[name][f"{pipeline}/{seed}"] = f"{type(exc).__name__}: {exc}"
-                    continue
-                out[name][f"{pipeline}/{seed}"] = hashlib.sha256(body.encode()).hexdigest()
+            for pipeline, run in PIPELINES:
+                report = _report(run, seed, name)
+                if isinstance(report, dict):
+                    report = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+                out[name][f"{pipeline}/{seed}"] = report
     return out
 
 
