@@ -22,7 +22,7 @@ from .dataio import (
     floor_variance,
     power_of_two_at_least,
 )
-from .pipelines import EstimatorRun, PipelineConfig, report_dict
+from .pipelines import EstimatorRun, Part, PipelineConfig, report_dict
 
 LOG_2PI = math.log(2.0 * math.pi)
 # The stages `budget_shares` splits epsilon over; the tail stage runs p and q.
@@ -94,10 +94,10 @@ def estimate_means(
     being the column mean over x_j^i / C.
     """
     fmt = runner.config.fp_format
-    means = runner.means(
+    (means,) = runner.means(Part(
         "mean", data.real_values.T / constants.C, data.padded_rows,
         {"oracle_data": 2, "arithmetic": 1}, t_bits, signed=True, scale=constants.C,
-    )
+    ))
     return np.array([fmt.quantize(v) for v in means])
 
 
@@ -117,10 +117,10 @@ def estimate_variances(
     fmt = runner.config.fp_format
     residuals = data.real_values - mu_hat
     d_used = max(constants.D, float(np.max(np.abs(residuals))))
-    variances = runner.means(
+    (variances,) = runner.means(Part(
         "variance", residuals.T / d_used, data.padded_rows,
         {"oracle_data": 2, "arithmetic": 2}, t_bits, signed=False, scale=d_used**2,
-    )
+    ))
     return np.array([fmt.quantize(v) for v in variances]), d_used
 
 
@@ -129,16 +129,17 @@ def estimate_p(
     mu_hat: np.ndarray,
     sigma2_hat: np.ndarray,
     t_const: float,
-    runner: EstimatorRun,
+    policy: str,
     t_bits: int,
-) -> tuple[float, float]:
-    """Mean squared standardized residual of the query point.
+) -> tuple[Part, float]:
+    """Mean squared standardized residual of the query point, as the one-row
+    part that `EstimatorRun.means` reads (its mean is p_hat).
 
-    Returns (p_hat, T actually used).  If the estimated mean/variance break
+    Returns (part, T actually used).  If the estimated mean/variance break
     the rotation bound for the initial T, T is recomputed from the estimates
-    and the stage retried once.
+    and the rotations built with it.
     """
-    sigma2_hat = floor_variance(sigma2_hat, runner.config.policy, "estimated variance")
+    sigma2_hat = floor_variance(sigma2_hat, policy, "estimated variance")
     sigma_hat = np.sqrt(sigma2_hat)
     x0 = query.real_values
 
@@ -148,35 +149,33 @@ def estimate_p(
         t_used = power_of_two_at_least(float(np.max(np.abs(x0 - mu_hat) / sigma_hat)))
         ratios = (x0 - mu_hat) / (sigma_hat * t_used)
 
-    (p_hat,) = runner.means(
+    part = Part(
         "p", ratios[None], query.padded_dim, {"oracle_query": 2, "arithmetic": 2}, t_bits,
         signed=False,
     )
-    return p_hat, t_used
+    return part, t_used
 
 
 def estimate_q(
     sigma2_hat: np.ndarray,
     e_const: float,
-    runner: EstimatorRun,
+    policy: str,
     t_bits: int,
     padded_dim: int,
-) -> tuple[float, float]:
-    """Mean log-variance via the interference preparation.
+) -> tuple[Part, float]:
+    """Mean log-variance via the interference preparation, as the part that
+    `EstimatorRun.means` reads (its one mean is q_hat).
 
-    Returns (q_hat, E actually used); the normalizer E is inflated when an
-    estimated log-variance exceeds the classical maximum.
+    Returns (part, E actually used); the normalizer E is inflated when an
+    estimated log-variance exceeds the classical maximum. When every
+    estimated variance is exactly 1, the sum is exactly zero: the part has
+    no row and runs no AE, and q_hat is 0.
     """
-    sigma2_hat = floor_variance(sigma2_hat, runner.config.policy, "estimated variance")
+    sigma2_hat = floor_variance(sigma2_hat, policy, "estimated variance")
     logs = np.log(sigma2_hat)
     e_used = max(e_const, float(np.max(np.abs(logs))))
-    if e_used == 0.0:
-        # All estimated variances are exactly 1; the sum is exactly zero.
-        return 0.0, e_const
-    (q_hat,) = runner.means(
-        "q", (logs / e_used)[None], padded_dim, {"arithmetic": 2}, t_bits, signed=True
-    )
-    return q_hat, e_used
+    rows = (logs / e_used)[None] if e_used else np.empty((0, logs.size))
+    return Part("q", rows, padded_dim, {"arithmetic": 2}, t_bits, signed=True), e_used
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +230,10 @@ def run_adde(
 
     mu_hat = estimate_means(data, constants, runner, t_mean)
     sigma2_hat, _d_used = estimate_variances(data, mu_hat, constants, runner, t_var)
-    p_hat, t_used = estimate_p(query, mu_hat, sigma2_hat, constants.T, runner, t_tail)
-    q_hat, e_used = estimate_q(sigma2_hat, constants.E, runner, t_tail, query.padded_dim)
+    p_part, t_used = estimate_p(query, mu_hat, sigma2_hat, constants.T, config.policy, t_tail)
+    q_part, e_used = estimate_q(sigma2_hat, constants.E, config.policy, t_tail, query.padded_dim)
+    (p_hat,), q_read = runner.means(p_part, q_part)  # one wave: p and q share t_tail
+    q_hat = q_read[0] if q_read else 0.0
     ln_p_hat = log_density_estimate(p_hat, q_hat, d, t_used, e_used)
 
     bounds = {

@@ -21,7 +21,7 @@ from .dataio import (
     QueryPoint,
     compute_constants,
 )
-from .pipelines import EstimatorRun, PipelineConfig, report_dict
+from .pipelines import EstimatorRun, Part, PipelineConfig, report_dict
 from .adde import classical_fit, estimate_means
 
 # The stages `budget_shares` splits epsilon over: mean, distance, overlap
@@ -98,20 +98,20 @@ def estimate_a(
     query: QueryPoint,
     mu_hat: np.ndarray,
     c_prime: float,
-    runner: EstimatorRun,
     t_bits: int,
-) -> tuple[float, float]:
-    """Mean squared normalized distance of the query from the estimated mean.
+) -> tuple[Part, float]:
+    """Mean squared normalized distance of the query from the estimated mean,
+    as the one-row part that `EstimatorRun.means` reads (its mean is a_hat).
 
-    Returns (a_hat, normalizer actually used).
+    Returns (part, normalizer actually used).
     """
     z = query.real_values - mu_hat
     used = _normalizer(c_prime, float(np.max(np.abs(z))), "C'")
-    (a_hat,) = runner.means(
+    part = Part(
         "a", (z / used)[None], query.padded_dim, {"oracle_query": 2, "arithmetic": 2}, t_bits,
         signed=False,
     )
-    return a_hat, used
+    return part, used
 
 
 def estimate_omegas(
@@ -119,24 +119,23 @@ def estimate_omegas(
     query: QueryPoint,
     mu_hat: np.ndarray,
     c_dprime: float,
-    runner: EstimatorRun,
     t_bits: int,
-) -> tuple[np.ndarray, float]:
-    """Per-point normalized inner products of centered vectors.
+) -> tuple[Part, float]:
+    """Per-point normalized inner products of centered vectors, as the part
+    that `EstimatorRun.means` reads, one row per training point.
 
     omega_i is the overlap of the rotated point state with the flat state,
-    recovered signed via 2 a - 1 and stored digitally (fixed point).
+    recovered signed via 2 a - 1; `run_adkpca` stores it digitally (fixed
+    point). Returns (part, normalizer actually used).
     """
-    fmt = runner.config.fp_format
     z0 = query.real_values - mu_hat
     products = (data.real_values - mu_hat) * z0
     used = _normalizer(c_dprime, float(np.max(np.abs(products))), "C''")
-    omegas = runner.means(
+    part = Part(
         "omega", products / used, query.padded_dim,
         {"oracle_data": 2, "oracle_query": 2, "arithmetic": 2}, t_bits, signed=True,
     )
-    # The true overlap is in [-1, 1]; clip away estimation/pad overshoot.
-    return np.clip([fmt.quantize(w) for w in omegas], -1.0, 1.0), used
+    return part, used
 
 
 def estimate_b(
@@ -145,10 +144,10 @@ def estimate_b(
     """Mean of squared overlaps via one more amplitude estimation round."""
     if np.max(np.abs(omegas_hat)) > 1.0 + 1e-12:
         raise ConstantViolationError("omega magnitude exceeds 1")
-    (b_hat,) = runner.means(
+    ((b_hat,),) = runner.means(Part(
         "b", np.clip(omegas_hat, -1.0, 1.0)[None], padded_rows, {"arithmetic": 2}, t_bits,
         signed=False,
-    )
+    ))
     return b_hat
 
 
@@ -191,10 +190,12 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     (t_mean, eps_mean), (t_dist, eps_dist), (t_omega, eps_omega), (t_bsum, eps_bsum) = plan
 
     mu_hat = estimate_means(data, constants, runner, t_mean)
-    a_hat, cp_used = estimate_a(query, mu_hat, constants.C_prime, runner, t_dist)
-    omegas_hat, cdp_used = estimate_omegas(
-        data, query, mu_hat, constants.C_dprime, runner, t_omega
-    )
+    a_part, cp_used = estimate_a(query, mu_hat, constants.C_prime, t_dist)
+    omega_part, cdp_used = estimate_omegas(data, query, mu_hat, constants.C_dprime, t_omega)
+    # One wave when t_dist == t_omega (a configured t); under epsilon, one each.
+    (a_hat,), omegas = runner.means(a_part, omega_part)
+    # The true overlap is in [-1, 1]; clip away estimation/pad overshoot.
+    omegas_hat = np.clip([config.fp_format.quantize(w) for w in omegas], -1.0, 1.0)
     b_hat = estimate_b(omegas_hat, data.padded_rows, runner, t_bsum)
     f_hat = proximity_estimate(a_hat, b_hat, d, m, cp_used, cdp_used)
 

@@ -11,10 +11,15 @@ the ledger.
 When S0 acts on every register, Q rotates the plane of the good and bad parts
 of A|0> by 2 theta, so the phase distribution depends on A only through their
 masses g and b (Brassard, Hoyer, Mosca, Tapp, quant-ph/0005055, Lemma 1).
-Both modes replay A once per stage, on |0> (`StatePreparation.masses`);
-circuit mode writes each row's real pre-QFT state in that plane from (g, b)
-(`_mass_rows`), and `simcore.readout_rows` reads the phase register off it
-exactly. The dense path (`GroverOperator.matrix`,
+Both modes replay A once per preparation, on |0> (`StatePreparation.masses`).
+`phase_outcomes` reads the rows of several preparations at once: in circuit
+mode `_plane_masses` checks each preparation and returns its rows' (g, b),
+`_mass_rows` writes every row's real pre-QFT state in that plane from the
+concatenated masses as one stack, and one readout (`simcore._readout`, which
+reads the phase register off it exactly) and one draw, row i with seed + i,
+finish it. A pipeline hands it a wave, the rows of its stages that share a t
+(`pipelines.EstimatorRun.means`), so a run pays the stack's fixed NumPy cost
+once per wave, not once per stage. The dense path (`GroverOperator.matrix`,
 `_qpe_rows`, `qpe_state`) simulates the whole circuit; it is the reference the
 `equivalence` suite and the tests compare against. Q is only a dense matrix,
 never run op by op. The benchmark's tracer (`perfbench/tracer.py`) wraps
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -250,25 +255,34 @@ def qpe_state(prep: StatePreparation, t: int) -> StateVector:
     return StateVector(layout, rows.reshape(-1))
 
 
-def _mass_rows(prep: StatePreparation, t: int) -> np.ndarray:
-    """The (rows, 2^t, 2) stack of the rows' states right before the inverse
-    QFT, each line in its row's basis {u_g, u_b}: the normalised good and bad
-    parts of A|0>, which span Q's invariant plane when S0 acts on every
-    register (BHMT Lemma 1); a preparation whose S0 leaves one out is refused.
-
-    Each row's masses g and b come from one replay of A (`masses`). On
-    coefficients z = z_g + i z_b, Q multiplies by w = ((b - g) - 2i sqrt(gb)) / n,
-    n = g + b, so line 0 is (sqrt(g/n), sqrt(b/n)) times (1/sqrt 2)^t and
-    lines [2^k, 2^(k+1)) are lines [0, 2^k) times w^(2^k), each square scaled
-    back to |w|. A row with a in {0, 1} gets w = +-1.
-    """
+def _plane_masses(prep: StatePreparation, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's good and bad masses (g, b) (`masses`), once the preparation
+    passes the checks its t-bit phase estimation needs: the phase register
+    fits its layout, and S0 acts on every register, so that Q keeps the plane
+    of the good and bad parts of A|0> (BHMT Lemma 1); a preparation whose S0
+    leaves one out is refused."""
     lay = prep.layout
     if t < 1 or PHASE_REGISTER in lay or lay.n_qubits + t > qubit_cap():
         RegisterLayout([*lay.registers, (PHASE_REGISTER, t)])  # raises its LayoutError
     left_out = [name for name in lay.names if name not in prep.reflection_registers]
     if left_out:
         raise SimulationError(f"Q leaves span{{good, bad}} of A|0>: S0 leaves out {left_out}")
-    good, bad = prep.masses()
+    return prep.masses()
+
+
+def _mass_rows(good: np.ndarray, bad: np.ndarray, t: int) -> np.ndarray:
+    """The (rows, 2^t, 2) stack of the rows' states right before the inverse
+    QFT, row i from the masses good[i] and bad[i] of its `_plane_masses`, each
+    line in its row's basis {u_g, u_b}: the normalised good and bad parts of
+    A|0>, which span Q's invariant plane.
+
+    On coefficients z = z_g + i z_b, Q multiplies by w = ((b - g) - 2i sqrt(gb)) / n,
+    n = g + b, so line 0 is (sqrt(g/n), sqrt(b/n)) times (1/sqrt 2)^t and
+    lines [2^k, 2^(k+1)) are lines [0, 2^k) times w^(2^k), each square scaled
+    back to |w|. A row with a in {0, 1} gets w = +-1. Every step is
+    elementwise, so a row's lines do not depend on the rows beside it, but
+    for the last ulp a stacked multiply may round differently.
+    """
     total = good + bad
     squares = []  # each row's w^(2^k) for k < t, squared on Python complex numbers
     for c, s in zip(((bad - good) / total).tolist(), (-2.0 * np.sqrt(good * bad) / total).tolist()):
@@ -276,8 +290,8 @@ def _mass_rows(prep: StatePreparation, t: int) -> np.ndarray:
         for _ in range(t - 1):
             squares[-1].append(w := w * w / abs(w))
     factors = np.array(squares).T[:, :, None]
-    fill = np.empty((prep.rows, 1 << t), dtype=complex)
-    lines = fill.view(np.float64).reshape(prep.rows, 1 << t, 2)
+    fill = np.empty((len(total), 1 << t), dtype=complex)
+    lines = fill.view(np.float64).reshape(len(total), 1 << t, 2)
     lines[:, 0] = np.sqrt(np.stack([good, bad], axis=1) / total[:, None]) * _SQRT2_INV**t
     for k in range(t):
         half = 1 << k
@@ -288,22 +302,25 @@ def _mass_rows(prep: StatePreparation, t: int) -> np.ndarray:
 def phase_distributions(prep: StatePreparation, t: int) -> np.ndarray:
     """(rows, 2^t) distributions of the phase-register outcome, one per row,
     read from `_mass_rows`: no dense Q and no (2^t, dim) state."""
-    return readout_rows(_mass_rows(prep, t), PHASE_REGISTER)
+    return readout_rows(_mass_rows(*_plane_masses(prep, t), t), PHASE_REGISTER)
 
 
-def phase_outcomes(prep: StatePreparation, config: AEConfig) -> list[int]:
-    """The phase outcome y of each row of a preparation, in row order.
+def phase_outcomes(preps: Sequence[StatePreparation], config: AEConfig) -> list[int]:
+    """The phase outcome y of each row of the preparations, in order: the
+    rows of preps[0], then those of preps[1], and so on.
 
     Ideal mode takes the grid point nearest each row's exact angle, read from
-    the good masses. Circuit mode draws row i from its phase
-    distribution with seed config.seed + i.
+    the good masses. Circuit mode reads every row as one stack: one fill of
+    the preparations' masses, one readout and one draw, row i (counted over
+    all the preparations) with seed config.seed + i.
     """
     t = config.t_bits
     if config.mode == "circuit":
-        probs, total = _readout(_mass_rows(prep, t), PHASE_REGISTER)
-        return _sample(probs, total, range(config.seed, config.seed + prep.rows))
-    goods = prep.masses()[0].tolist()
-    thetas = [math.asin(math.sqrt(min(max(a, 0.0), 1.0))) for a in goods]
+        good, bad = (np.concatenate(side) for side in zip(*(_plane_masses(p, t) for p in preps)))
+        probs, total = _readout(_mass_rows(good, bad, t), PHASE_REGISTER)
+        return _sample(probs, total, range(config.seed, config.seed + len(good)))
+    thetas = [math.asin(math.sqrt(min(max(a, 0.0), 1.0)))
+              for prep in preps for a in prep.masses()[0].tolist()]
     return [min(max(round(theta * (1 << t) / math.pi), 0), 1 << (t - 1)) for theta in thetas]
 
 
@@ -329,7 +346,7 @@ def estimate_amplitude(
             grover=grover_count,
             **{kind: per_a * a_applications for kind, per_a in prep.oracle_costs.items()},
         )
-    y = phase_outcomes(prep, config)[0] if outcome is None else outcome
+    y = phase_outcomes([prep], config)[0] if outcome is None else outcome
     return AEResult(
         theta=_fold_outcome(y, t),
         amplitude=_grid_amplitude(y, t),

@@ -206,8 +206,11 @@ def compute_constants(
 ) -> Constants:
     """Evaluate the defining max-identities on the unpadded data.
 
-    policy: "error" raises on any zero constant / degenerate variance;
-    "epsilon-floor" substitutes SIGMA_MIN instead (see floor_variance).
+    policy: "error" raises on a degenerate variance and on a zero C or D,
+    the normalizers ADDE's rotations and error budget divide by; it keeps a
+    zero E, C' or C'' (ADDE never reads C' or C'', and a zero E leaves q
+    with no AE to run). "epsilon-floor" substitutes SIGMA_MIN for each
+    instead (see floor_variance).
     """
     x = data.real_values
     x0 = query.real_values
@@ -220,9 +223,11 @@ def compute_constants(
     def floored(value: float, label: str) -> float:
         if value > 0.0:
             return float(value)
-        if policy == "error":
+        if policy == "epsilon-floor":
+            return SIGMA_MIN
+        if label in ("C", "D"):
             raise DegenerateDataError(f"constant {label} is zero")
-        return SIGMA_MIN
+        return 0.0
 
     C = floored(np.max(np.abs(x)), "C")
     D = floored(np.max(np.abs(x - mu)), "D")

@@ -8,18 +8,27 @@ Every estimator reduces to one of two preparation shapes:
   rotation values, used for variances and quadratic sums.
 
 `EstimatorRun.means` is the one stage path: every estimator stage hands it a
-table of rotation values, one row per AE run (one per feature or point index),
-and it pads, runs and rescales the rows. The coherent index superposition of
-the full algorithm is block diagonal in the passive index, so a stage's rows
-run exactly as one stacked AE, in both modes: a (k, padded) rotation table
-on a (k, dim) stack of states. The verification harness checks this against
-a monolithic run.
+`Part`, a table of rotation values with one row per AE run (one per feature or
+point index), and it pads, runs and rescales the rows. The coherent index
+superposition of the full algorithm is block diagonal in the passive index,
+so a stage's rows run exactly as one stacked AE, in both modes: a
+(k, padded) rotation table on a (k, dim) stack of states. The verification
+harness checks this against a monolithic run.
+
+Stages that depend on the same earlier estimates are handed over together
+and read as one wave when they share a t: one `phase_outcomes` call, so in
+circuit mode one fill, one readout and one draw. ADDE's p and q both need
+only (mu_hat, sigma2_hat), and ADKPCA's a and omega only mu_hat, so a run
+under a configured t makes three reads, not four. Row i of a run draws with
+seed + i however its rows are grouped (the seeds run on across the parts of
+a wave), so grouping changes no outcome.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from itertools import islice
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -138,6 +147,22 @@ def squared_mean_prep(name: str, values: np.ndarray, costs: dict) -> StatePrepar
     )
 
 
+class Part(NamedTuple):
+    """One estimator's rows for `EstimatorRun.means`: a (k, n) table of
+    rotation values, one row per AE run, zero-padded to `padded` entries, its
+    oracle costs per application of A, its phase bits, whether its rows are
+    signed means (interference) or means of squares, and the scale its means
+    are reported in."""
+
+    name: str
+    table: np.ndarray
+    padded: int
+    costs: dict
+    t_bits: int
+    signed: bool
+    scale: float = 1.0
+
+
 class EstimatorRun:
     """Plans each stage's phase grid and error charge, runs the stages' AEs
     in order, and charges them to its ledger."""
@@ -188,41 +213,54 @@ class EstimatorRun:
 
     def run(self, prep: StatePreparation, config: AEConfig, outcome: int | None = None) -> AEResult:
         """The next AE run, under its stack's `config`; `outcome` is the row's,
-        which a stage's `phase_outcomes` read for all rows at once."""
+        which `phase_outcomes` read for every row of the stack at once."""
         self._run_index += 1
         return estimate_amplitude(prep, config, ledger=self.ledger, outcome=outcome)
 
-    def means(
-        self,
-        name: str,
-        table: np.ndarray,
-        padded: int,
-        costs: dict,
-        t_bits: int,
-        *,
-        signed: bool,
-        scale: float = 1.0,
-    ) -> list[float]:
-        """One AE per row of the (k, n) `table`, in row order.
+    def means(self, *parts: Part) -> list[list[float]]:
+        """Each part's row means, one AE per row, in part and row order.
 
-        Each row is zero-padded to `padded` entries. A signed row drives an
-        interference preparation and reads its mean as 2 a - 1; otherwise a
-        squared-mean preparation reads the mean of its squares as a. Returns
-        scale * that mean * padded / n per row: the mean over the n real
-        entries, the pad's zeros taken out. The rows run as one stacked
-        preparation per stack of at most MAX_STACK_AMPS `row_amps` (4 padded
-        bounds a row's labels). One config per stack reads its
-        `phase_outcomes` at once, and its rows then run in row order.
+        Each row of a part's (k, n) `table` is zero-padded to `padded`
+        entries. A signed row drives an interference preparation and reads its
+        mean as 2 a - 1; otherwise a squared-mean preparation reads the mean of
+        its squares as a. A part's list holds scale * that mean * padded / n
+        per row: the mean over the n real entries, the pad's zeros taken out.
+
+        The rows of consecutive parts that share a t are read as one stack, a
+        wave: each part's rows in the wave make one stacked preparation, and
+        one `phase_outcomes` call under one config reads every row of the wave
+        at once; the rows then run in part and row order. A wave holds at most
+        MAX_STACK_AMPS amplitudes, each row counted with its part's own
+        `row_amps` (4 padded bounds a row's labels), and a part that does not
+        fit is split across waves. The seeds run on across the parts, so every
+        row draws with the seed it would draw with if each part were read
+        alone, in order. A part with no rows runs no AE and splits no wave.
         """
-        build = interference_prep if signed else squared_mean_prep
-        n = table.shape[1]
-        ratio = padded / n
-        values = np.zeros((table.shape[0], padded))
-        values[:, :n] = table
-        step = max(1, MAX_STACK_AMPS // row_amps(4 * padded, t_bits, self.config.mode))
+        waves, held = [], 0  # (t, preparations) of each wave; amplitudes the last holds
+        for part in parts:
+            (k, n), t = part.table.shape, part.t_bits
+            build = interference_prep if part.signed else squared_mean_prep
+            cost = row_amps(4 * part.padded, t, self.config.mode)
+            values = np.zeros((k, part.padded))
+            values[:, :n] = part.table
+            lo = 0
+            while lo < k:
+                if not waves or waves[-1][0] != t or held + cost > MAX_STACK_AMPS:
+                    waves.append((t, []))
+                    held = 0
+                hi = min(k, lo + max(1, (MAX_STACK_AMPS - held) // cost))
+                waves[-1][1].append(build(f"{part.name}[{lo}]", values[lo:hi], part.costs))
+                held += (hi - lo) * cost
+                lo = hi
         amps = []
-        for lo in range(0, len(values), step):
-            prep = build(f"{name}[{lo}]", values[lo : lo + step], costs)
-            config = self._next_config(t_bits)
-            amps += [self.run(prep, config, y).amplitude for y in phase_outcomes(prep, config)]
-        return [scale * (2.0 * a - 1.0 if signed else a) * ratio for a in amps]
+        for t, preps in waves:
+            config = self._next_config(t)
+            outcomes = iter(phase_outcomes(preps, config))
+            amps += [self.run(prep, config, next(outcomes)).amplitude
+                     for prep in preps for _ in range(prep.rows)]
+        amps, out = iter(amps), []
+        for part in parts:
+            ratio = part.padded / part.table.shape[1]
+            out.append([part.scale * (2.0 * a - 1.0 if part.signed else a) * ratio
+                        for a in islice(amps, len(part.table))])
+        return out

@@ -186,9 +186,10 @@ class TestEstimators:
         data, query, model, constants, runner = self._setup(
             DataMatrix(x), QueryPoint(np.array([2.0, 3.0]))
         )
-        p_hat, t_used = estimate_p(
-            QueryPoint(np.array([2.0, 3.0])), model.mu, model.sigma2, constants.T, runner, 12
+        part, t_used = estimate_p(
+            QueryPoint(np.array([2.0, 3.0])), model.mu, model.sigma2, constants.T, "epsilon-floor", 12
         )
+        ((p_hat,),) = runner.means(part)
         assert p_hat == 0.0
         assert t_used == constants.T
 
@@ -199,7 +200,8 @@ class TestEstimators:
         )
         # a T too small for the query forces the retry path
         far_query = QueryPoint(np.array([8.0, 3.0]))
-        p_hat, t_used = estimate_p(far_query, model.mu, model.sigma2, 1.0, runner, 12)
+        part, t_used = estimate_p(far_query, model.mu, model.sigma2, 1.0, "epsilon-floor", 12)
+        ((p_hat,),) = runner.means(part)
         assert t_used == 8.0  # smallest power of two >= |8-2|/1
         direct = float(np.mean(((far_query.real_values - model.mu) / (np.sqrt(model.sigma2) * t_used)) ** 2))
         assert p_hat == pytest.approx(direct, abs=math.pi / 2**11)
@@ -209,13 +211,15 @@ class TestEstimators:
         data, query, model, constants, runner = self._setup(
             DataMatrix(x), QueryPoint(np.array([2.5, 3.5]))
         )
-        q_hat, e_used = estimate_q(np.array([1.0, 1.0]), 0.0, runner, 12, 2)
-        assert q_hat == 0.0
+        part, e_used = estimate_q(np.array([1.0, 1.0]), 0.0, "epsilon-floor", 12, 2)
+        assert e_used == 0.0 and part.table.shape == (0, 2)
+        assert runner.means(part) == [[]]  # no row, so q_hat is 0
         assert runner.ledger.grover == 0  # no AE ran
 
     def test_q_direct_formula(self):
         data, query, model, constants, runner = self._setup(*random_instance(3), t=12)
-        q_hat, e_used = estimate_q(model.sigma2, constants.E, runner, 12, query.padded_dim)
+        part, e_used = estimate_q(model.sigma2, constants.E, "epsilon-floor", 12, query.padded_dim)
+        ((q_hat,),) = runner.means(part)
         direct = float(np.mean(np.log(model.sigma2))) / e_used
         pad = query.padded_dim / model.sigma2.size
         assert q_hat == pytest.approx(direct, abs=pad * (math.pi / 2**12 + math.pi**2 / 2**24))

@@ -15,6 +15,7 @@ from qadsim.ae import (
     estimate_amplitude,
     grid_epsilon,
     _mass_rows,
+    _plane_masses,
     _qpe_rows,
     phase_distributions,
     qpe_state,
@@ -412,8 +413,8 @@ class TestIndependentReferences:
 
 class TestSubspacePath:
     """`phase_distributions` runs in each row's plane span{u_g, u_b}, from the
-    row's good and bad masses (`_mass_rows`); the dense `_qpe_rows` is its
-    reference."""
+    row's good and bad masses (`_plane_masses`, `_mass_rows`); the dense
+    `_qpe_rows` is its reference."""
 
     @pytest.mark.parametrize("build", [interference_prep, squared_mean_prep])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
@@ -441,10 +442,10 @@ class TestSubspacePath:
         table[1], table[3] = 0.0, [1.0, -1.0, 1.0, 1.0]
         stacked = squared_mean_prep("mixed", table, costs={})
         for t in (1, 4, 10):
-            lines, probs = _mass_rows(stacked, t), phase_distributions(stacked, t)
+            lines, probs = _mass_rows(*_plane_masses(stacked, t), t), phase_distributions(stacked, t)
             for r, row in enumerate(table):
                 alone = squared_mean_prep(f"row{r}", row, costs={})
-                want = _mass_rows(alone, t)[0], phase_distributions(alone, t)[0]
+                want = _mass_rows(*_plane_masses(alone, t), t)[0], phase_distributions(alone, t)[0]
                 for got, expected in zip((lines[r], probs[r]), want):
                     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
                     if r in (1, 3):
@@ -466,7 +467,7 @@ class TestSubspacePath:
         with pytest.raises(LayoutError, match=rf"^duplicate register names in {re.escape(str(names))}$"):
             phase_distributions(clash, 2)
         with pytest.raises(LayoutError, match="width 0"):
-            _mass_rows(prep, 0)
+            _plane_masses(prep, 0)
 
     def test_a_larger_invariant_space_is_refused(self):
         # S0 leaves out the passive j, so Q's invariant space of A|0> is 4-D:
@@ -492,7 +493,7 @@ class TestSubspacePath:
         with pytest.raises(SimulationError, match="drifted"):
             phase_distributions(prep, 3)
         with pytest.raises(SimulationError, match="drifted"):
-            ae.phase_outcomes(prep, AEConfig(3, "circuit", 0))
+            ae.phase_outcomes([prep], AEConfig(3, "circuit", 0))
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_the_stage_draws_are_draw_on_the_readout(self, k):
@@ -500,7 +501,7 @@ class TestSubspacePath:
         # and guards them again. Both give the same outcome for every seed.
         prep = interference_prep("draws", np.random.default_rng(k).uniform(-0.95, 0.95, (k, 8)), {})
         for t in (1, 4, 10):
-            lines = _mass_rows(prep, t)
+            lines = _mass_rows(*_plane_masses(prep, t), t)
             probs, total = _readout(lines, PHASE_REGISTER)
             np.testing.assert_array_equal(probs, readout_rows(lines, PHASE_REGISTER))
             for seed in range(1000):
@@ -508,7 +509,7 @@ class TestSubspacePath:
                 assert _sample(probs, total, seeds) == draw(probs, seeds)
             for seed in (0, 7, 999):
                 want = draw(probs, range(seed, seed + k))
-                assert ae.phase_outcomes(prep, AEConfig(t, "circuit", seed)) == want
+                assert ae.phase_outcomes([prep], AEConfig(t, "circuit", seed)) == want
 
     @pytest.mark.parametrize("run", [run_adde, run_adkpca])
     def test_a_circuit_run_builds_no_dense_reference(self, monkeypatch, run):

@@ -226,6 +226,10 @@ FUZZ_CSVS = {
     "overflow-query": ("1,2\n3,4\n0,3\n", "1,-1e308\n"),
     # A cell past the csv module's field size limit of 131072 characters.
     "overlong-cell": ("1,2\n3," + "4" * 131073 + "\n0,3\n", "1,3\n"),
+    # Zero constants ADDE never divides by: the query at the training mean
+    # (C' = C'' = 0), and every variance exactly 1 (E = 0).
+    "query-at-mean": ("0,1\n2,5\n", "1,3\n"),
+    "unit-variances": ("0,0\n2,2\n", "1,1.5\n"),
 }
 # Each overflowing input, under the command that used to end in a traceback,
 # an exit 0 with an infinite variance, or NumPy warnings.
@@ -294,6 +298,17 @@ class TestFuzz:
         for flags in SMALL_T:
             for command in ("detect", "kpca"):
                 self._check([command, *files, *flags], capsys)
+
+    @pytest.mark.parametrize("case", ["query-at-mean", "unit-variances"])
+    @pytest.mark.parametrize("flags", [
+        ["--t-bits", "8"], ["--t-bits", "8", "--mode", "circuit", "--seed", "3"], ["--epsilon", "0.3"],
+    ], ids=" ".join)
+    def test_detect_runs_with_a_zero_constant_it_never_divides_by(self, case, flags, tmp_path, capsys):
+        data, query = (tmp_path / "d.csv", tmp_path / "q.csv")
+        data.write_text(FUZZ_CSVS[case][0])
+        query.write_text(FUZZ_CSVS[case][1])
+        assert main(["detect", "--data", str(data), "--query", str(query), *flags]) in (0, 1)
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("case,argv", OVERFLOW_RUNS, ids=lambda v: v if isinstance(v, str) else v[0])
     def test_overflowing_entries_exit_2_with_one_line(self, case, argv, tmp_path, capsys):

@@ -135,7 +135,7 @@ class TestConstants:
         query = QueryPoint(np.array([2.5, 3.5]))
         mu = x.mean(axis=0)
         sigma2 = np.mean((x - mu) ** 2, axis=0)
-        # sigma^2 = 1 makes ln sigma^2 vanish, so E needs the floor policy
+        # sigma^2 = 1 makes ln sigma^2 vanish; the floor policy floors E
         c = compute_constants(data, query, mu, sigma2, policy="epsilon-floor")
         assert c.C == 4.0
         assert c.D == 1.0

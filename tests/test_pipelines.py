@@ -26,6 +26,7 @@ from qadsim.simcore import (
 from qadsim.verify import _monolithic_mean_prep, random_instance
 from qadsim.pipelines import (
     EstimatorRun,
+    Part,
     PipelineConfig,
     interference_prep,
     squared_mean_prep,
@@ -230,7 +231,7 @@ class TestMeans:
         t, padded, scale = 12, 4, 2.5
         build = interference_prep if signed else squared_mean_prep
         runner = EstimatorRun(PipelineConfig(t_bits=t))
-        got = runner.means("m", self.TABLE, padded, {}, t, signed=signed, scale=scale)
+        (got,) = runner.means(Part("m", self.TABLE, padded, {}, t, signed=signed, scale=scale))
         ratio = padded / 3
         tol = scale * (2.0 if signed else 1.0) * grid_epsilon(t) * ratio
         for row, value in zip(self._rows(padded), got):
@@ -249,7 +250,7 @@ class TestMeans:
         )
         for table in (self.TABLE, table5):
             runner = EstimatorRun(PipelineConfig(t_bits=t, mode="circuit", seed=seed))
-            got = runner.means("m", table, padded, {}, t, signed=True)
+            (got,) = runner.means(Part("m", table, padded, {}, t, signed=True))
             rows = [np.append(row, np.zeros(padded - row.size)) for row in table]
 
             def outcomes(seeds):
@@ -264,6 +265,31 @@ class TestMeans:
             assert got == outcomes(seeds)
             assert got != outcomes(seeds[::-1])  # the check tells the orders apart
             assert runner._run_index == len(table)
+
+    @pytest.mark.parametrize("mode", ["ideal", "circuit"])
+    @pytest.mark.parametrize("precision,kpca_waves", [
+        pytest.param(dict(t_bits=6), [["mean"], ["a", "omega"], ["b"]], id="t-bits"),
+        # Under epsilon, a's and omega's grids differ: one wave each.
+        pytest.param(dict(epsilon=0.9), [["mean"], ["a"], ["omega"], ["b"]], id="epsilon"),
+    ])
+    def test_the_pipelines_read_their_tail_parts_as_one_wave(
+        self, monkeypatch, mode, precision, kpca_waves
+    ):
+        waves = []
+        real = pipelines.phase_outcomes
+
+        def recorded(preps, config):
+            waves.append([prep.name.split("[")[0] for prep in preps])
+            return real(preps, config)
+
+        monkeypatch.setattr(pipelines, "phase_outcomes", recorded)
+        data, query = random_instance(1)
+        config = PipelineConfig(mode=mode, seed=3, **precision)
+        run_adde(data, query, config)
+        assert waves == [["mean"], ["variance"], ["p", "q"]]  # p and q share t_tail
+        waves.clear()
+        run_adkpca(data, query, config)
+        assert waves == kpca_waves
 
 
 class TestStacked:
@@ -303,7 +329,7 @@ class TestStacked:
         monkeypatch.setenv("QADSIM_QUBIT_CAP", "3")
         runner = EstimatorRun(PipelineConfig(t_bits=4))
         with pytest.raises(LayoutError):
-            runner.means("m", np.full((3, 4), 0.3), 4, {}, 4, signed=True)
+            runner.means(Part("m", np.full((3, 4), 0.3), 4, {}, 4, signed=True))
 
     @pytest.mark.parametrize("mode", ["ideal", "circuit"])
     def test_stack_limit_splits_a_stage_without_changing_outcomes(self, monkeypatch, mode):
@@ -311,9 +337,9 @@ class TestStacked:
         stacks = []
         real = pipelines.phase_outcomes
 
-        def counted(prep, config):
-            stacks.append(prep.rows)
-            return real(prep, config)
+        def counted(preps, config):
+            stacks.append(sum(prep.rows for prep in preps))
+            return real(preps, config)
 
         monkeypatch.setattr(pipelines, "phase_outcomes", counted)
         got = []
@@ -323,7 +349,7 @@ class TestStacked:
         for limit, sizes in ((pipelines.MAX_STACK_AMPS, [7]), (2 * row, [2, 2, 2, 1])):
             monkeypatch.setattr(pipelines, "MAX_STACK_AMPS", limit)
             runner = EstimatorRun(PipelineConfig(t_bits=6, mode=mode, seed=11))
-            got.append(runner.means("m", table, 4, {"oracle_data": 1}, 6, signed=True))
+            got.append(runner.means(Part("m", table, 4, {"oracle_data": 1}, 6, signed=True)))
             assert stacks == sizes
             stacks.clear()
             assert runner.ledger.grover == 7 * 63

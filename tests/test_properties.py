@@ -16,11 +16,18 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from qadsim import pipelines  # noqa: E402
 from qadsim.ae import GroverOperator, StatePreparation, label_is_zero  # noqa: E402
-from qadsim.pipelines import interference_prep, squared_mean_prep  # noqa: E402
+from qadsim.pipelines import (  # noqa: E402
+    EstimatorRun,
+    Part,
+    PipelineConfig,
+    interference_prep,
+    squared_mean_prep,
+)
 from qadsim.simcore import (  # noqa: E402
     Controlled,
     HadamardBlock,
@@ -301,3 +308,63 @@ def test_a_replay_from_the_walsh_start_equals_the_op_by_op_replay(case):
         op.apply(columns)
     np.testing.assert_array_equal(operation_matrix(prep.ops, prep.layout, rows),
                                   np.swapaxes(columns.amps, -1, -2))
+
+
+@st.composite
+def waves(draw):
+    """One to four parts for `EstimatorRun.means`, each with 0 to 3 rows of
+    1 to 4 values padded to 4 or 8, at t = 2 or 3, signed or not, with its
+    own costs and scale; and a stack limit, the default or one small enough
+    to split a wave (a row holds 24 to 48 amplitudes in circuit mode)."""
+    parts = []
+    for i in range(draw(st.integers(1, 4))):
+        n, k = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+        rows = draw(st.lists(st.lists(unit_values, min_size=n, max_size=n), min_size=k, max_size=k))
+        parts.append(Part(
+            f"part{i}", np.array(rows).reshape(k, n), draw(st.sampled_from([4, 8])),
+            {"oracle_data": i + 1}, draw(st.integers(2, 3)), draw(st.booleans()),
+            draw(st.floats(0.5, 2.0)),
+        ))
+    return parts, draw(st.one_of(st.just(pipelines.MAX_STACK_AMPS), st.integers(1, 200)))
+
+
+_TABLE = np.array([[0.3, -0.8, 0.5], [0.9, 0.1, -0.4], [-0.2, 0.6, 0.7]])
+
+
+@pytest.mark.parametrize("mode", ["ideal", "circuit"])
+@settings(deadline=None, max_examples=80)
+@given(case=waves(), seed=st.integers(0, 2**32))
+# Every case at once: an empty part inside a wave, parts of two t, and a
+# limit of 50 amplitudes, which splits the t = 2 wave (rows of 16 or 24).
+@example(case=([
+    Part("m", _TABLE, 4, {"oracle_data": 1}, 2, True, 2.0),
+    Part("none", _TABLE[:0], 4, {"oracle_data": 2}, 2, False),
+    Part("sq", _TABLE[:2], 4, {"oracle_query": 1}, 2, False),
+    Part("t3", _TABLE, 4, {"arithmetic": 1}, 3, True),
+], 50), seed=7)
+def test_a_wave_equals_its_parts_read_one_after_another(mode, case, seed):
+    parts, limit = case
+    real = pipelines.estimate_amplitude
+
+    def read(together: bool):
+        """The means, each AE run's (outcome given, amplitude, t) in call
+        order, the ledger and the final run index of a fresh runner."""
+        runs = []
+
+        def recorded(prep, config, ledger=None, *, outcome=None):
+            result = real(prep, config, ledger, outcome=outcome)
+            runs.append((outcome, result.amplitude, result.t_bits))
+            return result
+
+        runner = EstimatorRun(PipelineConfig(t_bits=2, mode=mode, seed=seed))
+        with mock.patch.object(pipelines, "estimate_amplitude", recorded), \
+                mock.patch.object(pipelines, "MAX_STACK_AMPS", limit):
+            if together:
+                means = runner.means(*parts)
+            else:
+                means = [runner.means(part)[0] for part in parts]
+        return means, runs, runner.ledger.snapshot(), runner._run_index
+
+    wave = read(True)
+    assert wave == read(False)
+    assert wave[3] == sum(len(part.table) for part in parts)
