@@ -7,8 +7,9 @@ on its own.
 Layouts, register order, widths (1 to 6 qubits), rotation values, control
 values and reflection predicates are drawn at random. The keyed rotation's
 one-pass kernel is held bit for bit to its two-line form, the cached
-reflection diagonals to a label-by-label evaluation, and a replay that starts
-from the cached Hadamard prefix to the op-by-op replay.
+reflection diagonals to a label-by-label evaluation, a replay that starts
+from the cached Hadamard prefix to the op-by-op replay, and the fixed-point
+`quantize` to decode(encode(x)).
 """
 from unittest import mock
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from qadsim import pipelines  # noqa: E402
 from qadsim.ae import GroverOperator, StatePreparation, label_is_zero  # noqa: E402
+from qadsim.arith import FixedPointFormat, RangeError  # noqa: E402
 from qadsim.pipelines import (  # noqa: E402
     EstimatorRun,
     Part,
@@ -192,33 +194,97 @@ rotation_values = st.one_of(st.sampled_from([1.0, -1.0, 0.0, float("nan")]), uni
 
 @st.composite
 def keyed_stacks(draw):
-    """A (k, C, H, 2, lo) amplitude stack and a (k, H) table: key register of
-    H labels above the target, lo labels below it, C states per table row."""
+    """A (k, C, dim) amplitude stack, C states per table row, a (k, n) table
+    and its key registers, on one of two layouts: a key register k above the
+    target t, with 0-2 qubits below t; or the layout of every pipeline
+    rotation, the key every register below t (k, or k and then j), t above
+    them, and 0-1 qubits above t. A third keys on j and then k, the registers
+    below t out of order."""
     k, c = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    key_bits, low_bits = draw(st.integers(1, 3)), draw(st.integers(0, 2))
-    registers = [("low", low_bits)] * (low_bits > 0) + [("t", 1), ("k", key_bits)]
+    key_bits = draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["key-above", "key-below", "key-below-reordered"]))
+    if shape == "key-above":
+        low_bits = draw(st.integers(0, 2))
+        registers = [("low", low_bits)] * (low_bits > 0) + [("t", 1), ("k", key_bits)]
+        keys = ["k"]
+    else:
+        j_bits, high_bits = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+        below = [("k", key_bits)] + [("j", j_bits)] * (j_bits > 0)
+        registers = below + [("t", 1)] + [("high", high_bits)] * (high_bits > 0)
+        keys = [name for name, _ in below]
+        if shape == "key-below-reordered":
+            keys.reverse()
     layout = RegisterLayout(registers)
-    table = np.array(draw(st.lists(rotation_values, min_size=k << key_bits,
-                                   max_size=k << key_bits))).reshape(k, -1)
+    n = 1 << sum(layout.width(name) for name in keys)
+    table = np.array(draw(st.lists(rotation_values, min_size=k * n, max_size=k * n))).reshape(k, n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=(k, c, layout.dim))
-    return layout, table, amps
+    return layout, keys, table, amps
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=300)
 @given(keyed_stacks())
 def test_keyed_rotation_kernel_equals_the_two_line_form(case):
-    layout, table, amps = case
-    k, lo, h = len(table), 1 << layout.offset("t"), table.shape[1]
-    a = amps.reshape(k, -1, h, 2, lo)
-    v = np.clip(table, -1.0, 1.0)[:, None, :, None]
+    layout, keys, table, amps = case
+    labels = np.arange(layout.dim)
+    key, shift = np.zeros_like(labels), 0  # each label's key, by bit arithmetic
+    for name in keys:
+        key |= ((labels >> layout.offset(name)) & ((1 << layout.width(name)) - 1)) << shift
+        shift += layout.width(name)
+    bit = 1 << layout.offset("t")
+    v = np.clip(table, -1.0, 1.0)[:, None, key]
     s = np.sqrt(np.clip(1.0 - v * v, 0.0, None))
-    want = np.empty_like(a)
-    want[..., 0, :] = v * a[..., 0, :] + s * a[..., 1, :]
-    want[..., 1, :] = s * a[..., 0, :] - v * a[..., 1, :]
+    a, partner = amps, amps[..., labels ^ bit]
+    want = np.where(labels & bit == 0,
+                    v * a + s * partner,   # target 0: v a_0 + s a_1
+                    s * partner - v * a)   # target 1: s a_0 - v a_1
     with mock.patch.object(StateVector, "check_norm", lambda self: None):  # the kernel alone
-        got = ValueKeyedRotation(["k"], "t", table).apply(StateVector(layout, amps.copy()))
-    np.testing.assert_array_equal(got.amps, want.reshape(amps.shape))
+        got = ValueKeyedRotation(keys, "t", table).apply(StateVector(layout, amps.copy()))
+    np.testing.assert_array_equal(got.amps, want)
+
+
+@st.composite
+def quantize_cases(draw):
+    """A format (the widest word, or 0-8 integer and 0-16 fraction bits) and
+    a value: any finite float, a tie x 2^f = n + 1/2, a word at either end of
+    the range or one past it, a signed zero, a subnormal, or NaN or +-inf."""
+    fmt = draw(st.one_of(st.just(FixedPointFormat(47, 16)),
+                         st.builds(FixedPointFormat, st.integers(0, 8), st.integers(0, 16))))
+    bound, step = 1 << (fmt.int_bits + fmt.frac_bits), 2.0**-fmt.frac_bits
+    value = draw(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-bound - 2, bound + 1).map(lambda n: (n + 0.5) * step),
+        st.sampled_from([-bound - 1, -bound, bound - 1, bound]).map(lambda n: n * step),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, float("nan"), float("inf"), float("-inf")]),
+    ))
+    return fmt, value
+
+
+def _held(fn, value) -> str:
+    """fn(value) bit for bit (the sign of a zero too), or the RangeError it raises."""
+    try:
+        return fn(value).hex()
+    except RangeError as exc:
+        return f"RangeError: {exc}"
+
+
+@settings(deadline=None, max_examples=400)
+@given(quantize_cases())
+@example((FixedPointFormat(2, 3), 0.0625))   # a tie rounded down to the even word 0
+@example((FixedPointFormat(2, 3), 0.1875))   # a tie rounded up to the even word 2
+@example((FixedPointFormat(2, 3), -4.0625))  # a tie at the low end, rounded into range
+@example((FixedPointFormat(2, 3), 3.9375))   # a tie at the high end, rounded out of range
+def test_quantize_is_decode_of_encode(case):
+    fmt, value = case
+    assert _held(fmt.quantize, value) == _held(lambda x: fmt.decode(fmt.encode(x)), value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_quantize_refuses_a_non_finite_value(value):
+    with pytest.raises(RangeError) as caught:
+        FixedPointFormat().quantize(value)
+    assert str(caught.value) == f"cannot encode non-finite value {value}"
 
 
 @st.composite
