@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,17 +103,22 @@ class StatePreparation:
         """A|0> of every row, as a (rows, dim) stack. The replay starts from
         A's leading Hadamard blocks on |0>, built once per shape (`walsh_start`)."""
         start, rest = walsh_start(self.ops, self.layout)
-        state = StateVector(self.layout, np.repeat(start[None], self.rows, axis=0))
+        state = StateVector._of(self.layout, np.repeat(start[None], self.rows, axis=0))
         for op in rest:
             op.apply(state)
         return state
 
     def masses(self) -> tuple[np.ndarray, np.ndarray]:
-        """Good and bad masses (g, b) of each row's A|0>, summed label by label in one replay."""
+        """Good and bad masses (g, b) of each row's A|0>, in one replay: the
+        two marginal columns of a one-qubit good register with one good label,
+        as they are; else the marginal summed label by label."""
         probs = marginal_probs(self.prepare(), self.good_register)
+        hits = [self.good_predicate(b) for b in range(probs.shape[1])]
+        if len(hits) == 2 and hits[0] != hits[1]:
+            return (probs[:, 0], probs[:, 1]) if hits[0] else (probs[:, 1], probs[:, 0])
         good, bad = np.zeros(self.rows), np.zeros(self.rows)
-        for b in range(probs.shape[1]):
-            if self.good_predicate(b):
+        for b, hit in enumerate(hits):
+            if hit:
                 good += probs[:, b]
             else:
                 bad += probs[:, b]
@@ -180,9 +185,9 @@ def check_mode(mode: str, seed: int | None) -> None:
             raise ValueError(f"circuit mode requires a non-negative seed, got {seed}")
 
 
-@dataclass(frozen=True)
-class AEResult:
-    """Estimated angle/amplitude on the grid {pi y / 2^t} folded into [0, pi/2]."""
+class AEResult(NamedTuple):
+    """Estimated angle/amplitude on the grid {pi y / 2^t} folded into [0, pi/2].
+    An immutable named tuple: one is built per AE run, so it must be cheap."""
 
     theta: float
     amplitude: float
@@ -347,14 +352,7 @@ def estimate_amplitude(
             **{kind: per_a * a_applications for kind, per_a in prep.oracle_costs.items()},
         )
     y = phase_outcomes([prep], config)[0] if outcome is None else outcome
-    return AEResult(
-        theta=_fold_outcome(y, t),
-        amplitude=_grid_amplitude(y, t),
-        t_bits=t,
-        mode=config.mode,
-        grover_count=grover_count,
-        outcome=y,
-    )
+    return AEResult(_fold_outcome(y, t), _grid_amplitude(y, t), t, config.mode, grover_count, y)
 
 
 def bits_for_epsilon(eps_target: float) -> int:

@@ -47,6 +47,11 @@ class FixedPointFormat:
 
     def encode(self, value: float) -> int:
         """Word for a real value, round-to-nearest-even. Raises on overflow."""
+        return self._signed_word(value) & ((1 << self.word_bits) - 1)
+
+    def _signed_word(self, value: float) -> int:
+        """The word's two's-complement value, value * 2^frac_bits rounded
+        half to even. Raises RangeError unless the format holds it."""
         if not math.isfinite(value):
             raise RangeError(f"cannot encode non-finite value {value}")
         scaled = value * (1 << self.frac_bits)
@@ -57,16 +62,9 @@ class FixedPointFormat:
         hi = (1 << (self.int_bits + self.frac_bits)) - 1
         if not lo <= word <= hi:
             raise RangeError(f"value {value} overflows format {self}")
-        return word & ((1 << self.word_bits) - 1)
-
-    def decode(self, word: int) -> float:
-        """Real value of a word (two's complement)."""
-        n = self.word_bits
-        word &= (1 << n) - 1
-        if word >= 1 << (n - 1):
-            word -= 1 << n
-        return word * 2.0**-self.frac_bits
+        return word
 
     def quantize(self, value: float) -> float:
-        """decode(encode(value)); the value as a digital register would hold it."""
-        return self.decode(self.encode(value))
+        """The value as a digital register would hold it: its word read back
+        as two's complement, times 2^-frac_bits. Raises as `encode` does."""
+        return self._signed_word(value) * 2.0**-self.frac_bits

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -236,31 +235,29 @@ class EstimatorRun:
         row draws with the seed it would draw with if each part were read
         alone, in order. A part with no rows runs no AE and splits no wave.
         """
-        waves, held = [], 0  # (t, preparations) of each wave; amplitudes the last holds
+        waves, held, out = [], 0, []  # (t, preparations, (preparation, part, means) per row)
         for part in parts:
             (k, n), t = part.table.shape, part.t_bits
             build = interference_prep if part.signed else squared_mean_prep
             cost = row_amps(4 * part.padded, t, self.config.mode)
             values = np.zeros((k, part.padded))
             values[:, :n] = part.table
+            out.append(means := [])
             lo = 0
             while lo < k:
                 if not waves or waves[-1][0] != t or held + cost > MAX_STACK_AMPS:
-                    waves.append((t, []))
+                    waves.append((t, [], []))
                     held = 0
                 hi = min(k, lo + max(1, (MAX_STACK_AMPS - held) // cost))
-                waves[-1][1].append(build(f"{part.name}[{lo}]", values[lo:hi], part.costs))
+                prep = build(f"{part.name}[{lo}]", values[lo:hi], part.costs)
+                waves[-1][1].append(prep)
+                waves[-1][2].extend([(prep, part, means)] * (hi - lo))
                 held += (hi - lo) * cost
                 lo = hi
-        amps = []
-        for t, preps in waves:
+        for t, preps, rows in waves:
             config = self._next_config(t)
-            outcomes = iter(phase_outcomes(preps, config))
-            amps += [self.run(prep, config, next(outcomes)).amplitude
-                     for prep in preps for _ in range(prep.rows)]
-        amps, out = iter(amps), []
-        for part in parts:
-            ratio = part.padded / part.table.shape[1]
-            out.append([part.scale * (2.0 * a - 1.0 if part.signed else a) * ratio
-                        for a in islice(amps, len(part.table))])
+            for (prep, part, means), y in zip(rows, phase_outcomes(preps, config), strict=True):
+                a = self.run(prep, config, y).amplitude
+                ratio = part.padded / part.table.shape[1]
+                means.append(part.scale * (2.0 * a - 1.0 if part.signed else a) * ratio)
         return out

@@ -169,6 +169,14 @@ class StateVector:
         self.layout = layout
         self.amps = np.asarray(amplitudes.real, dtype=np.float64)
 
+    @classmethod
+    def _of(cls, layout: RegisterLayout, amps: np.ndarray) -> "StateVector":
+        """A state over `amps` as it is, unchecked: the caller's array is
+        already real float64 of shape (..., layout.dim)."""
+        state = object.__new__(cls)
+        state.layout, state.amps = layout, amps
+        return state
+
     def copy(self) -> "StateVector":
         return StateVector(self.layout, self.amps.copy())
 
@@ -341,24 +349,42 @@ class ValueKeyedRotation(Operation):
         self.key_registers = tuple(key_registers)
         self.target = target
         self.values = np.maximum(np.minimum(values, 1.0), -1.0)
+        # The (rows, n) table and its s, once per op: the kernel only lays them out.
+        self._table = self.values.reshape(-1, self.values.shape[-1])
+        self._s = np.sqrt(np.maximum(1.0 - self._table * self._table, 0.0))
 
     def kernel(self, state: StateVector) -> None:
-        lay = state.layout
-        if lay.width(self.target) != 1:
-            raise UnknownRegisterError(f"rotation target {self.target!r} must be 1 qubit")
-        lo = 1 << lay.offset(self.target)
-        # The key is read where the target is 0: (high labels, 1, low labels).
-        key = lay.field(*self.key_registers).reshape(-1, 2, lo)[:, :1, :]
-        table = self.values.reshape(-1, self.values.shape[-1])
-        if self.values.ndim == 2 and state.amps.shape[:-1][:1] != table.shape[:1]:
-            raise SimulationError(f"{len(table)} rows cannot key a stack of {state.amps.shape}")
+        lo, key = state.layout._shared(_rotation_plan, (*self.key_registers, self.target))
+        rows = len(self._table)
+        if self.values.ndim == 2 and state.amps.shape[:-1][:1] != (rows,):
+            raise SimulationError(f"{rows} rows cannot key a stack of {state.amps.shape}")
         # Axes: table row, the rest of the stack, high labels, target bit, low labels.
         # Bit b gets (-1)^b v a_b + s a_(1-b): v a_0 + s a_1 and s a_0 - v a_1, bit for bit.
-        v = table[:, None, key]
-        s = np.sqrt(np.maximum(1.0 - v * v, 0.0))
-        a = state.amps.reshape(len(table), -1, len(key), 2, lo)
+        if key is None:  # a label's key is its low part; the high labels join the stack axis
+            v, s = self._table.reshape(rows, 1, 1, 1, lo), self._s.reshape(rows, 1, 1, 1, lo)
+        else:
+            v, s = self._table[:, None, key], self._s[:, None, key]
+        a = state.amps.reshape(rows, -1, v.shape[2], 2, lo)
         out = v * _SIGNS * a + s * a[..., ::-1, :]
         state.amps = out.reshape(state.amps.shape)
+
+
+@lru_cache(maxsize=64)
+def _rotation_plan(registers, names) -> tuple[int, np.ndarray | None]:
+    """A keyed rotation's layout-only data, names being its key registers and
+    then its target: lo, the count of labels below the one-qubit target, and
+    the key field read where the target is 0, shape (high labels, 1, lo). The
+    key is None when the key registers are, from the least significant up,
+    every register below the target, so that a label's key is its low part."""
+    *keys, target = names
+    widths, order = dict(registers), [name for name, _ in registers]
+    below = order[: order.index(target)]
+    if widths[target] != 1:
+        raise UnknownRegisterError(f"rotation target {target!r} must be 1 qubit")
+    lo = 1 << sum(widths[name] for name in below)
+    if keys == below:
+        return lo, None
+    return lo, _label_field.__wrapped__(registers, tuple(keys)).reshape(-1, 2, lo)[:, :1, :]
 
 
 class Controlled(Operation):
@@ -380,7 +406,7 @@ class Controlled(Operation):
             raise SimulationError(f"control value {self.control_value} is out of {self.control!r}")
         shape = state.amps.shape
         amps = state.amps.reshape(-1, 1 << width, lo)  # a copy if amps is not contiguous
-        part = StateVector(_without(lay, self.control), amps[:, self.control_value].reshape(*shape[:-1], -1))
+        part = StateVector._of(_without(lay, self.control), amps[:, self.control_value].reshape(*shape[:-1], -1))
         self.inner.kernel(part)
         amps[:, self.control_value] = part.amps.reshape(-1, lo)
         state.amps = amps.reshape(shape)

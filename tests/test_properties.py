@@ -19,6 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from test_arith import decode  # noqa: E402
 
 from qadsim import pipelines  # noqa: E402
 from qadsim.ae import GroverOperator, StatePreparation, label_is_zero  # noqa: E402
@@ -277,7 +278,7 @@ def _held(fn, value) -> str:
 @example((FixedPointFormat(2, 3), 3.9375))   # a tie at the high end, rounded out of range
 def test_quantize_is_decode_of_encode(case):
     fmt, value = case
-    assert _held(fmt.quantize, value) == _held(lambda x: fmt.decode(fmt.encode(x)), value)
+    assert _held(fmt.quantize, value) == _held(lambda x: decode(fmt, fmt.encode(x)), value)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

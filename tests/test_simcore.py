@@ -31,6 +31,7 @@ from qadsim.simcore import (
     walsh_start,
 )
 from qadsim.config import NORM_TOL
+from test_arith import decode
 
 
 def extract(layout: RegisterLayout, labels: np.ndarray, name: str) -> np.ndarray:
@@ -278,7 +279,7 @@ class TestValueKeyedRotation:
         words = np.array([fmt.encode(v) for v in x])
         # The oracle as a label permutation; XOR makes it its own inverse.
         oracle = np.arange(lay.dim) ^ (words[lay.field("idx")] << lay.offset("w"))
-        by_word = np.array([fmt.decode(w) for w in range(1 << fmt.word_bits)]) / c
+        by_word = np.array([decode(fmt, w) for w in range(1 << fmt.word_bits)]) / c
 
         state = new_state(lay)
         HadamardBlock("idx").apply(state)
