@@ -336,7 +336,8 @@ class ValueKeyedRotation(Operation):
     word over C, the matching values are values[j] = quantize(x_j) / C.
 
     A (k, n) table stands for k rotations: it applies only to a (k, ..., dim)
-    stack, and the states under row r of the stack get values[r].
+    stack, and the states under row r of the stack get values[r]. Either
+    way, n must be the key registers' label count.
     """
 
     checks_norm = True
@@ -354,8 +355,10 @@ class ValueKeyedRotation(Operation):
         self._s = np.sqrt(np.maximum(1.0 - self._table * self._table, 0.0))
 
     def kernel(self, state: StateVector) -> None:
-        lo, key = state.layout._shared(_rotation_plan, (*self.key_registers, self.target))
-        rows = len(self._table)
+        labels, lo, key = state.layout._shared(_rotation_plan, (*self.key_registers, self.target))
+        rows, n = self._table.shape
+        if n != labels:
+            raise SimulationError(f"{n} values cannot key the {labels} labels of {self.key_registers}")
         if self.values.ndim == 2 and state.amps.shape[:-1][:1] != (rows,):
             raise SimulationError(f"{rows} rows cannot key a stack of {state.amps.shape}")
         # Axes: table row, the rest of the stack, high labels, target bit, low labels.
@@ -370,21 +373,22 @@ class ValueKeyedRotation(Operation):
 
 
 @lru_cache(maxsize=64)
-def _rotation_plan(registers, names) -> tuple[int, np.ndarray | None]:
+def _rotation_plan(registers, names) -> tuple[int, int, np.ndarray | None]:
     """A keyed rotation's layout-only data, names being its key registers and
-    then its target: lo, the count of labels below the one-qubit target, and
-    the key field read where the target is 0, shape (high labels, 1, lo). The
-    key is None when the key registers are, from the least significant up,
-    every register below the target, so that a label's key is its low part."""
+    then its target: the key registers' label count, lo, the count of labels
+    below the one-qubit target, and the key field read where the target is 0,
+    shape (high labels, 1, lo). The key is None when the key registers are,
+    from the least significant up, every register below the target, so that
+    a label's key is its low part."""
     *keys, target = names
     widths, order = dict(registers), [name for name, _ in registers]
     below = order[: order.index(target)]
     if widths[target] != 1:
         raise UnknownRegisterError(f"rotation target {target!r} must be 1 qubit")
-    lo = 1 << sum(widths[name] for name in below)
+    labels, lo = 1 << sum(widths[name] for name in keys), 1 << sum(widths[name] for name in below)
     if keys == below:
-        return lo, None
-    return lo, _label_field.__wrapped__(registers, tuple(keys)).reshape(-1, 2, lo)[:, :1, :]
+        return labels, lo, None
+    return labels, lo, _label_field.__wrapped__(registers, tuple(keys)).reshape(-1, 2, lo)[:, :1, :]
 
 
 class Controlled(Operation):

@@ -265,6 +265,15 @@ class TestValueKeyedRotation:
             with pytest.raises(SimulationError, match="3 rows"):
                 rot.apply(state)
 
+    @pytest.mark.parametrize("registers", [[("k", 2), ("t", 1)], [("t", 1), ("k", 2)]])
+    def test_a_table_of_the_wrong_width_is_refused(self, registers):
+        # k has 4 labels, below the target (as in every pipeline rotation) or
+        # above it. Neither a short table nor a long one is read in part.
+        state = new_state(RegisterLayout(registers))
+        for n in (2, 8):
+            with pytest.raises(SimulationError, match=f"{n} values cannot key the 4 labels"):
+                ValueKeyedRotation(["k"], "t", np.full(n, 0.5)).apply(state)
+
     def test_equals_oracle_rotation_uncompute_sandwich(self):
         # The digital sequence the rotation stands for, simulated label by
         # label: an oracle XOR-writes the fixed-point word of x[idx] into w, a
