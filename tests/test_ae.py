@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -67,6 +68,24 @@ class TestStatePreparation:
                 good_register="zz",
                 good_predicate=lambda label: True,
             )
+
+    @pytest.mark.parametrize("register, good_labels", [
+        ("anc", {0}),     # one good label of a one-qubit register: its two columns, read directly
+        ("anc", {1}),
+        ("anc", {0, 1}),  # every label good, and a two-qubit register: summed label by label
+        ("idx", {1, 2}),
+    ])
+    def test_masses_equal_the_label_by_label_sums(self, register, good_labels):
+        table = np.random.default_rng(5).uniform(-0.9, 0.9, size=(3, 4))
+        prep = dataclasses.replace(squared_mean_prep("m", table, {}), good_register=register,
+                                   good_predicate=lambda label: label in good_labels)
+        probs = marginal_probs(prep.prepare(), register)
+        want = {True: np.zeros(3), False: np.zeros(3)}
+        for label in range(probs.shape[1]):
+            want[label in good_labels] += probs[:, label]
+        good, bad = prep.masses()
+        np.testing.assert_array_equal(good, want[True])
+        np.testing.assert_array_equal(bad, want[False])
 
 
 class TestGroverOperator:
