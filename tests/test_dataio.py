@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qadsim.config import SIGMA_MIN
 from qadsim.dataio import (
@@ -181,6 +183,76 @@ class TestConstants:
         data = DataMatrix(np.array([[1.0], [2.0]]))
         with pytest.raises(ValueError):
             compute_constants(data, QueryPoint(np.array([1.0])), np.array([1.5]), np.array([0.25]), policy="??")
+
+
+def reference_constants(data, query, mu, sigma2, policy="error") -> Constants:
+    """`compute_constants` as it was before it shared its deviations, the
+    reference it must equal bit for bit: each max identity written out."""
+    x = data.real_values
+    x0 = query.real_values
+    mu = np.asarray(mu, dtype=float)
+    if x0.size != x.shape[1] or mu.size != x.shape[1]:
+        raise DataError("query/model dimension does not match the data matrix")
+    sigma2 = floor_variance(np.asarray(sigma2, dtype=float), policy, "variance")
+    sigma = np.sqrt(sigma2)
+
+    def floored(value: float, label: str) -> float:
+        if value > 0.0:
+            return float(value)
+        if policy == "epsilon-floor":
+            return SIGMA_MIN
+        if label in ("C", "D"):
+            raise DegenerateDataError(f"constant {label} is zero")
+        return 0.0
+
+    C = floored(np.max(np.abs(x)), "C")
+    D = floored(np.max(np.abs(x - mu)), "D")
+    ratio = np.max(np.abs(x0 - mu) / sigma)
+    T = power_of_two_at_least(ratio)
+    E = floored(np.max(np.abs(np.log(sigma2))), "E")
+    C_prime = floored(np.max(np.abs(x0 - mu)), "C'")
+    C_dprime = floored(np.max(np.abs((x - mu) * (x0 - mu))), "C''")
+    return Constants(C=C, D=D, T=T, E=E, C_prime=C_prime, C_dprime=C_dprime)
+
+
+# Entries that make ties, zeros, tiny and large deviations likely.
+entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-4, -3e-4, 2.5]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def constants_cases(draw):
+    """An M x d matrix (M 1-8, d 1-4), a query and a policy. A column may be
+    constant (zero variance), and the query may sit on the mean."""
+    m, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    x = np.array(draw(st.lists(entries, min_size=m * d, max_size=m * d))).reshape(m, d)
+    for j in range(d):
+        if draw(st.booleans()):
+            x[:, j] = x[0, j]
+    mu = x.mean(axis=0)
+    x0 = mu.copy() if draw(st.booleans()) else np.array(draw(st.lists(entries, min_size=d, max_size=d)))
+    return x, x0, draw(st.sampled_from(["error", "epsilon-floor"]))
+
+
+@settings(deadline=None, max_examples=400)
+@given(constants_cases())
+def test_constants_equal_the_reference(case):
+    x, x0, policy = case
+    data, query = DataMatrix(x), QueryPoint(x0)
+    mu = x.mean(axis=0)
+    args = (data, query, mu, np.mean((x - mu) ** 2, axis=0), policy)
+    try:
+        want = reference_constants(*args)
+    except Exception as exc:  # the same error, message and all
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            compute_constants(*args)
+        return
+    got = compute_constants(*args)
+    for field in dataclasses.fields(Constants):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+        assert type(getattr(got, field.name)) is float, field.name
 
 
 class TestFloorVariance:

@@ -15,7 +15,7 @@ from qadsim.ae import (
 )
 from qadsim.arith import FixedPointFormat, RangeError
 from qadsim.config import MAX_PHASE_BITS, QadsimError
-from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint
+from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint, floor_variance
 from qadsim.simcore import (
     LayoutError,
     SimulationError,
@@ -31,6 +31,37 @@ from qadsim.pipelines import (
     interference_prep,
     squared_mean_prep,
 )
+
+
+class TestReportReferences:
+    """Each report's reference values equal, bit for bit, a recomputation from
+    the report's own fields and the classical mean, written out here."""
+
+    CASES = [(seed, policy, precision) for seed in range(20) for policy in ("error", "epsilon-floor")
+             for precision in ({"t_bits": 8}, {"epsilon": 0.2})]
+
+    @pytest.mark.parametrize("seed, policy, precision", CASES)
+    def test_adde_p_and_q(self, seed, policy, precision):
+        data, query = random_instance(seed)
+        rep = run_adde(data, query, PipelineConfig(policy=policy, **precision)).as_dict()
+        mu_hat, sigma2_hat = np.array(rep["mu_hat"]), np.array(rep["sigma2_hat"])
+        floored = floor_variance(sigma2_hat, "epsilon-floor", "estimated variance")
+        p = np.mean(((query.real_values - mu_hat) / (np.sqrt(floored) * rep["T_used"])) ** 2)
+        q = float(np.mean(np.log(floored))) / rep["E_used"] if rep["E_used"] else 0.0
+        assert rep["observed_errors"]["p"] == abs(rep["p_hat"] - float(p))
+        assert rep["observed_errors"]["q"] == abs(rep["q_hat"] - q)
+
+    @pytest.mark.parametrize("seed, policy, precision", CASES)
+    def test_adkpca_distance_and_b(self, seed, policy, precision):
+        data, query = random_instance(seed)
+        rep = run_adkpca(data, query, PipelineConfig(policy=policy, **precision)).as_dict()
+        x = data.real_values
+        d, mu = x.shape[1], x.mean(axis=0)
+        z = query.real_values - mu
+        b = np.mean((((x - mu) @ z) / (d * rep["constants"]["C_dprime"])) ** 2)
+        assert rep["observed_errors"]["distance_sq"] == abs(
+            d * rep["C_prime_used"] ** 2 * rep["a_hat"] - float(z @ z))
+        assert rep["observed_errors"]["b"] == abs(rep["b_hat"] - float(b))
 
 
 class TestPipelineConfig:
