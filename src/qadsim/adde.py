@@ -20,6 +20,7 @@ from .dataio import (
     QueryPoint,
     compute_constants,
     floor_variance,
+    mean_axis0,
     power_of_two_at_least,
 )
 from .pipelines import EstimatorRun, Part, PipelineConfig, report_dict
@@ -39,8 +40,13 @@ class GaussianModel:
 def classical_fit(data: DataMatrix, policy: str = "error") -> GaussianModel:
     """Population mean and variance per feature (divisor M)."""
     x = data.real_values
-    mu = x.mean(axis=0)
-    sigma2 = floor_variance(np.mean((x - mu) ** 2, axis=0), policy, "variance")
+    mu = mean_axis0(x)
+    return fit_about(mu, x - mu, policy)
+
+
+def fit_about(mu: np.ndarray, centered: np.ndarray, policy: str) -> GaussianModel:
+    """The model of mean mu and the population variance, floored by policy, of the deviations `centered`."""
+    sigma2 = floor_variance(mean_axis0(centered * centered), policy, "variance")
     return GaussianModel(mu=mu, sigma2=sigma2, source="classical")
 
 
@@ -51,11 +57,7 @@ def classical_log_density(model: GaussianModel, query: QueryPoint) -> float:
     if x0.size != mu.size:
         raise ValueError("query dimension does not match the model")
     d = mu.size
-    return float(
-        -0.5 * d * LOG_2PI
-        - 0.5 * np.sum(np.log(sigma2))
-        - np.sum((x0 - mu) ** 2 / (2.0 * sigma2))
-    )
+    return float(-0.5 * d * LOG_2PI - 0.5 * np.log(sigma2).sum() - ((x0 - mu) ** 2 / (2.0 * sigma2)).sum())
 
 
 def flag_anomaly(ln_p: float, delta: float) -> bool:
@@ -116,7 +118,7 @@ def estimate_variances(
     """
     fmt = runner.config.fp_format
     residuals = data.real_values - mu_hat
-    d_used = max(constants.D, float(np.max(np.abs(residuals))))
+    d_used = max(constants.D, float(np.abs(residuals).max()))
     (variances,) = runner.means(Part(
         "variance", residuals.T / d_used, data.padded_rows,
         {"oracle_data": 2, "arithmetic": 2}, t_bits, signed=False, scale=d_used**2,
@@ -139,15 +141,14 @@ def estimate_p(
     the rotation bound for the initial T, T is recomputed from the estimates
     and the rotations built with it.
     """
-    sigma2_hat = floor_variance(sigma2_hat, policy, "estimated variance")
-    sigma_hat = np.sqrt(sigma2_hat)
-    x0 = query.real_values
+    sigma_hat = np.sqrt(floor_variance(sigma2_hat, policy, "estimated variance"))
+    z = query.real_values - mu_hat
 
     t_used = t_const
-    ratios = (x0 - mu_hat) / (sigma_hat * t_used)
-    if np.max(np.abs(ratios)) > 1.0:
-        t_used = power_of_two_at_least(float(np.max(np.abs(x0 - mu_hat) / sigma_hat)))
-        ratios = (x0 - mu_hat) / (sigma_hat * t_used)
+    ratios = z / (sigma_hat * t_used)
+    if np.abs(ratios).max() > 1.0:
+        t_used = power_of_two_at_least(float((np.abs(z) / sigma_hat).max()))
+        ratios = z / (sigma_hat * t_used)
 
     part = Part(
         "p", ratios[None], query.padded_dim, {"oracle_query": 2, "arithmetic": 2}, t_bits,
@@ -173,7 +174,7 @@ def estimate_q(
     """
     sigma2_hat = floor_variance(sigma2_hat, policy, "estimated variance")
     logs = np.log(sigma2_hat)
-    e_used = max(e_const, float(np.max(np.abs(logs))))
+    e_used = max(e_const, float(np.abs(logs).max()))
     rows = (logs / e_used)[None] if e_used else np.empty((0, logs.size))
     return Part("q", rows, padded_dim, {"arithmetic": 2}, t_bits, signed=True), e_used
 
@@ -220,7 +221,7 @@ def run_adde(
 
     runner = EstimatorRun(config)
     plan, budget = runner.plan(
-        STAGES, lambda epsilon: budget_shares(epsilon, d, constants, float(np.min(model.sigma2)))
+        STAGES, lambda epsilon: budget_shares(epsilon, d, constants, float(model.sigma2.min()))
     )
     (t_mean, eps_mean), (t_var, eps_var), (t_tail, eps_tail) = plan
     if budget is not None:
@@ -247,14 +248,13 @@ def run_adde(
     if budget is not None:
         bounds["lnP"] = budget["epsilon"]
 
+    # p's formula is the mean square of its stage's row, (x0 - mu_hat) / (sigma_hat T_used).
     sigma2_floored = floor_variance(sigma2_hat, "epsilon-floor", "estimated variance")
-    p_formula = float(
-        np.mean(((query.real_values - mu_hat) / (np.sqrt(sigma2_floored) * t_used)) ** 2)
-    )
-    q_formula = float(np.mean(np.log(sigma2_floored))) / e_used if e_used else 0.0
+    p_formula = float(mean_axis0(p_part.table[0] ** 2))
+    q_formula = float(mean_axis0(np.log(sigma2_floored))) / e_used if e_used else 0.0
     observed = {
-        "mu": float(np.max(np.abs(mu_hat - model.mu))),
-        "sigma2": float(np.max(np.abs(sigma2_hat - model.sigma2))),
+        "mu": float(np.abs(mu_hat - model.mu).max()),
+        "sigma2": float(np.abs(sigma2_hat - model.sigma2).max()),
         "p": abs(p_hat - p_formula),
         "q": abs(q_hat - q_formula),
         "lnP": abs(ln_p_hat - ln_p_classical),

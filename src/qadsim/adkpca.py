@@ -20,9 +20,10 @@ from .dataio import (
     DataMatrix,
     QueryPoint,
     compute_constants,
+    mean_axis0,
 )
 from .pipelines import EstimatorRun, Part, PipelineConfig, report_dict
-from .adde import classical_fit, estimate_means
+from .adde import estimate_means, fit_about
 
 # The stages `budget_shares` splits epsilon over: mean, distance, overlap
 # (omega) and omega-square averaging (b).
@@ -41,6 +42,7 @@ class ConstantViolationError(QadsimError):
 class MomentModel:
     mu: np.ndarray
     covariance: np.ndarray  # divisor M - 1
+    centered: np.ndarray    # the training points minus mu, M x d
 
 
 def classical_moments(data: DataMatrix) -> MomentModel:
@@ -48,10 +50,10 @@ def classical_moments(data: DataMatrix) -> MomentModel:
     x = data.real_values
     if x.shape[0] < 2:
         raise InsufficientDataError("covariance needs at least 2 training points")
-    mu = x.mean(axis=0)
+    mu = mean_axis0(x)
     centered = x - mu
     cov = centered.T @ centered / (x.shape[0] - 1)
-    return MomentModel(mu=mu, covariance=cov)
+    return MomentModel(mu=mu, covariance=cov, centered=centered)
 
 
 def classical_proximity(model: MomentModel, query: QueryPoint) -> float:
@@ -106,7 +108,7 @@ def estimate_a(
     Returns (part, normalizer actually used).
     """
     z = query.real_values - mu_hat
-    used = _normalizer(c_prime, float(np.max(np.abs(z))), "C'")
+    used = _normalizer(c_prime, float(np.abs(z).max()), "C'")
     part = Part(
         "a", (z / used)[None], query.padded_dim, {"oracle_query": 2, "arithmetic": 2}, t_bits,
         signed=False,
@@ -130,7 +132,7 @@ def estimate_omegas(
     """
     z0 = query.real_values - mu_hat
     products = (data.real_values - mu_hat) * z0
-    used = _normalizer(c_dprime, float(np.max(np.abs(products))), "C''")
+    used = _normalizer(c_dprime, float(np.abs(products).max()), "C''")
     part = Part(
         "omega", products / used, query.padded_dim,
         {"oracle_data": 2, "oracle_query": 2, "arithmetic": 2}, t_bits, signed=True,
@@ -142,11 +144,10 @@ def estimate_b(
     omegas_hat: np.ndarray, padded_rows: int, runner: EstimatorRun, t_bits: int
 ) -> float:
     """Mean of squared overlaps via one more amplitude estimation round."""
-    if np.max(np.abs(omegas_hat)) > 1.0 + 1e-12:
+    if np.abs(omegas_hat).max() > 1.0 + 1e-12:
         raise ConstantViolationError("omega magnitude exceeds 1")
     ((b_hat,),) = runner.means(Part(
-        "b", np.clip(omegas_hat, -1.0, 1.0)[None], padded_rows, {"arithmetic": 2}, t_bits,
-        signed=False,
+        "b", omegas_hat[None], padded_rows, {"arithmetic": 2}, t_bits, signed=False,
     ))
     return b_hat
 
@@ -178,7 +179,7 @@ class ADKPCAReport:
 def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> ADKPCAReport:
     """Full proximity-measure run with bound checks against the baseline."""
     model = classical_moments(data)
-    fit = classical_fit(data, policy="epsilon-floor")
+    fit = fit_about(model.mu, model.centered, "epsilon-floor")
     constants = compute_constants(data, query, fit.mu, fit.sigma2, policy="epsilon-floor")
     config.check_range(constants.C)  # the means are the only unclipped values it quantizes
     f_classical = classical_proximity(model, query)
@@ -195,7 +196,7 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     # One wave when t_dist == t_omega (a configured t); under epsilon, one each.
     (a_hat,), omegas = runner.means(a_part, omega_part)
     # The true overlap is in [-1, 1]; clip away estimation/pad overshoot.
-    omegas_hat = np.clip([config.fp_format.quantize(w) for w in omegas], -1.0, 1.0)
+    omegas_hat = np.maximum(np.minimum([config.fp_format.quantize(w) for w in omegas], 1.0), -1.0)
     b_hat = estimate_b(omegas_hat, data.padded_rows, runner, t_bsum)
     f_hat = proximity_estimate(a_hat, b_hat, d, m, cp_used, cdp_used)
 
@@ -208,8 +209,7 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
         bounds["f"] = 2.0 * budget["epsilon"]
 
     z = query.real_values - model.mu
-    centered = data.real_values - model.mu
-    b_target = float(np.mean(((centered @ z) / (d * cdp)) ** 2))
+    b_target = float(mean_axis0(((model.centered @ z) / (d * cdp)) ** 2))
     observed = {
         "distance_sq": abs(d * cp_used**2 * a_hat - float(z @ z)),
         "b": abs(b_hat - b_target),

@@ -99,11 +99,18 @@ class StatePreparation:
                 raise SimulationError(f"reflection register {name!r} not in layout")
         object.__setattr__(self, "reflection_registers", tuple(refl))
 
+    def restacked(self, name: str, ops: tuple[Operation, ...], oracle_costs: Mapping[str, int], rows: int):
+        """A copy with other ops, costs and rows. The register checks read only the
+        layout and registers it keeps, which passed them, so they do not run again."""
+        prep = object.__new__(StatePreparation)
+        prep.__dict__.update(self.__dict__, name=name, ops=ops, oracle_costs=oracle_costs, rows=rows)
+        return prep
+
     def prepare(self) -> StateVector:
         """A|0> of every row, as a (rows, dim) stack. The replay starts from
         A's leading Hadamard blocks on |0>, built once per shape (`walsh_start`)."""
         start, rest = walsh_start(self.ops, self.layout)
-        state = StateVector._of(self.layout, np.repeat(start[None], self.rows, axis=0))
+        state = StateVector._of(self.layout, start[None].repeat(self.rows, axis=0))
         for op in rest:
             op.apply(state)
         return state

@@ -151,6 +151,11 @@ def load_query_csv(path: str, has_header: bool = False) -> QueryPoint:
     return QueryPoint(np.array(rows[0]))
 
 
+def mean_axis0(x: np.ndarray) -> np.ndarray:
+    """`np.mean(x, axis=0)` bit for bit (the same sum and count), without its Python wrapper."""
+    return np.add.reduce(x, axis=0) / len(x)
+
+
 # ---------------------------------------------------------------------------
 # data-dependent constants
 
@@ -168,7 +173,7 @@ def floor_variance(sigma2: np.ndarray, policy: str, label: str) -> np.ndarray:
     if policy not in POLICIES:
         raise ValueError(f"unknown degenerate-data policy {policy!r}")
     low = sigma2 < SIGMA_MIN
-    if not np.any(low):
+    if not low.any():
         return sigma2
     if policy == "error":
         raise DegenerateDataError(
@@ -218,7 +223,6 @@ def compute_constants(
     if x0.size != x.shape[1] or mu.size != x.shape[1]:
         raise DataError("query/model dimension does not match the data matrix")
     sigma2 = floor_variance(np.asarray(sigma2, dtype=float), policy, "variance")
-    sigma = np.sqrt(sigma2)
 
     def floored(value: float, label: str) -> float:
         if value > 0.0:
@@ -229,13 +233,15 @@ def compute_constants(
             raise DegenerateDataError(f"constant {label} is zero")
         return 0.0
 
-    C = floored(np.max(np.abs(x)), "C")
-    D = floored(np.max(np.abs(x - mu)), "D")
-    ratio = np.max(np.abs(x0 - mu) / sigma)
-    T = power_of_two_at_least(ratio)
-    E = floored(np.max(np.abs(np.log(sigma2))), "E")
-    C_prime = floored(np.max(np.abs(x0 - mu)), "C'")
-    C_dprime = floored(np.max(np.abs((x - mu) * (x0 - mu))), "C''")
+    # Each deviation once. |a| |b| is |a b| exactly: rounding is symmetric in sign.
+    spread = np.abs(x - mu)
+    offset = np.abs(x0 - mu)
+    C = floored(np.abs(x).max(), "C")
+    D = floored(spread.max(), "D")
+    T = power_of_two_at_least((offset / np.sqrt(sigma2)).max())
+    E = floored(np.abs(np.log(sigma2)).max(), "E")
+    C_prime = floored(offset.max(), "C'")
+    C_dprime = floored((spread * offset).max(), "C''")
     return Constants(C=C, D=D, T=T, E=E, C_prime=C_prime, C_dprime=C_dprime)
 
 

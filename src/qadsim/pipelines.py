@@ -96,14 +96,14 @@ def report_dict(report, **renames: str) -> dict:
     }
 
 
-def _index_bits(values: np.ndarray) -> int:
-    return values.shape[-1].bit_length() - 1
-
-
 @lru_cache(maxsize=64)
-def _layout(registers: tuple[tuple[str, int], ...], cap: int) -> RegisterLayout:
-    """A preparation's layout, built once per (registers, `qubit_cap()`)."""
-    return RegisterLayout(registers)
+def _shape(registers: tuple[tuple[str, int], ...], good_register: str, cap: int) -> StatePreparation:
+    """The checked preparation without ops that every build of one shape copies
+    (`StatePreparation.restacked`), once per (registers, good register, `qubit_cap()`)."""
+    return StatePreparation("", RegisterLayout(registers), (), good_register, label_is_zero)
+
+
+_H_S, _H_IDX = HadamardBlock("s"), HadamardBlock("idx")
 
 
 def interference_prep(name: str, values: np.ndarray, costs: dict) -> StatePreparation:
@@ -113,37 +113,23 @@ def interference_prep(name: str, values: np.ndarray, costs: dict) -> StatePrepar
     rotation values is recovered as 2 a - 1. A (k, padded) table of values
     makes a stacked preparation of k rows, one per row of the table.
     """
-    values = np.asarray(values, dtype=float)
-    ops = (
-        HadamardBlock("s"),
-        HadamardBlock("idx"),
-        Controlled("s", 0, ValueKeyedRotation(["idx"], "anc", values)),
-        HadamardBlock("s"),
-    )
-    return StatePreparation(
-        name=name,
-        layout=_layout((("s", 1), ("idx", _index_bits(values)), ("anc", 1)), qubit_cap()),
-        ops=ops,
-        good_register="s",
-        good_predicate=label_is_zero,
-        oracle_costs=costs,
-        rows=len(values) if values.ndim == 2 else 1,
-    )
+    rotation = ValueKeyedRotation(("idx",), "anc", values)
+    ops = (_H_S, _H_IDX, Controlled("s", 0, rotation), _H_S)
+    return _keyed_prep(name, (("s", 1),), "s", ops, rotation.values, costs)
 
 
 def squared_mean_prep(name: str, values: np.ndarray, costs: dict) -> StatePreparation:
     """Good probability is mean(values^2) over the index register; a
     (k, padded) table makes a stacked preparation, as in `interference_prep`."""
-    values = np.asarray(values, dtype=float)
-    return StatePreparation(
-        name=name,
-        layout=_layout((("idx", _index_bits(values)), ("anc", 1)), qubit_cap()),
-        ops=(HadamardBlock("idx"), ValueKeyedRotation(["idx"], "anc", values)),
-        good_register="anc",
-        good_predicate=label_is_zero,
-        oracle_costs=costs,
-        rows=len(values) if values.ndim == 2 else 1,
-    )
+    rotation = ValueKeyedRotation(("idx",), "anc", values)
+    return _keyed_prep(name, (), "anc", (_H_IDX, rotation), rotation.values, costs)
+
+
+def _keyed_prep(name: str, below: tuple, good_register: str, ops: tuple, table: np.ndarray, costs: dict) -> StatePreparation:
+    """`ops` on the registers `below`, then idx, one label per column of the
+    rotation's table, then anc; one row per row of the table."""
+    registers = (*below, ("idx", table.shape[-1].bit_length() - 1), ("anc", 1))
+    return _shape(registers, good_register, qubit_cap()).restacked(name, ops, costs, len(table) if table.ndim == 2 else 1)
 
 
 class Part(NamedTuple):

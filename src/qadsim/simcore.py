@@ -344,12 +344,13 @@ class ValueKeyedRotation(Operation):
 
     def __init__(self, key_registers: Sequence[str], target: str, values: np.ndarray):
         values = np.asarray(values, dtype=float)
-        if (np.abs(values) > 1.0 + 1e-12).any():
-            bad = float(np.max(np.abs(values)))
-            raise SimulationError(f"rotation value magnitude {bad} exceeds 1")
+        peak = float(np.abs(values).max(initial=0.0))
+        if not peak <= 1.0 + 1e-12:  # a NaN fails too
+            raise SimulationError(f"rotation value magnitude {peak} is not at most 1")
         self.key_registers = tuple(key_registers)
         self.target = target
-        self.values = np.maximum(np.minimum(values, 1.0), -1.0)
+        # Only a value past 1 by rounding needs the clip; a copy either way.
+        self.values = np.maximum(np.minimum(values, 1.0), -1.0) if peak > 1.0 else values.copy()
         # The (rows, n) table and its s, once per op: the kernel only lays them out.
         self._table = self.values.reshape(-1, self.values.shape[-1])
         self._s = np.sqrt(np.maximum(1.0 - self._table * self._table, 0.0))

@@ -10,6 +10,7 @@ from qadsim.ae import (
     StatePreparation,
     estimate_amplitude,
     grid_epsilon,
+    label_is_zero,
     phase_distributions,
     row_amps,
 )
@@ -178,6 +179,18 @@ class TestPreparations:
         assert one.layout is two.layout
         for flip_one, flip_two in zip(one.reflections(), two.reflections()):
             assert flip_one.diagonal(one.layout) is flip_two.diagonal(two.layout)
+
+    @pytest.mark.parametrize("build, good", [(interference_prep, "s"), (squared_mean_prep, "anc")])
+    def test_a_build_equals_the_checked_construction(self, build, good):
+        # A build copies its shape's checked preparation; it must hold what
+        # the dataclass's own construction, checks and all, would.
+        costs = {"oracle_data": 2}
+        prep = build("x", np.full((3, 4), 0.25), costs)
+        want = StatePreparation(name="x", layout=prep.layout, ops=prep.ops, good_register=good,
+                                good_predicate=label_is_zero, oracle_costs=costs, rows=3)
+        assert vars(prep) == vars(want)
+        again = build("y", np.full(4, 0.5), {})
+        assert (again.name, again.rows, again.oracle_costs, prep.name) == ("y", 1, {}, "x")
 
     def test_cached_layout_follows_the_qubit_cap(self, monkeypatch):
         values = np.full(8, 0.3)  # s, 3 index qubits and anc: 5 qubits

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qadsim import simcore
 from qadsim.arith import FixedPointFormat
@@ -31,6 +33,7 @@ from qadsim.simcore import (
     walsh_start,
 )
 from qadsim.config import NORM_TOL
+from qadsim.pipelines import interference_prep, squared_mean_prep
 from test_arith import decode
 
 
@@ -624,6 +627,23 @@ class TestNanIsRefused:
     def test_readout(self):
         with pytest.raises(SimulationError, match="drifted"):
             readout_rows(np.full((1, 4, 1), np.nan), "y")
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(0, 4), st.integers(1, 3), st.data())
+    def test_keyed_rotation_table(self, k, key_bits, data):
+        # A (k, n) table, or a (n,) one for k = 0, of the values the kernel's
+        # property test draws, NaN among them, with a NaN at one drawn entry:
+        # refused when the rotation is built, not later as a drifted norm.
+        n = 1 << key_bits
+        entry = st.one_of(st.sampled_from([1.0, -1.0, 0.0, np.nan]), st.floats(-1.0, 1.0, allow_nan=False))
+        table = np.array(data.draw(st.lists(entry, min_size=max(k, 1) * n, max_size=max(k, 1) * n)))
+        table[data.draw(st.integers(0, table.size - 1))] = np.nan
+        table = table.reshape(k, n) if k else table
+        with pytest.raises(SimulationError, match="^rotation value magnitude nan is not at most 1$"):
+            ValueKeyedRotation(["k"], "t", table)
+        for build in (interference_prep, squared_mean_prep):
+            with pytest.raises(SimulationError, match="^rotation value magnitude nan is not at most 1$"):
+                build("x", table, {})
 
 
 def test_an_empty_stack_passes_the_norm_check():
