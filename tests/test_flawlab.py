@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qadsim.dataio import DataMatrix, QueryPoint
 from qadsim.flawlab import (
@@ -159,3 +162,88 @@ class TestSuite:
         payload = json.loads(json.dumps(report.as_dict()))
         assert payload["normalization_mismatch"]["discrepancy"] > 0.01
         assert len(payload["encoding_mismatch"]) == 2
+
+
+# The flaw exhibits as `run_flaw_suite` computed them through its chi and chi0
+# helpers and its fixed call-site table; it must reproduce them exactly, or
+# fail the same way.
+ANALOG_OPERAND = "chi state: amplitude-weighted superposition of residuals over the point index"
+
+
+def _reference_rows(data):
+    if data.n_rows > 4 or data.n_cols > 4:
+        raise FlawLabError("toy constructions are limited to 4x4 data")
+    x = data.real_values
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
+        raise FlawLabError("training rows must be non-zero to normalize")
+    return x / norms[:, None]
+
+
+def reference_flaw_suite(data, query) -> dict:
+    encoding = [
+        {"site": site, "operand": ANALOG_OPERAND, "encoding": "analog", "precondition_met": False}
+        for site in ("R1", "R2")
+    ]
+    normalization = interfere_and_postselect(build_superposition(data))
+
+    rows = _reference_rows(data)
+    mu = rows.mean(axis=0)
+    chi = np.linalg.norm(rows - mu, axis=0)
+    x0 = np.asarray(query.real_values, dtype=float)
+    n0 = np.linalg.norm(x0)
+    if n0 == 0.0:
+        raise FlawLabError("query point must be non-zero to normalize")
+    x0 = x0 / n0
+    chi0 = math.sqrt(rows.shape[0]) * np.abs(x0 - mu)
+    sigma2 = np.mean((rows - mu) ** 2, axis=0)
+    sigma2_safe = np.where(sigma2 > 0, sigma2, np.nan)
+    query_term = float(np.nansum((x0 - mu) ** 2 / (2.0 * sigma2_safe)))
+    expectation = expectation_audit(chi, chi0=chi0, sigma2=sigma2, query_term=query_term)
+    return {
+        "encoding_mismatch": encoding,
+        "normalization_mismatch": normalization,
+        "expectation_mismatch": expectation,
+    }
+
+
+# Entries that make ties and zeros likely.
+flaw_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-3]),
+    st.floats(-10.0, -0.01),
+    st.floats(0.01, 10.0),
+)
+
+
+@st.composite
+def flaw_cases(draw):
+    """An M x d toy matrix (M 1-4, d 1-4) and a query of width d. A row may
+    be zero, a row may be another row scaled by a negative factor (so the
+    normalized rows can sum to zero) or its mirror in the last feature (so
+    the other features' chi vanish), and the query may be zero."""
+    m, d = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    x = np.array(draw(st.lists(flaw_entries, min_size=m * d, max_size=m * d))).reshape(m, d)
+    special = draw(st.sampled_from(["none", "none", "zero row", "opposite rows", "mirror", "zero query"]))
+    if special == "zero row":
+        x[draw(st.integers(0, m - 1))] = 0.0
+    if special == "opposite rows" and m > 1:
+        x[1] = -draw(st.sampled_from([0.5, 1.0, 2.0])) * x[0]
+    if special == "mirror" and m > 1:  # equal normalized columns but the last: chi_j = 0
+        x[1] = x[0] * np.r_[np.ones(d - 1), -1.0]
+    x0 = np.array(draw(st.lists(flaw_entries, min_size=d, max_size=d)))
+    if special == "zero query":
+        x0[:] = 0.0
+    return x, x0
+
+
+@settings(deadline=None, max_examples=400)
+@given(flaw_cases())
+def test_flaw_suite_equals_the_reference(case):
+    data, query = DataMatrix(case[0]), QueryPoint(case[1])
+    try:
+        want = reference_flaw_suite(data, query)
+    except Exception as exc:  # the same error, message and all
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            run_flaw_suite(data, query)
+        return
+    assert run_flaw_suite(data, query).as_dict() == want

@@ -8,8 +8,9 @@ Layouts, register order, widths (1 to 6 qubits), rotation values, control
 values and reflection predicates are drawn at random. The keyed rotation's
 one-pass kernel is held bit for bit to its two-line form, the cached
 reflection diagonals to a label-by-label evaluation, a replay that starts
-from the cached Hadamard prefix to the op-by-op replay, and the fixed-point
-`quantize` to decode(encode(x)).
+from the cached Hadamard prefix to the op-by-op replay, Q's dense matrix to
+the product of A's matrix and the reflections' sign flips, and the
+fixed-point `quantize` to decode(encode(x)).
 """
 from unittest import mock
 
@@ -377,6 +378,18 @@ def test_a_replay_from_the_walsh_start_equals_the_op_by_op_replay(case):
         op.apply(columns)
     np.testing.assert_array_equal(operation_matrix(prep.ops, prep.layout, rows),
                                   np.swapaxes(columns.amps, -1, -2))
+
+
+@settings(deadline=None, max_examples=150)
+@given(prefixed_preparations())
+def test_grover_matrix_is_the_product_of_a_and_the_sign_flips(case):
+    prep = case[0]
+    lay = prep.layout
+    a = operation_matrix(prep.ops, lay, prep.rows)
+    zero = lay.sign_flips(prep.reflection_registers)
+    good = lay.sign_flips((prep.good_register,), prep.good_predicate)
+    want = (a * -zero) @ a.transpose(0, 2, 1) * good
+    np.testing.assert_array_equal(GroverOperator(prep).matrix(), want if prep.rows > 1 else want[0])
 
 
 @st.composite
