@@ -33,8 +33,8 @@ STAGES = ("mean", "var", "tail")
 @dataclass(frozen=True)
 class GaussianModel:
     mu: np.ndarray
-    sigma2: np.ndarray
-    source: str  # "classical" or "quantum"
+    sigma2: np.ndarray      # divisor M, floored by the fit's policy
+    centered: np.ndarray    # the training points minus mu, M x d
 
 
 def classical_fit(data: DataMatrix, policy: str = "error") -> GaussianModel:
@@ -47,7 +47,7 @@ def classical_fit(data: DataMatrix, policy: str = "error") -> GaussianModel:
 def fit_about(mu: np.ndarray, centered: np.ndarray, policy: str) -> GaussianModel:
     """The model of mean mu and the population variance, floored by policy, of the deviations `centered`."""
     sigma2 = floor_variance(mean_axis0(centered * centered), policy, "variance")
-    return GaussianModel(mu=mu, sigma2=sigma2, source="classical")
+    return GaussianModel(mu=mu, sigma2=sigma2, centered=centered)
 
 
 def classical_log_density(model: GaussianModel, query: QueryPoint) -> float:
@@ -214,7 +214,7 @@ def run_adde(
 ) -> ADDEReport:
     """Full detection run: fit, quantum estimation, budget checks, flag."""
     model = classical_fit(data, policy=config.policy)
-    constants = compute_constants(data, query, model.mu, model.sigma2, policy=config.policy)
+    constants = compute_constants(data, query, model, policy=config.policy)
     config.check_range(constants.C, constants.D**2, constants.T, constants.E)
     ln_p_classical = classical_log_density(model, query)
     d = data.n_cols

@@ -180,7 +180,7 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     """Full proximity-measure run with bound checks against the baseline."""
     model = classical_moments(data)
     fit = fit_about(model.mu, model.centered, "epsilon-floor")
-    constants = compute_constants(data, query, fit.mu, fit.sigma2, policy="epsilon-floor")
+    constants = compute_constants(data, query, fit, policy="epsilon-floor")
     config.check_range(constants.C)  # the means are the only unclipped values it quantizes
     f_classical = classical_proximity(model, query)
     d = data.n_cols

@@ -19,12 +19,13 @@ concatenated masses as one stack, and one readout (`simcore._readout`, which
 reads the phase register off it exactly) and one draw, row i with seed + i,
 finish it. A pipeline hands it a wave, the rows of its stages that share a t
 (`pipelines.EstimatorRun.means`), so a run pays the stack's fixed NumPy cost
-once per wave, not once per stage. The dense path (`GroverOperator.matrix`,
-`_qpe_rows`, `qpe_state`) simulates the whole circuit; it is the reference the
+once per wave, not once per stage. The dense path (`GroverOperator.matrix`
+and `qpe_state`) simulates the whole circuit; it is the reference the
 `equivalence` suite and the tests compare against. Q is only a dense matrix,
-never run op by op. The benchmark's tracer (`perfbench/tracer.py`) wraps
-`qpe_state`, `GroverOperator.matrix` and `good_probability` by name, and
-reads `AEResult.raw_outcome`, which nothing else does.
+A's with the two reflections run on its rows, never run op by op.
+The benchmark's tracer (`perfbench/tracer.py`) wraps `qpe_state`,
+`GroverOperator.matrix` and `good_probability` by name, and reads
+`AEResult.raw_outcome`, which nothing else does.
 """
 from __future__ import annotations
 
@@ -145,11 +146,11 @@ class GroverOperator:
     """Q = -A S0 Adag Schi for a state preparation, as the dense reference's
     matrix only; no pipeline builds it (circuit mode: `_mass_rows`).
 
-    `matrix` builds Q from a single replay of A: with A's dense matrix and
-    the +-1 diagonals of the two reflections, Q = -(A diag(S0)) A^T diag(Schi),
-    and every column of the product is checked for unit norm. A's matrix is
-    kept as `_a` (stacked by row) for `_qpe_rows`, which reads A|0> from its
-    column 0 rather than replaying A.
+    `matrix` builds Q from a single replay of A: S0 runs on the rows of -A's
+    dense matrix and Schi on the rows of the product with A^T, so
+    Q = -(A S0) A^T Schi, and every column of Q is checked for unit norm.
+    A's matrix is kept as `_a` (stacked by row) for `qpe_state`, which reads
+    A|0> from its column 0 rather than replaying A.
     """
 
     def __init__(self, prep: StatePreparation):
@@ -159,10 +160,11 @@ class GroverOperator:
     def matrix(self) -> np.ndarray:
         """Dense matrix of Q on the preparation's layout (small layouts); for a
         stacked preparation, the (rows, dim, dim) blocks of its rows."""
-        prep = self.prep
-        self._a = a = operation_matrix(prep.ops, prep.layout, prep.rows)
-        q = (a * -self.zero_flip.diagonal(prep.layout)) @ a.transpose(0, 2, 1)
-        q *= self.good_flip.diagonal(prep.layout)
+        prep, lay = self.prep, self.prep.layout
+        self._a = a = operation_matrix(prep.ops, lay, prep.rows)
+        # Run as a stack of states, each row of a matrix M gets the diagonal: M diag(S).
+        q = self.zero_flip.apply(StateVector._of(lay, -a)).amps @ a.transpose(0, 2, 1)
+        q = self.good_flip.apply(StateVector._of(lay, q)).amps
         check_unit_norms(q.transpose(0, 2, 1))  # its columns
         return q if prep.rows > 1 else q[0]
 
@@ -232,10 +234,12 @@ def _grid_amplitude(y: int, t: int) -> float:
     return 0.5 * (1.0 - math.cos(math.pi * num / den))
 
 
-def _qpe_rows(prep: StatePreparation, t: int) -> tuple[RegisterLayout, np.ndarray]:
-    """Each row's phase-estimation layout and the (rows, 2^t, dim) stack of
-    the rows' real states right before the inverse QFT: the dense reference
-    for `_mass_rows`, reached through `qpe_state` and the tests only.
+def qpe_state(prep: StatePreparation, t: int) -> StateVector:
+    """The state right before the inverse QFT, with a t-bit phase register
+    on top of the preparation's layout: the dense reference for the
+    phase-estimation circuit and for `_mass_rows`, which `phase_distributions`
+    never runs. One state for a one-row preparation; for a stacked one, the
+    (rows, 2^t dim) stack of its rows' states.
 
     Line y of a row's (2^t, dim) state is Q^y A|0> / sqrt(2^t). A is replayed
     once, on the 2^n register only, to build Q; its column 0 is A|0>. Line 0
@@ -256,15 +260,9 @@ def _qpe_rows(prep: StatePreparation, t: int) -> tuple[RegisterLayout, np.ndarra
         np.matmul(rows[:, :half], power.transpose(0, 2, 1), out=rows[:, half : 2 * half])
         if k + 1 < t:
             power = power @ power
-    check_unit_norms(rows.reshape(prep.rows, -1))
-    return layout, rows
-
-
-def qpe_state(prep: StatePreparation, t: int) -> StateVector:
-    """`_qpe_rows` of a one-row preparation as a state: the dense reference
-    for the phase-estimation circuit, which `phase_distributions` never runs."""
-    layout, rows = _qpe_rows(prep, t)
-    return StateVector(layout, rows.reshape(-1))
+    states = rows.reshape(prep.rows, -1)
+    check_unit_norms(states)
+    return StateVector(layout, states if prep.rows > 1 else states[0])
 
 
 def _plane_masses(prep: StatePreparation, t: int) -> tuple[np.ndarray, np.ndarray]:

@@ -202,27 +202,25 @@ class Constants:
         return dict(vars(self))  # every field is a scalar
 
 
-def compute_constants(
-    data: DataMatrix,
-    query: QueryPoint,
-    mu: np.ndarray,
-    sigma2: np.ndarray,
-    policy: str = "error",
-) -> Constants:
+def compute_constants(data: DataMatrix, query: QueryPoint, fit, policy: str = "error") -> Constants:
     """Evaluate the defining max-identities on the unpadded data.
 
-    policy: "error" raises on a degenerate variance and on a zero C or D,
-    the normalizers ADDE's rotations and error budget divide by; it keeps a
-    zero E, C' or C'' (ADDE never reads C' or C'', and a zero E leaves q
-    with no AE to run). "epsilon-floor" substitutes SIGMA_MIN for each
-    instead (see floor_variance).
+    `fit` is the data's Gaussian fit (`adde.GaussianModel`): its mean mu,
+    its deviations x - mu (`centered`) and its variances, which the fit has
+    already floored by the same policy.
+
+    policy: "error" raises on a zero C or D, the normalizers ADDE's
+    rotations and error budget divide by; it keeps a zero E, C' or C''
+    (ADDE never reads C' or C'', and a zero E leaves q with no AE to run).
+    "epsilon-floor" substitutes SIGMA_MIN for each instead.
     """
     x = data.real_values
     x0 = query.real_values
-    mu = np.asarray(mu, dtype=float)
+    mu, sigma2 = fit.mu, fit.sigma2
     if x0.size != x.shape[1] or mu.size != x.shape[1]:
         raise DataError("query/model dimension does not match the data matrix")
-    sigma2 = floor_variance(np.asarray(sigma2, dtype=float), policy, "variance")
+    if policy not in POLICIES:
+        raise ValueError(f"unknown degenerate-data policy {policy!r}")
 
     def floored(value: float, label: str) -> float:
         if value > 0.0:
@@ -234,7 +232,7 @@ def compute_constants(
         return 0.0
 
     # Each deviation once. |a| |b| is |a b| exactly: rounding is symmetric in sign.
-    spread = np.abs(x - mu)
+    spread = np.abs(fit.centered)
     offset = np.abs(x0 - mu)
     C = floored(np.abs(x).max(), "C")
     D = floored(spread.max(), "D")

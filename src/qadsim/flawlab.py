@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import QadsimError
-from .dataio import DataMatrix, QueryPoint
+from .dataio import DataError, DataMatrix, QueryPoint
 from .simcore import HadamardBlock, RegisterLayout, StateVector, marginal_probs
 
 
@@ -26,18 +26,18 @@ class FlawLabError(QadsimError):
 
 MAX_TOY_SIZE = 4
 
-
-@dataclass(frozen=True)
-class RotationCallSite:
-    """One controlled-rotation call site and the encoding of its control operand."""
-
-    site: str
-    operand: str
-    digital: bool
-
-    @property
-    def precondition_met(self) -> bool:
-        return self.digital
+# The two controlled-rotation call sites of the analyzed construction. A
+# controlled rotation needs a digital-encoded control; both are driven by
+# the analog-encoded chi state, so neither meets that precondition.
+ROTATION_SITES = tuple(
+    {
+        "site": site,
+        "operand": "chi state: amplitude-weighted superposition of residuals over the point index",
+        "encoding": "analog",
+        "precondition_met": False,
+    }
+    for site in ("R1", "R2")
+)
 
 
 @dataclass
@@ -54,16 +54,6 @@ class FlawReport:
         }
 
 
-def _check_toy(data: DataMatrix) -> np.ndarray:
-    if data.n_rows > MAX_TOY_SIZE or data.n_cols > MAX_TOY_SIZE:
-        raise FlawLabError(f"toy constructions are limited to {MAX_TOY_SIZE}x{MAX_TOY_SIZE} data")
-    x = data.real_values
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        raise FlawLabError("training rows must be non-zero to normalize")
-    return x / norms[:, None]
-
-
 @dataclass
 class SuperpositionState:
     """The branch superposition of training states vs the mean state."""
@@ -72,7 +62,6 @@ class SuperpositionState:
     n_mu: float            # norm of the summed-rows vector
     mu_sum: np.ndarray     # per-feature column sums of the normalized rows
     rows: np.ndarray       # normalized training rows
-    global_norm: float     # factor dividing the as-written (unnormalized) ket
 
 
 def build_superposition(data: DataMatrix) -> SuperpositionState:
@@ -82,7 +71,12 @@ def build_superposition(data: DataMatrix) -> SuperpositionState:
     summed rows divided by its own normalizer N_mu, which is exactly the
     quantity the later post-selection claim silently drops.
     """
-    rows = _check_toy(data)
+    if data.n_rows > MAX_TOY_SIZE or data.n_cols > MAX_TOY_SIZE:
+        raise FlawLabError(f"toy constructions are limited to {MAX_TOY_SIZE}x{MAX_TOY_SIZE} data")
+    norms = np.linalg.norm(data.real_values, axis=1)
+    if np.any(norms == 0.0):
+        raise FlawLabError("training rows must be non-zero to normalize")
+    rows = data.real_values / norms[:, None]
     mu_sum = rows.sum(axis=0)
     n_mu = float(np.linalg.norm(mu_sum))
     if n_mu == 0.0:
@@ -94,10 +88,10 @@ def build_superposition(data: DataMatrix) -> SuperpositionState:
     m, d = rows.shape
     amps[:m, :d, 0] = rows
     amps[:m, :d, 1] = mu_sum / n_mu
-    global_norm = math.sqrt(2.0 * m)
-    sv = StateVector(layout, amps.reshape(-1) / global_norm)
+    # The as-written ket is unnormalized; each of its 2m branches has unit norm.
+    sv = StateVector(layout, amps.reshape(-1) / math.sqrt(2.0 * m))
     sv.check_norm()
-    return SuperpositionState(state=sv, n_mu=n_mu, mu_sum=mu_sum, rows=rows, global_norm=global_norm)
+    return SuperpositionState(state=sv, n_mu=n_mu, mu_sum=mu_sum, rows=rows)
 
 
 def interfere_and_postselect(sup: SuperpositionState) -> dict:
@@ -137,30 +131,6 @@ def interfere_and_postselect(sup: SuperpositionState) -> dict:
         "actual_amplitudes": [[float(z), 0.0] for z in actual],
         "claimed_amplitudes": [[float(z), 0.0] for z in claimed],
     }
-
-
-def chi_from_data(data: DataMatrix) -> tuple[np.ndarray, float, np.ndarray]:
-    """Scalars chi_j under the documented interpretation: the Euclidean norm of
-    the per-feature residual vector over training points.  Returns
-    (chi, N_mu, mu) for downstream audits."""
-    rows = _check_toy(data)
-    mu = rows.mean(axis=0)
-    residual = rows - mu
-    chi = np.linalg.norm(residual, axis=0)
-    n_mu = float(np.linalg.norm(rows.sum(axis=0)))
-    return chi, n_mu, mu
-
-
-def chi0_from_data(data: DataMatrix, query: QueryPoint) -> np.ndarray:
-    """chi0_j: norm of the query residual repeated over the point index."""
-    rows = _check_toy(data)
-    mu = rows.mean(axis=0)
-    x0 = np.asarray(query.real_values, dtype=float)
-    n0 = np.linalg.norm(x0)
-    if n0 == 0.0:
-        raise FlawLabError("query point must be non-zero to normalize")
-    x0 = x0 / n0
-    return math.sqrt(rows.shape[0]) * np.abs(x0 - mu)
 
 
 def expectation_audit(
@@ -222,50 +192,33 @@ def expectation_audit(
     return report
 
 
-def appendix_trace() -> list[RotationCallSite]:
-    """The two controlled-rotation call sites of the analyzed construction."""
-    return [
-        RotationCallSite(
-            site="R1",
-            operand="chi state: amplitude-weighted superposition of residuals over the point index",
-            digital=False,
-        ),
-        RotationCallSite(
-            site="R2",
-            operand="chi state: amplitude-weighted superposition of residuals over the point index",
-            digital=False,
-        ),
-    ]
-
-
-def encoding_classifier(trace: list[RotationCallSite]) -> list[dict]:
-    """Classify each call site's control operand; controlled rotation requires
-    a digital-encoded control, so analog operands are flagged."""
-    return [
-        {
-            "site": site.site,
-            "operand": site.operand,
-            "encoding": "digital" if site.digital else "analog",
-            "precondition_met": site.precondition_met,
-        }
-        for site in trace
-    ]
-
-
 def run_flaw_suite(data: DataMatrix, query: QueryPoint) -> FlawReport:
-    """All three flaw exhibits on one dataset."""
-    report = FlawReport()
-    report.encoding = encoding_classifier(appendix_trace())
+    """All three flaw exhibits on one dataset and a query of its width.
+
+    The rows are normalized once (`build_superposition`), and so is the
+    query. chi_j, the documented interpretation of the chi scalars, is the
+    Euclidean norm of the per-feature residual vector over the training
+    points; chi0_j is the norm of the query residual repeated over the
+    point index.
+    """
+    if query.dim != data.n_cols:
+        raise DataError("query/model dimension does not match the data matrix")
+    report = FlawReport(encoding=[dict(site) for site in ROTATION_SITES])
 
     sup = build_superposition(data)
     report.normalization = interfere_and_postselect(sup)
 
-    chi, _n_mu, mu = chi_from_data(data)
-    chi0 = chi0_from_data(data, query)
-    rows = _check_toy(data)
-    sigma2 = np.mean((rows - mu) ** 2, axis=0)
+    rows = sup.rows
+    mu = rows.mean(axis=0)
+    residual = rows - mu
+    chi = np.linalg.norm(residual, axis=0)
     x0 = np.asarray(query.real_values, dtype=float)
-    x0 = x0 / np.linalg.norm(x0)
+    n0 = np.linalg.norm(x0)
+    if n0 == 0.0:
+        raise FlawLabError("query point must be non-zero to normalize")
+    x0 = x0 / n0
+    chi0 = math.sqrt(rows.shape[0]) * np.abs(x0 - mu)
+    sigma2 = np.mean(residual**2, axis=0)
     sigma2_safe = np.where(sigma2 > 0, sigma2, np.nan)
     query_term = float(np.nansum((x0 - mu) ** 2 / (2.0 * sigma2_safe)))
     report.expectation = expectation_audit(chi, chi0=chi0, sigma2=sigma2, query_term=query_term)

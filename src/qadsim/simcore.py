@@ -15,12 +15,12 @@ Amplitudes are real (float64): every operation A and Q use is real orthogonal
 (Walsh-Hadamard blocks, keyed rotations, controlled versions of these, +-1
 reflections). Each op re-checks the norm invariant except the reflections,
 exact sign flips that cannot change it. No op has an inverse: Q is only a
-dense matrix, from A's (`operation_matrix`) and the reflections' diagonals.
-The one complex step, the inverse QFT of phase estimation, is never applied
-to a state: `readout_rows` reads the register's outcome distribution off real
-states with a half-spectrum FFT. :class:`Qft`, `measure` (with `draw` and
-`StateVector.norm_sq`) and the reflections' `kernel` serve no product path;
-the benchmark's tracer (`perfbench/tracer.py`) wraps them by name.
+dense matrix, from A's (`operation_matrix`) with the reflections run on its
+rows. The one complex step, the inverse QFT of phase estimation, is never
+applied to a state: `readout_rows` reads the register's outcome distribution
+off real states with a half-spectrum FFT. :class:`Qft` and `measure` (with
+`draw` and `StateVector.norm_sq`) serve no product path; the benchmark's
+tracer (`perfbench/tracer.py`) wraps them by name.
 Digital arithmetic is not simulated gate by gate: an oracle write, a
 controlled rotation on the written value and the uncompute collapse into one
 :class:`ValueKeyedRotation` on the index.
@@ -429,12 +429,8 @@ class ReflectAboutZero(Operation):
     def __init__(self, registers: Sequence[str]):
         self.registers = tuple(registers)
 
-    def diagonal(self, layout: RegisterLayout) -> np.ndarray:
-        """The read-only +-1 diagonal: -1 where every named register reads 0."""
-        return layout.sign_flips(self.registers)
-
     def kernel(self, state: StateVector) -> None:
-        state.amps *= self.diagonal(state.layout)
+        state.amps *= state.layout.sign_flips(self.registers)
 
 
 class ReflectWhere(Operation):
@@ -444,12 +440,8 @@ class ReflectWhere(Operation):
         self.register = register
         self.predicate = predicate
 
-    def diagonal(self, layout: RegisterLayout) -> np.ndarray:
-        """The read-only +-1 diagonal: -1 where the register's label satisfies the predicate."""
-        return layout.sign_flips((self.register,), self.predicate)
-
     def kernel(self, state: StateVector) -> None:
-        state.amps *= self.diagonal(state.layout)
+        state.amps *= state.layout.sign_flips((self.register,), self.predicate)
 
 
 # ---------------------------------------------------------------------------

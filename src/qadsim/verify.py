@@ -15,16 +15,10 @@ from .ae import AEConfig, estimate_amplitude, grid_epsilon, label_is_zero, phase
 from .adde import run_adde
 from .adkpca import run_adkpca
 from .dataio import DataMatrix, QueryLedger, QueryPoint
-from .flawlab import (
-    build_superposition,
-    encoding_classifier,
-    appendix_trace,
-    expectation_audit,
-    interfere_and_postselect,
-)
+from .flawlab import ROTATION_SITES, build_superposition, expectation_audit, interfere_and_postselect
 from .pipelines import PipelineConfig, interference_prep, squared_mean_prep
 from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation, readout_rows
-from .ae import PHASE_REGISTER, StatePreparation, _qpe_rows, qpe_state
+from .ae import PHASE_REGISTER, StatePreparation, qpe_state
 
 SUITES = ("bounds", "equivalence", "scaling", "flaws")
 
@@ -139,7 +133,7 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
     The stacked run of both features as one stage, as both modes run it, must
     give each feature the same distribution and good probability as both.
     The stage's other builder, the squared-mean preparation, runs the same
-    stacked rows, and each row must match its dense `_qpe_rows` readout.
+    stacked rows, and each row must match the readout of its dense `qpe_state`.
     """
     data = DataMatrix(np.array([[0.3, -0.7], [0.9, 0.1]]))
     c_const = 1.0
@@ -160,7 +154,8 @@ def equivalence_suite(t_bits: int = 3, tol: float = 1e-12) -> dict:
     stacked_good = stacked_prep.masses()[0]
     squared_prep = squared_mean_prep("square", data.values.T / c_const, {})
     squared = phase_distributions(squared_prep, t_bits)
-    squared_dense = readout_rows(_qpe_rows(squared_prep, t_bits)[1], PHASE_REGISTER)
+    squared_states = qpe_state(squared_prep, t_bits).amps.reshape(squared_prep.rows, 1 << t_bits, -1)
+    squared_dense = readout_rows(squared_states, PHASE_REGISTER)
     failures = []
     max_dev = 0.0
     for j in range(data.n_cols):
@@ -250,7 +245,7 @@ def flaws_suite() -> dict:
     if norm_rec["discrepancy"] <= 0.01:
         failures.append({"check": "normalization_discrepancy", "value": norm_rec["discrepancy"]})
 
-    encoding = encoding_classifier(appendix_trace())
+    encoding = [dict(site) for site in ROTATION_SITES]
     if any(rec["encoding"] != "analog" or rec["precondition_met"] for rec in encoding):
         failures.append({"check": "encoding", "records": encoding})
 

@@ -144,7 +144,7 @@ class TestBudget:
 class TestEstimators:
     def _setup(self, data, query, t=12):
         model = classical_fit(data, policy="epsilon-floor")
-        constants = compute_constants(data, query, model.mu, model.sigma2, policy="epsilon-floor")
+        constants = compute_constants(data, query, model, policy="epsilon-floor")
         runner = EstimatorRun(PipelineConfig(t_bits=t, mode="ideal", policy="epsilon-floor"))
         return data, query, model, constants, runner
 

@@ -17,7 +17,6 @@ from qadsim.ae import (
     grid_epsilon,
     _mass_rows,
     _plane_masses,
-    _qpe_rows,
     phase_distributions,
     qpe_state,
 )
@@ -433,7 +432,7 @@ class TestIndependentReferences:
 class TestSubspacePath:
     """`phase_distributions` runs in each row's plane span{u_g, u_b}, from the
     row's good and bad masses (`_plane_masses`, `_mass_rows`); the dense
-    `_qpe_rows` is its reference."""
+    `qpe_state` is its reference."""
 
     @pytest.mark.parametrize("build", [interference_prep, squared_mean_prep])
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
@@ -450,7 +449,10 @@ class TestSubspacePath:
             anc = marginal_probs(prep.prepare(), "anc")
             assert anc[0, 0] == 0.0 and anc[1, 1] == 0.0  # no good part, no bad part
         for t in range(1, 12):
-            dense = readout_rows(_qpe_rows(prep, t)[1], PHASE_REGISTER)
+            state = qpe_state(prep, t)
+            # One state for one row, else a stack of one state per row.
+            assert state.amps.shape == ((k,) if k > 1 else ()) + (prep.layout.dim << t,)
+            dense = readout_rows(state.amps.reshape(k, 1 << t, -1), PHASE_REGISTER)
             np.testing.assert_allclose(phase_distributions(prep, t), dense, rtol=0, atol=1e-12)
 
     def test_rows_with_one_basis_vector_stack_as_they_run_alone(self):

@@ -217,6 +217,7 @@ FUZZ_CSVS = {
     "one-row": ("1,2\n", "1,3\n"),
     "large-values": ("50,-49\n-50,48\n49.5,50\n", "51,-50\n"),
     "query-width": ("1,2\n3,4\n0,3\n", "1,2,3\n"),
+    "query-narrow": ("1,2\n3,4\n0,3\n", "1\n"),
     "query-two-rows": ("1,2\n3,4\n0,3\n", "1,2\n3,4\n"),
     "plain": ("1,2\n3,4\n0,3\n2,1\n", "1,3\n"),
     # Entries whose squared moment sums overflow a double for the input's size.
@@ -320,6 +321,18 @@ class TestFuzz:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert _one_line_error(captured.err) and "so that their squared sums stay finite" in captured.err
+
+    @pytest.mark.parametrize("case", ["query-narrow", "query-width"])
+    @pytest.mark.parametrize("command", ["flaws", "detect", "kpca"])
+    def test_a_query_of_another_width_exits_2_with_one_line(self, case, command, tmp_path, capsys):
+        data, query = (tmp_path / "d.csv", tmp_path / "q.csv")
+        data.write_text(FUZZ_CSVS[case][0])
+        query.write_text(FUZZ_CSVS[case][1])
+        flags = [] if command == "flaws" else ["--t-bits", "4"]
+        assert main([command, "--data", str(data), "--query", str(query), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: query/model dimension does not match the data matrix\n"
 
     def test_an_entry_of_1e100_still_loads(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

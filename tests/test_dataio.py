@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qadsim.adde import GaussianModel, classical_fit
 from qadsim.config import SIGMA_MIN
 from qadsim.dataio import (
     Constants,
@@ -135,10 +136,8 @@ class TestConstants:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         data = DataMatrix(x)
         query = QueryPoint(np.array([2.5, 3.5]))
-        mu = x.mean(axis=0)
-        sigma2 = np.mean((x - mu) ** 2, axis=0)
         # sigma^2 = 1 makes ln sigma^2 vanish; the floor policy floors E
-        c = compute_constants(data, query, mu, sigma2, policy="epsilon-floor")
+        c = compute_constants(data, query, classical_fit(data), policy="epsilon-floor")
         assert c.C == 4.0
         assert c.D == 1.0
         assert c.C_prime == 0.5
@@ -152,12 +151,9 @@ class TestConstants:
         assert list(c.as_dict().items()) == list(dataclasses.asdict(c).items())
 
     def test_T_power_of_two(self):
-        x = np.array([[0.0], [1.0]])
-        data = DataMatrix(x)
+        data = DataMatrix(np.array([[0.0], [1.0]]))
         query = QueryPoint(np.array([3.0]))
-        mu = x.mean(axis=0)
-        sigma2 = np.mean((x - mu) ** 2, axis=0)
-        c = compute_constants(data, query, mu, sigma2)
+        c = compute_constants(data, query, classical_fit(data))
         ratio = abs(3.0 - 0.5) / 0.5
         assert c.T == power_of_two_at_least(ratio) == 8.0
 
@@ -165,14 +161,19 @@ class TestConstants:
         x = np.array([[1.0], [1.0]])
         data = DataMatrix(x)
         query = QueryPoint(np.array([2.0]))
-        with pytest.raises(DegenerateDataError):
-            compute_constants(data, query, x.mean(axis=0), np.zeros(1))
+        with pytest.raises(DegenerateDataError, match=r"^variance below floor for features \[0\]$"):
+            classical_fit(data)  # the fit refuses the zero variance first
+        # With the variance taken as 1, the constants refuse the zero D.
+        fit = GaussianModel(mu=x.mean(axis=0), sigma2=np.ones(1), centered=np.zeros((2, 1)))
+        with pytest.raises(DegenerateDataError, match="^constant D is zero$"):
+            compute_constants(data, query, fit)
 
     def test_epsilon_floor_policy(self):
         x = np.array([[1.0], [1.0]])
         data = DataMatrix(x)
         query = QueryPoint(np.array([2.0]))
-        c = compute_constants(data, query, x.mean(axis=0), np.zeros(1), policy="epsilon-floor")
+        fit = classical_fit(data, policy="epsilon-floor")
+        c = compute_constants(data, query, fit, policy="epsilon-floor")
         assert c.C == 1.0
         assert c.D == 1e-6  # floored: all residuals vanish
         # E and T read the floored variance: ln SIGMA_MIN, and |2 - 1| / sqrt(SIGMA_MIN)
@@ -181,8 +182,16 @@ class TestConstants:
 
     def test_unknown_policy(self):
         data = DataMatrix(np.array([[1.0], [2.0]]))
-        with pytest.raises(ValueError):
-            compute_constants(data, QueryPoint(np.array([1.0])), np.array([1.5]), np.array([0.25]), policy="??")
+        fit = classical_fit(data)
+        with pytest.raises(ValueError, match="^unknown degenerate-data policy '\\?\\?'$"):
+            compute_constants(data, QueryPoint(np.array([1.0])), fit, policy="??")
+
+    def test_a_query_or_fit_of_another_width_is_refused(self):
+        data = DataMatrix(np.array([[1.0, 2.0], [3.0, 5.0]]))
+        wide = classical_fit(DataMatrix(np.array([[1.0, 2.0, 3.0], [4.0, 6.0, 9.0]])))
+        for query, fit in ((QueryPoint(np.ones(3)), classical_fit(data)), (QueryPoint(np.ones(2)), wide)):
+            with pytest.raises(DataError, match="^query/model dimension does not match the data matrix$"):
+                compute_constants(data, query, fit)
 
 
 def reference_constants(data, query, mu, sigma2, policy="error") -> Constants:
@@ -239,17 +248,22 @@ def constants_cases(draw):
 @settings(deadline=None, max_examples=400)
 @given(constants_cases())
 def test_constants_equal_the_reference(case):
+    # The reference floors the variances itself; the program's fit does,
+    # and its constants read them off the fit.
     x, x0, policy = case
     data, query = DataMatrix(x), QueryPoint(x0)
     mu = x.mean(axis=0)
-    args = (data, query, mu, np.mean((x - mu) ** 2, axis=0), policy)
+
+    def through_the_fit():
+        return compute_constants(data, query, classical_fit(data, policy), policy)
+
     try:
-        want = reference_constants(*args)
+        want = reference_constants(data, query, mu, np.mean((x - mu) ** 2, axis=0), policy)
     except Exception as exc:  # the same error, message and all
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            compute_constants(*args)
+            through_the_fit()
         return
-    got = compute_constants(*args)
+    got = through_the_fit()
     for field in dataclasses.fields(Constants):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
         assert type(getattr(got, field.name)) is float, field.name

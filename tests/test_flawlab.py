@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 
 from qadsim.dataio import DataMatrix, QueryPoint
 from qadsim.flawlab import (
+    ROTATION_SITES,
     FlawLabError,
-    appendix_trace,
     build_superposition,
-    chi0_from_data,
-    chi_from_data,
-    encoding_classifier,
     expectation_audit,
     interfere_and_postselect,
     run_flaw_suite,
-    RotationCallSite,
 )
 
 
@@ -125,34 +121,29 @@ class TestExpectationAudit:
 
 class TestEncodingClassifier:
     def test_default_trace_all_analog(self):
-        records = encoding_classifier(appendix_trace())
+        records = run_flaw_suite(
+            DataMatrix(np.array([[1.0, 2.0], [3.0, -1.0]])), QueryPoint(np.array([2.0, 1.0]))
+        ).encoding
+        assert records == list(ROTATION_SITES)
         assert [r["site"] for r in records] == ["R1", "R2"]
         assert all(r["encoding"] == "analog" for r in records)
         assert not any(r["precondition_met"] for r in records)
-
-    def test_digital_site_passes(self):
-        records = encoding_classifier(
-            [RotationCallSite(site="D", operand="fixed-point register", digital=True)]
-        )
-        assert records[0]["precondition_met"]
-
-    def test_mixed_trace(self):
-        trace = appendix_trace() + [
-            RotationCallSite(site="D", operand="fixed-point register", digital=True)
-        ]
-        records = encoding_classifier(trace)
-        flagged = [r["site"] for r in records if not r["precondition_met"]]
-        assert flagged == ["R1", "R2"]
+        records[0]["site"] = "changed"  # a report holds copies of the table's records
+        assert ROTATION_SITES[0]["site"] == "R1"
 
 
 class TestSuite:
-    def test_chi_helpers(self):
+    def test_chi_and_chi0_per_feature(self):
+        # rows (1, 2)/sqrt 5 and (3, -1)/sqrt 10; query (2, 1)/sqrt 5
         data = DataMatrix(np.array([[1.0, 2.0], [3.0, -1.0]]))
-        chi, n_mu, mu = chi_from_data(data)
-        assert chi.shape == (2,)
-        assert n_mu > 0
-        chi0 = chi0_from_data(data, QueryPoint(np.array([2.0, 1.0])))
-        assert chi0.shape == (2,)
+        rows = np.array([[1.0, 2.0] / np.sqrt(5.0), [3.0, -1.0] / np.sqrt(10.0)])
+        mu = rows.mean(axis=0)
+        chi = np.linalg.norm(rows - mu, axis=0)
+        chi0 = np.sqrt(2.0) * np.abs(np.array([2.0, 1.0]) / np.sqrt(5.0) - mu)
+        audit = run_flaw_suite(data, QueryPoint(np.array([2.0, 1.0]))).expectation
+        assert audit["m2"]["claimed"] == pytest.approx(2.0 * np.log(chi).sum(), rel=1e-12)
+        assert audit["m2"]["amplitude_norm_defect"] == pytest.approx((1.0 - np.log(chi)) ** 2 - 1.0, rel=1e-12)
+        assert audit["m1"]["actual"] == pytest.approx(((chi0 / chi) ** 2).sum(), rel=1e-12)
 
     def test_full_suite_serializable(self):
         import json

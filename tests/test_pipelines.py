@@ -177,8 +177,15 @@ class TestPreparations:
         one = interference_prep("a", np.full((2, 4), 0.3), costs={})
         two = interference_prep("b", np.full((3, 4), -0.2), costs={})
         assert one.layout is two.layout
-        for flip_one, flip_two in zip(one.reflections(), two.reflections()):
-            assert flip_one.diagonal(one.layout) is flip_two.diagonal(two.layout)
+
+        def flips(prep):  # the diagonals Q's two reflections multiply by
+            lay = prep.layout
+            return lay.sign_flips((prep.good_register,), prep.good_predicate), lay.sign_flips(
+                prep.reflection_registers
+            )
+
+        for flip_one, flip_two in zip(flips(one), flips(two)):
+            assert flip_one is flip_two
 
     @pytest.mark.parametrize("build, good", [(interference_prep, "s"), (squared_mean_prep, "anc")])
     def test_a_build_equals_the_checked_construction(self, build, good):

@@ -315,21 +315,32 @@ def test_cached_diagonals_equal_a_fresh_evaluation(case):
 
     where = np.array([predicate(v) for v in extract(register)])
     at_zero = np.all([extract(name) == 0 for name in zero], axis=0)
-    for op, hits in ((ReflectWhere(register, predicate), where), (ReflectAboutZero(zero), at_zero)):
-        diagonal = op.diagonal(layout)
+    amps = np.random.default_rng(layout.dim).normal(size=(2, layout.dim))
+    for op, names, key, hits in (
+        (ReflectWhere(register, predicate), (register,), (predicate,), where),
+        (ReflectAboutZero(zero), tuple(zero), (), at_zero),
+    ):
+        diagonal = layout.sign_flips(names, *key)
         np.testing.assert_array_equal(diagonal, np.where(hits, -1.0, 1.0))
         assert not diagonal.flags.writeable
-        assert op.diagonal(RegisterLayout(layout.registers)) is diagonal  # shared by equal layouts
+        assert RegisterLayout(layout.registers).sign_flips(names, *key) is diagonal  # shared by equal layouts
+        # The reflection's kernel multiplies each state of a stack by it.
+        np.testing.assert_array_equal(op.apply(StateVector(layout, amps.copy())).amps, amps * diagonal)
 
 
 def test_diagonals_of_large_layouts_are_not_cached():
     layout = RegisterLayout([("a", 6), ("b", 7)])  # 8192 labels
     before = _flip_table.cache_info().currsize
-    for op in (ReflectWhere("b", lambda label: label == 3), ReflectAboutZero(["a"])):
-        diagonal = op.diagonal(layout)
+    amps = np.full(layout.dim, layout.dim**-0.5)
+    for op, names, key in (
+        (ReflectWhere("b", lambda label: label == 3), ("b",), (lambda label: label == 3,)),
+        (ReflectAboutZero(["a"]), ("a",), ()),
+    ):
+        diagonal = layout.sign_flips(names, *key)
         assert not diagonal.flags.writeable
-        assert op.diagonal(layout) is not diagonal
-        np.testing.assert_array_equal(diagonal, op.diagonal(layout))
+        assert layout.sign_flips(names, *key) is not diagonal
+        np.testing.assert_array_equal(diagonal, layout.sign_flips(names, *key))
+        np.testing.assert_array_equal(op.apply(StateVector(layout, amps.copy())).amps, amps * diagonal)
     assert _flip_table.cache_info().currsize == before
 
 

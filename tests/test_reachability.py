@@ -30,10 +30,6 @@ NEVER_CALLED = {
     "simcore.measure": TRACER_PINNED,
     "simcore.draw": "called only by measure (tracer-pinned)",
     "simcore.StateVector.norm_sq": "called only by measure (tracer-pinned)",
-    "simcore.ReflectAboutZero.kernel": "the reflection's apply, which the tracer wraps; "
-                                       "Q reads only its diagonal",
-    "simcore.ReflectWhere.kernel": "the reflection's apply, which the tracer wraps; "
-                                   "Q reads only its diagonal",
     "ae.AEResult.raw_outcome": "read off every result by the benchmark's Probe",
     "simcore.Operation.kernel": "abstract: every op overrides it",
     "simcore.RegisterLayout.__eq__": "the contract for cache keys: equal layouts share "

@@ -391,9 +391,12 @@ class TestReflections:
 
     def test_unknown_register_is_refused_by_both_reflections(self):
         lay = RegisterLayout([("a", 1), ("b", 1)])
-        for op in (ReflectWhere("zz", lambda v: v == 0), ReflectAboutZero(["a", "zz"])):
+        for op, names in (
+            (ReflectWhere("zz", lambda v: v == 0), ("zz",)),
+            (ReflectAboutZero(["a", "zz"]), ("a", "zz")),
+        ):
             with pytest.raises(UnknownRegisterError):
-                op.diagonal(lay)
+                lay.sign_flips(names)
             with pytest.raises(UnknownRegisterError):
                 op.apply(new_state(lay))
 

@@ -5,6 +5,8 @@ run wraps each entry of `targets()`, and every benchmark run installs a
 `Probe` on `ae.qpe_state` and `ae.estimate_amplitude`. A wrap of a name that
 is gone raises, so deleting or renaming one of them breaks the benchmark. So
 does deleting an attribute the `Probe` reads off a result (`raw_outcome`).
+The wrappers forward any arguments, so a signature is free to change, but a
+traced run, `Probe` included, must report what an untraced one does.
 """
 import importlib.util
 from pathlib import Path
@@ -49,3 +51,37 @@ def test_probe_reads_the_raw_outcome_off_each_result():
     finally:
         probe.uninstall()
     assert probe.raw == [result.outcome]
+
+
+def _runs() -> list:
+    """Both pipelines in ideal mode and in circuit mode at t = 4, and the
+    equivalence suite, which runs the dense reference."""
+    from qadsim import verify
+    from qadsim.adde import run_adde
+    from qadsim.adkpca import run_adkpca
+    from qadsim.pipelines import PipelineConfig
+
+    data, query = verify.random_instance(3)
+    reports = []
+    for config in (PipelineConfig(t_bits=6), PipelineConfig(t_bits=4, mode="circuit", seed=5)):
+        reports += [run_adde(data, query, config).as_dict(), run_adkpca(data, query, config).as_dict()]
+    return [*reports, verify.equivalence_suite()]
+
+
+def test_a_traced_run_equals_the_untraced_one():
+    # A wrapped name whose signature or result changed fails here, in
+    # process, not only when the benchmark runs traced.
+    module = _tracer()
+    untraced = _runs()
+    probe, tracer = module.Probe(), module.Tracer()
+    try:
+        probe.install(keep_raw_outcomes=True)
+        tracer.install()
+        traced = _runs()
+    finally:
+        tracer.uninstall()
+        probe.uninstall()
+    assert traced == untraced
+    assert tracer.stats["dataio.compute_constants"][0] > 0
+    assert tracer.stats["simcore.reflect"][0] > 0
+    assert probe.qpe_amps > 0 and len(probe.raw) > 0
