@@ -295,3 +295,50 @@ def test_power_of_two_at_least():
     assert power_of_two_at_least(1.1) == 2.0
     assert power_of_two_at_least(8.0) == 8.0
     assert power_of_two_at_least(9.0) == 16.0
+
+
+# ---------------------------------------------------------------------------
+# what the constructors keep of their input
+
+def _reports(data, query, mode) -> list:
+    """The `run_adde` and `run_adkpca` reports as dicts, or the type and
+    message of the error a run refuses with."""
+    from qadsim.adde import run_adde
+    from qadsim.adkpca import run_adkpca
+    from qadsim.config import QadsimError
+    from qadsim.pipelines import PipelineConfig
+
+    config = PipelineConfig(t_bits=5, mode=mode, seed=17, policy="epsilon-floor")
+    out = []
+    for run in (run_adde, run_adkpca):
+        try:
+            out.append(run(data, query, config).as_dict())
+        except QadsimError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def _strided(x: np.ndarray) -> np.ndarray:
+    """A view of x's entries with gaps between every row and every column."""
+    host = np.full((2 * x.shape[0], 3 * x.shape[1]), np.nan)
+    host[::2, 1::3] = x
+    return host[::2, 1::3]
+
+
+@pytest.mark.parametrize("mode", ["ideal", "circuit"])
+@settings(deadline=None, max_examples=25)
+@given(m=st.integers(2, 16), d=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_reports_do_not_depend_on_the_input_layout_or_later_writes(mode, m, d, seed):
+    # An F-ordered array, a strided view, and an array the caller overwrites
+    # after the constructor returns must all give the reports of a fresh
+    # C-contiguous copy: the constructors keep a C-ordered copy of their own.
+    rng = np.random.default_rng(seed)
+    x, x0 = rng.uniform(-2.0, 2.0, size=(m, d)), rng.uniform(-3.0, 3.0, size=d)
+    want = _reports(DataMatrix(x.copy()), QueryPoint(x0.copy()), mode)
+    assert _reports(DataMatrix(np.asfortranarray(x)), QueryPoint(x0.copy()), mode) == want
+    assert _reports(DataMatrix(_strided(x)), QueryPoint(_strided(x0[None])[0]), mode) == want
+    x_later, x0_later = x.copy(), x0.copy()
+    data, query = DataMatrix(x_later), QueryPoint(x0_later)
+    x_later[:] = 7.0
+    x0_later[:] = -7.0
+    assert _reports(data, query, mode) == want
