@@ -21,6 +21,7 @@ from .dataio import (
     compute_constants,
     floor_variance,
     mean_axis0,
+    pad_width,
     power_of_two_at_least,
 )
 from .pipelines import EstimatorRun, Part, PipelineConfig, report_dict
@@ -39,7 +40,7 @@ class GaussianModel:
 
 def classical_fit(data: DataMatrix, policy: str = "error") -> GaussianModel:
     """Population mean and variance per feature (divisor M)."""
-    x = data.real_values
+    x = data.values
     mu = mean_axis0(x)
     return fit_about(mu, x - mu, policy)
 
@@ -52,7 +53,7 @@ def fit_about(mu: np.ndarray, centered: np.ndarray, policy: str) -> GaussianMode
 
 def classical_log_density(model: GaussianModel, query: QueryPoint) -> float:
     """ln P(x0) for the independent-feature Gaussian model."""
-    x0 = query.real_values
+    x0 = query.values
     mu, sigma2 = model.mu, model.sigma2
     if x0.size != mu.size:
         raise ValueError("query dimension does not match the model")
@@ -97,8 +98,8 @@ def estimate_means(
     """
     fmt = runner.config.fp_format
     (means,) = runner.means(Part(
-        "mean", data.real_values.T / constants.C, data.padded_rows,
-        {"oracle_data": 2, "arithmetic": 1}, t_bits, signed=True, scale=constants.C,
+        "mean", data.values.T / constants.C, {"oracle_data": 2, "arithmetic": 1}, t_bits,
+        signed=True, scale=constants.C,
     ))
     return np.array([fmt.quantize(v) for v in means])
 
@@ -117,11 +118,11 @@ def estimate_variances(
     classical maximum).  Returns (sigma2_hat, normalizer).
     """
     fmt = runner.config.fp_format
-    residuals = data.real_values - mu_hat
+    residuals = data.values - mu_hat
     d_used = max(constants.D, float(np.abs(residuals).max()))
     (variances,) = runner.means(Part(
-        "variance", residuals.T / d_used, data.padded_rows,
-        {"oracle_data": 2, "arithmetic": 2}, t_bits, signed=False, scale=d_used**2,
+        "variance", residuals.T / d_used, {"oracle_data": 2, "arithmetic": 2}, t_bits,
+        signed=False, scale=d_used**2,
     ))
     return np.array([fmt.quantize(v) for v in variances]), d_used
 
@@ -142,7 +143,7 @@ def estimate_p(
     and the rotations built with it.
     """
     sigma_hat = np.sqrt(floor_variance(sigma2_hat, policy, "estimated variance"))
-    z = query.real_values - mu_hat
+    z = query.values - mu_hat
 
     t_used = t_const
     ratios = z / (sigma_hat * t_used)
@@ -150,10 +151,7 @@ def estimate_p(
         t_used = power_of_two_at_least(float((np.abs(z) / sigma_hat).max()))
         ratios = z / (sigma_hat * t_used)
 
-    part = Part(
-        "p", ratios[None], query.padded_dim, {"oracle_query": 2, "arithmetic": 2}, t_bits,
-        signed=False,
-    )
+    part = Part("p", ratios[None], {"oracle_query": 2, "arithmetic": 2}, t_bits, signed=False)
     return part, t_used
 
 
@@ -162,7 +160,6 @@ def estimate_q(
     e_const: float,
     policy: str,
     t_bits: int,
-    padded_dim: int,
 ) -> tuple[Part, float]:
     """Mean log-variance via the interference preparation, as the part that
     `EstimatorRun.means` reads (its one mean is q_hat).
@@ -176,7 +173,7 @@ def estimate_q(
     logs = np.log(sigma2_hat)
     e_used = max(e_const, float(np.abs(logs).max()))
     rows = (logs / e_used)[None] if e_used else np.empty((0, logs.size))
-    return Part("q", rows, padded_dim, {"arithmetic": 2}, t_bits, signed=True), e_used
+    return Part("q", rows, {"arithmetic": 2}, t_bits, signed=True), e_used
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +229,7 @@ def run_adde(
     mu_hat = estimate_means(data, constants, runner, t_mean)
     sigma2_hat, _d_used = estimate_variances(data, mu_hat, constants, runner, t_var)
     p_part, t_used = estimate_p(query, mu_hat, sigma2_hat, constants.T, config.policy, t_tail)
-    q_part, e_used = estimate_q(sigma2_hat, constants.E, config.policy, t_tail, query.padded_dim)
+    q_part, e_used = estimate_q(sigma2_hat, constants.E, config.policy, t_tail)
     (p_hat,), q_read = runner.means(p_part, q_part)  # one wave: p and q share t_tail
     q_hat = q_read[0] if q_read else 0.0
     ln_p_hat = log_density_estimate(p_hat, q_hat, d, t_used, e_used)
@@ -243,7 +240,7 @@ def run_adde(
         "p": eps_tail,
         # q is an overlap (2a - 1), so the zero-padding rescale amplifies its
         # grid error by the pad ratio.
-        "q": eps_tail * (query.padded_dim / d),
+        "q": eps_tail * (pad_width(d) / d),
     }
     if budget is not None:
         bounds["lnP"] = budget["epsilon"]

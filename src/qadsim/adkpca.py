@@ -47,7 +47,7 @@ class MomentModel:
 
 def classical_moments(data: DataMatrix) -> MomentModel:
     """Mean vector and covariance matrix (divisor M - 1)."""
-    x = data.real_values
+    x = data.values
     if x.shape[0] < 2:
         raise InsufficientDataError("covariance needs at least 2 training points")
     mu = mean_axis0(x)
@@ -58,7 +58,7 @@ def classical_moments(data: DataMatrix) -> MomentModel:
 
 def classical_proximity(model: MomentModel, query: QueryPoint) -> float:
     """|x0 - mu|^2 - (x0 - mu)^T Sigma (x0 - mu); larger is more anomalous."""
-    z = query.real_values - model.mu
+    z = query.values - model.mu
     return float(z @ z - z @ model.covariance @ z)
 
 
@@ -107,12 +107,9 @@ def estimate_a(
 
     Returns (part, normalizer actually used).
     """
-    z = query.real_values - mu_hat
+    z = query.values - mu_hat
     used = _normalizer(c_prime, float(np.abs(z).max()), "C'")
-    part = Part(
-        "a", (z / used)[None], query.padded_dim, {"oracle_query": 2, "arithmetic": 2}, t_bits,
-        signed=False,
-    )
+    part = Part("a", (z / used)[None], {"oracle_query": 2, "arithmetic": 2}, t_bits, signed=False)
     return part, used
 
 
@@ -130,25 +127,21 @@ def estimate_omegas(
     recovered signed via 2 a - 1; `run_adkpca` stores it digitally (fixed
     point). Returns (part, normalizer actually used).
     """
-    z0 = query.real_values - mu_hat
-    products = (data.real_values - mu_hat) * z0
+    z0 = query.values - mu_hat
+    products = (data.values - mu_hat) * z0
     used = _normalizer(c_dprime, float(np.abs(products).max()), "C''")
     part = Part(
-        "omega", products / used, query.padded_dim,
-        {"oracle_data": 2, "oracle_query": 2, "arithmetic": 2}, t_bits, signed=True,
+        "omega", products / used, {"oracle_data": 2, "oracle_query": 2, "arithmetic": 2}, t_bits,
+        signed=True,
     )
     return part, used
 
 
-def estimate_b(
-    omegas_hat: np.ndarray, padded_rows: int, runner: EstimatorRun, t_bits: int
-) -> float:
+def estimate_b(omegas_hat: np.ndarray, runner: EstimatorRun, t_bits: int) -> float:
     """Mean of squared overlaps via one more amplitude estimation round."""
     if np.abs(omegas_hat).max() > 1.0 + 1e-12:
         raise ConstantViolationError("omega magnitude exceeds 1")
-    ((b_hat,),) = runner.means(Part(
-        "b", omegas_hat[None], padded_rows, {"arithmetic": 2}, t_bits, signed=False,
-    ))
+    ((b_hat,),) = runner.means(Part("b", omegas_hat[None], {"arithmetic": 2}, t_bits, signed=False))
     return b_hat
 
 
@@ -197,7 +190,7 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     (a_hat,), omegas = runner.means(a_part, omega_part)
     # The true overlap is in [-1, 1]; clip away estimation/pad overshoot.
     omegas_hat = np.maximum(np.minimum([config.fp_format.quantize(w) for w in omegas], 1.0), -1.0)
-    b_hat = estimate_b(omegas_hat, data.padded_rows, runner, t_bsum)
+    b_hat = estimate_b(omegas_hat, runner, t_bsum)
     f_hat = proximity_estimate(a_hat, b_hat, d, m, cp_used, cdp_used)
 
     C, cp, cdp = constants.C, constants.C_prime, constants.C_dprime
@@ -208,7 +201,7 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     if budget is not None:
         bounds["f"] = 2.0 * budget["epsilon"]
 
-    z = query.real_values - model.mu
+    z = query.values - model.mu
     b_target = float(mean_axis0(((model.centered @ z) / (d * cdp)) ** 2))
     observed = {
         "distance_sq": abs(d * cp_used**2 * a_hat - float(z @ z)),

@@ -35,7 +35,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import MAX_PHASE_BITS, qubit_cap
+from .config import MAX_PHASE_BITS, QUBIT_CAP
 from .dataio import QueryLedger
 from .simcore import (
     _SQRT2_INV,
@@ -272,7 +272,7 @@ def _plane_masses(prep: StatePreparation, t: int) -> tuple[np.ndarray, np.ndarra
     of the good and bad parts of A|0> (BHMT Lemma 1); a preparation whose S0
     leaves one out is refused."""
     lay = prep.layout
-    if t < 1 or PHASE_REGISTER in lay or lay.n_qubits + t > qubit_cap():
+    if t < 1 or PHASE_REGISTER in lay or lay.n_qubits + t > QUBIT_CAP:
         RegisterLayout([*lay.registers, (PHASE_REGISTER, t)])  # raises its LayoutError
     left_out = [name for name in lay.names if name not in prep.reflection_registers]
     if left_out:

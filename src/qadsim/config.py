@@ -5,13 +5,11 @@ and modules agree on one set of numbers.
 """
 from __future__ import annotations
 
-import os
-
 # Statevector norm must stay within this of 1 after every operation.
 NORM_TOL = 1e-10
 
-# Hard limit on total qubits in a single statevector (overridable via env).
-DEFAULT_QUBIT_CAP = 26
+# Hard limit on total qubits in a single statevector.
+QUBIT_CAP = 26
 
 # Variance floor used by the "epsilon-floor" degenerate-data policy.
 SIGMA_MIN = 1e-6
@@ -23,10 +21,3 @@ MAX_PHASE_BITS = 14
 class QadsimError(Exception):
     """Base of every error qadsim raises on purpose (bad input, broken invariant)."""
 
-
-def qubit_cap() -> int:
-    """Current qubit cap, honoring the QADSIM_QUBIT_CAP override."""
-    raw = os.environ.get("QADSIM_QUBIT_CAP")
-    if raw is None:
-        return DEFAULT_QUBIT_CAP
-    return int(raw)

@@ -1,11 +1,10 @@
 """Training data and query point storage, the query ledger, the variance
 floor and the normalizing constants.
 
-Data matrices are zero-padded up to power-of-two shapes (minimum 2 per axis so
-every index register has at least one qubit).  A mask of real rows/columns is
-retained: classical statistics always use the unpadded entries, while quantum
-pipelines run on the padded registers, with the pad ratio applied when
-amplitudes are converted back to classical quantities.
+A `DataMatrix` or `QueryPoint` keeps its input's values and nothing else:
+the quantum stages zero-pad their own rows (`pad_width`, applied by
+`pipelines.EstimatorRun.means`), and every classical statistic reads the
+values as given.
 """
 from __future__ import annotations
 
@@ -36,8 +35,9 @@ def _check_magnitudes(values: np.ndarray, what: str) -> None:
                         f"(for {values.size} entries), so that their squared sums stay finite")
 
 
-def _pad_dim(n: int) -> int:
-    """Smallest power of two >= n, and >= 2 so index registers are non-empty."""
+def pad_width(n: int) -> int:
+    """Smallest power of two >= n, and >= 2 so index registers are non-empty:
+    the width a row of n values is zero-padded to, one label per index value."""
     return max(2, 1 << (n - 1).bit_length())
 
 
@@ -63,49 +63,27 @@ class QueryLedger:
 
 
 class DataMatrix:
-    """M x d training matrix, zero-padded to powers of two with a mask."""
+    """M x d training matrix: a C-contiguous float64 copy of its input."""
 
     def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float, order="C")
         if values.ndim != 2 or values.size == 0:
             raise DataError(f"expected a non-empty 2-D matrix, got shape {values.shape}")
         _check_magnitudes(values, "data matrix")
         self.n_rows, self.n_cols = values.shape
-        self.padded_rows = _pad_dim(self.n_rows)
-        self.padded_cols = _pad_dim(self.n_cols)
-        self.values = np.zeros((self.padded_rows, self.padded_cols))
-        self.values[: self.n_rows, : self.n_cols] = values
-
-    @property
-    def real_values(self) -> np.ndarray:
-        """Unpadded view; the only thing classical statistics may read."""
-        return self.values[: self.n_rows, : self.n_cols]
-
-    @property
-    def row_bits(self) -> int:
-        return self.padded_rows.bit_length() - 1
-
-    @property
-    def col_bits(self) -> int:
-        return self.padded_cols.bit_length() - 1
+        self.values = values
 
 
 class QueryPoint:
-    """The new point x0, padded consistently with a DataMatrix."""
+    """The new point x0, a C-contiguous float64 copy of its input."""
 
     def __init__(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float).reshape(-1)
+        values = np.array(values, dtype=float, order="C").reshape(-1)
         if values.size == 0:
             raise DataError("query point is empty")
         _check_magnitudes(values, "query point")
         self.dim = values.size
-        self.padded_dim = _pad_dim(self.dim)
-        self.values = np.zeros(self.padded_dim)
-        self.values[: self.dim] = values
-
-    @property
-    def real_values(self) -> np.ndarray:
-        return self.values[: self.dim]
+        self.values = values
 
 
 def _parse_csv(path: str, has_header: bool) -> list[list[float]]:
@@ -203,7 +181,7 @@ class Constants:
 
 
 def compute_constants(data: DataMatrix, query: QueryPoint, fit, policy: str = "error") -> Constants:
-    """Evaluate the defining max-identities on the unpadded data.
+    """Evaluate the defining max-identities on the data.
 
     `fit` is the data's Gaussian fit (`adde.GaussianModel`): its mean mu,
     its deviations x - mu (`centered`) and its variances, which the fit has
@@ -214,8 +192,8 @@ def compute_constants(data: DataMatrix, query: QueryPoint, fit, policy: str = "e
     (ADDE never reads C' or C'', and a zero E leaves q with no AE to run).
     "epsilon-floor" substitutes SIGMA_MIN for each instead.
     """
-    x = data.real_values
-    x0 = query.real_values
+    x = data.values
+    x0 = query.values
     mu, sigma2 = fit.mu, fit.sigma2
     if x0.size != x.shape[1] or mu.size != x.shape[1]:
         raise DataError("query/model dimension does not match the data matrix")

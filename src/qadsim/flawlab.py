@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import QadsimError
-from .dataio import DataError, DataMatrix, QueryPoint
+from .dataio import DataError, DataMatrix, QueryPoint, pad_width
 from .simcore import HadamardBlock, RegisterLayout, StateVector, marginal_probs
 
 
@@ -73,16 +73,16 @@ def build_superposition(data: DataMatrix) -> SuperpositionState:
     """
     if data.n_rows > MAX_TOY_SIZE or data.n_cols > MAX_TOY_SIZE:
         raise FlawLabError(f"toy constructions are limited to {MAX_TOY_SIZE}x{MAX_TOY_SIZE} data")
-    norms = np.linalg.norm(data.real_values, axis=1)
+    norms = np.linalg.norm(data.values, axis=1)
     if np.any(norms == 0.0):
         raise FlawLabError("training rows must be non-zero to normalize")
-    rows = data.real_values / norms[:, None]
+    rows = data.values / norms[:, None]
     mu_sum = rows.sum(axis=0)
     n_mu = float(np.linalg.norm(mu_sum))
     if n_mu == 0.0:
         raise FlawLabError("summed training vector is zero; mean normalizer undefined")
 
-    m_pad, d_pad = data.padded_rows, data.padded_cols
+    m_pad, d_pad = pad_width(data.n_rows), pad_width(data.n_cols)
     layout = RegisterLayout([("flag", 1), ("j", d_pad.bit_length() - 1), ("i", m_pad.bit_length() - 1)])
     amps = np.zeros((m_pad, d_pad, 2))  # [i, j, flag], flag least significant
     m, d = rows.shape
@@ -212,7 +212,7 @@ def run_flaw_suite(data: DataMatrix, query: QueryPoint) -> FlawReport:
     mu = rows.mean(axis=0)
     residual = rows - mu
     chi = np.linalg.norm(residual, axis=0)
-    x0 = np.asarray(query.real_values, dtype=float)
+    x0 = query.values
     n0 = np.linalg.norm(x0)
     if n0 == 0.0:
         raise FlawLabError("query point must be non-zero to normalize")

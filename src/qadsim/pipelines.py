@@ -9,10 +9,12 @@ Every estimator reduces to one of two preparation shapes:
 
 `EstimatorRun.means` is the one stage path: every estimator stage hands it a
 `Part`, a table of rotation values with one row per AE run (one per feature or
-point index), and it pads, runs and rescales the rows. The coherent index
-superposition of the full algorithm is block diagonal in the passive index,
-so a stage's rows run exactly as one stacked AE, in both modes: a
-(k, padded) rotation table on a (k, dim) stack of states. The verification
+point index), and it pads, runs and rescales the rows. It is the one place
+that pads: each row of n values gets `pad_width(n)` labels, one per value of
+the index register, and its mean is rescaled by the pad ratio. The coherent
+index superposition of the full algorithm is block diagonal in the passive
+index, so a stage's rows run exactly as one stacked AE, in both modes: a
+(k, pad_width(n)) rotation table on a (k, dim) stack of states. The verification
 harness checks this against a monolithic run.
 
 Stages that depend on the same earlier estimates are handed over together
@@ -44,8 +46,8 @@ from .ae import (
     row_amps,
 )
 from .arith import FixedPointFormat
-from .config import MAX_PHASE_BITS, qubit_cap
-from .dataio import QueryLedger
+from .config import MAX_PHASE_BITS
+from .dataio import QueryLedger, pad_width
 from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation
 
 # Most amplitudes (16 MiB) a stack of rows may hold at once (see `row_amps`).
@@ -97,9 +99,9 @@ def report_dict(report, **renames: str) -> dict:
 
 
 @lru_cache(maxsize=64)
-def _shape(registers: tuple[tuple[str, int], ...], good_register: str, cap: int) -> StatePreparation:
+def _shape(registers: tuple[tuple[str, int], ...], good_register: str) -> StatePreparation:
     """The checked preparation without ops that every build of one shape copies
-    (`StatePreparation.restacked`), once per (registers, good register, `qubit_cap()`)."""
+    (`StatePreparation.restacked`), once per (registers, good register)."""
     return StatePreparation("", RegisterLayout(registers), (), good_register, label_is_zero)
 
 
@@ -129,19 +131,17 @@ def _keyed_prep(name: str, below: tuple, good_register: str, ops: tuple, table: 
     """`ops` on the registers `below`, then idx, one label per column of the
     rotation's table, then anc; one row per row of the table."""
     registers = (*below, ("idx", table.shape[-1].bit_length() - 1), ("anc", 1))
-    return _shape(registers, good_register, qubit_cap()).restacked(name, ops, costs, len(table) if table.ndim == 2 else 1)
+    return _shape(registers, good_register).restacked(name, ops, costs, len(table) if table.ndim == 2 else 1)
 
 
 class Part(NamedTuple):
     """One estimator's rows for `EstimatorRun.means`: a (k, n) table of
-    rotation values, one row per AE run, zero-padded to `padded` entries, its
-    oracle costs per application of A, its phase bits, whether its rows are
-    signed means (interference) or means of squares, and the scale its means
-    are reported in."""
+    rotation values, one row per AE run, its oracle costs per application of
+    A, its phase bits, whether its rows are signed means (interference) or
+    means of squares, and the scale its means are reported in."""
 
     name: str
     table: np.ndarray
-    padded: int
     costs: dict
     t_bits: int
     signed: bool
@@ -205,10 +205,10 @@ class EstimatorRun:
     def means(self, *parts: Part) -> list[list[float]]:
         """Each part's row means, one AE per row, in part and row order.
 
-        Each row of a part's (k, n) `table` is zero-padded to `padded`
+        Each row of a part's (k, n) `table` is zero-padded to `pad_width(n)`
         entries. A signed row drives an interference preparation and reads its
         mean as 2 a - 1; otherwise a squared-mean preparation reads the mean of
-        its squares as a. A part's list holds scale * that mean * padded / n
+        its squares as a. A part's list holds scale * that mean * pad_width(n) / n
         per row: the mean over the n real entries, the pad's zeros taken out.
 
         The rows of consecutive parts that share a t are read as one stack, a
@@ -216,17 +216,18 @@ class EstimatorRun:
         one `phase_outcomes` call under one config reads every row of the wave
         at once; the rows then run in part and row order. A wave holds at most
         MAX_STACK_AMPS amplitudes, each row counted with its part's own
-        `row_amps` (4 padded bounds a row's labels), and a part that does not
+        `row_amps` (4 pad_width(n) bounds a row's labels), and a part that does not
         fit is split across waves. The seeds run on across the parts, so every
         row draws with the seed it would draw with if each part were read
         alone, in order. A part with no rows runs no AE and splits no wave.
         """
-        waves, held, out = [], 0, []  # (t, preparations, (preparation, part, means) per row)
+        waves, held, out = [], 0, []  # (t, preparations, (preparation, part, pad ratio, means) per row)
         for part in parts:
             (k, n), t = part.table.shape, part.t_bits
+            width = pad_width(n)
             build = interference_prep if part.signed else squared_mean_prep
-            cost = row_amps(4 * part.padded, t, self.config.mode)
-            values = np.zeros((k, part.padded))
+            cost = row_amps(4 * width, t, self.config.mode)
+            values = np.zeros((k, width))
             values[:, :n] = part.table
             out.append(means := [])
             lo = 0
@@ -237,13 +238,12 @@ class EstimatorRun:
                 hi = min(k, lo + max(1, (MAX_STACK_AMPS - held) // cost))
                 prep = build(f"{part.name}[{lo}]", values[lo:hi], part.costs)
                 waves[-1][1].append(prep)
-                waves[-1][2].extend([(prep, part, means)] * (hi - lo))
+                waves[-1][2].extend([(prep, part, width / n, means)] * (hi - lo))
                 held += (hi - lo) * cost
                 lo = hi
         for t, preps, rows in waves:
             config = self._next_config(t)
-            for (prep, part, means), y in zip(rows, phase_outcomes(preps, config), strict=True):
+            for (prep, part, ratio, means), y in zip(rows, phase_outcomes(preps, config), strict=True):
                 a = self.run(prep, config, y).amplitude
-                ratio = part.padded / part.table.shape[1]
                 means.append(part.scale * (2.0 * a - 1.0 if part.signed else a) * ratio)
         return out

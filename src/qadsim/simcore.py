@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import NORM_TOL, QadsimError, qubit_cap
+from .config import NORM_TOL, QUBIT_CAP, QadsimError
 
 
 class SimulationError(QadsimError):
@@ -67,9 +67,8 @@ class RegisterLayout:
             self._widths[name] = width
             self._offsets[name] = offset
             offset += width
-        cap = qubit_cap()
-        if offset > cap:
-            raise LayoutError(f"layout needs {offset} qubits, exceeding the cap of {cap}")
+        if offset > QUBIT_CAP:
+            raise LayoutError(f"layout needs {offset} qubits, exceeding the cap of {QUBIT_CAP}")
         self.n_qubits = offset
         self.dim = 1 << offset
         self.names = tuple(name for name, _ in items)

@@ -14,7 +14,7 @@ import numpy as np
 from .ae import AEConfig, estimate_amplitude, grid_epsilon, label_is_zero, phase_distributions
 from .adde import run_adde
 from .adkpca import run_adkpca
-from .dataio import DataMatrix, QueryLedger, QueryPoint
+from .dataio import DataMatrix, QueryLedger, QueryPoint, pad_width
 from .flawlab import ROTATION_SITES, build_superposition, expectation_audit, interfere_and_postselect
 from .pipelines import PipelineConfig, interference_prep, squared_mean_prep
 from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation, readout_rows
@@ -101,11 +101,13 @@ def _monolithic_mean_prep(data: DataMatrix, c_const: float) -> StatePreparation:
     and it is excluded from the zero reflection so the Grover operator stays
     block diagonal too.
     """
-    layout = RegisterLayout([("s", 1), ("idx", data.row_bits), ("anc", 1), ("j", data.col_bits)])
-    values = np.zeros(data.padded_rows * data.padded_cols)
-    for j in range(data.padded_cols):
-        for i in range(data.padded_rows):
-            values[i + data.padded_rows * j] = data.values[i, j] / c_const
+    padded = np.zeros((pad_width(data.n_rows), pad_width(data.n_cols)))
+    padded[: data.n_rows, : data.n_cols] = data.values / c_const
+    rows, cols = padded.shape
+    layout = RegisterLayout(
+        [("s", 1), ("idx", rows.bit_length() - 1), ("anc", 1), ("j", cols.bit_length() - 1)]
+    )
+    values = padded.T.reshape(-1)  # label i + rows * j holds x_j^i / C
     ops = (
         HadamardBlock("s"),
         HadamardBlock("idx"),
@@ -231,7 +233,9 @@ def scaling_suite(t_values: tuple[int, ...] = (6, 7, 8, 9, 10, 11)) -> dict:
 
 
 def flaws_suite() -> dict:
-    """Canned assertions over the three flaw exhibits."""
+    """Canned assertions over the flaw exhibits the program computes (the m2
+    gap, the normalization discrepancy); the encoding records are the
+    constant `ROTATION_SITES`, echoed for the report, not checked."""
     failures = []
 
     audit = expectation_audit(np.array([math.e, math.e]))
@@ -245,15 +249,11 @@ def flaws_suite() -> dict:
     if norm_rec["discrepancy"] <= 0.01:
         failures.append({"check": "normalization_discrepancy", "value": norm_rec["discrepancy"]})
 
-    encoding = [dict(site) for site in ROTATION_SITES]
-    if any(rec["encoding"] != "analog" or rec["precondition_met"] for rec in encoding):
-        failures.append({"check": "encoding", "records": encoding})
-
     return {
         "suite": "flaws",
         "m2_gap": gap,
         "normalization_discrepancy": norm_rec["discrepancy"],
-        "encoding": encoding,
+        "encoding": [dict(site) for site in ROTATION_SITES],
         "failures": failures,
         "passed": not failures,
     }

@@ -54,7 +54,7 @@ def test_criterion_1_classical_reference_implementations():
     ok = True
     for seed in range(100):
         data, query = random_instance(seed)
-        x, x0 = data.real_values, query.real_values
+        x, x0 = data.values, query.values
         m, d = x.shape
 
         model = classical_fit(data)
@@ -101,7 +101,7 @@ def test_criterion_2_assembly_identities():
     ok = True
     for seed in range(100):
         data, query = random_instance(seed)
-        x, x0 = data.real_values, query.real_values
+        x, x0 = data.values, query.values
         d = x.shape[1]
         model = classical_fit(data)
 

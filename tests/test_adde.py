@@ -22,6 +22,7 @@ from qadsim.dataio import (
     DegenerateDataError,
     QueryPoint,
     compute_constants,
+    pad_width,
 )
 from qadsim.pipelines import EstimatorRun, PipelineConfig
 
@@ -94,7 +95,7 @@ class TestAssembly:
         # exact p and q reproduce the direct log density to machine precision
         for seed in range(20):
             data, query = random_instance(seed)
-            x0 = query.real_values
+            x0 = query.values
             model = classical_fit(data)
             d = data.n_cols
             t_const, e_const = 4.0, max(np.max(np.abs(np.log(model.sigma2))), 1.0)
@@ -203,7 +204,7 @@ class TestEstimators:
         part, t_used = estimate_p(far_query, model.mu, model.sigma2, 1.0, "epsilon-floor", 12)
         ((p_hat,),) = runner.means(part)
         assert t_used == 8.0  # smallest power of two >= |8-2|/1
-        direct = float(np.mean(((far_query.real_values - model.mu) / (np.sqrt(model.sigma2) * t_used)) ** 2))
+        direct = float(np.mean(((far_query.values - model.mu) / (np.sqrt(model.sigma2) * t_used)) ** 2))
         assert p_hat == pytest.approx(direct, abs=math.pi / 2**11)
 
     def test_q_all_unit_variances(self):
@@ -211,17 +212,17 @@ class TestEstimators:
         data, query, model, constants, runner = self._setup(
             DataMatrix(x), QueryPoint(np.array([2.5, 3.5]))
         )
-        part, e_used = estimate_q(np.array([1.0, 1.0]), 0.0, "epsilon-floor", 12, 2)
+        part, e_used = estimate_q(np.array([1.0, 1.0]), 0.0, "epsilon-floor", 12)
         assert e_used == 0.0 and part.table.shape == (0, 2)
         assert runner.means(part) == [[]]  # no row, so q_hat is 0
         assert runner.ledger.grover == 0  # no AE ran
 
     def test_q_direct_formula(self):
         data, query, model, constants, runner = self._setup(*random_instance(3), t=12)
-        part, e_used = estimate_q(model.sigma2, constants.E, "epsilon-floor", 12, query.padded_dim)
+        part, e_used = estimate_q(model.sigma2, constants.E, "epsilon-floor", 12)
         ((q_hat,),) = runner.means(part)
         direct = float(np.mean(np.log(model.sigma2))) / e_used
-        pad = query.padded_dim / model.sigma2.size
+        pad = pad_width(model.sigma2.size) / model.sigma2.size
         assert q_hat == pytest.approx(direct, abs=pad * (math.pi / 2**12 + math.pi**2 / 2**24))
 
 

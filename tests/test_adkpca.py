@@ -49,7 +49,7 @@ class TestClassicalProximity:
 
     def test_translation_invariant(self):
         data, query = random_instance(4)
-        x, x0 = data.real_values, query.real_values
+        x, x0 = data.values, query.values
         f1 = classical_proximity(classical_moments(data), query)
         shift = 0.7
         f2 = classical_proximity(
@@ -62,7 +62,7 @@ class TestBridgeIdentity:
     def test_covariance_quadratic_form_as_mean_of_squares(self):
         for seed in range(20):
             data, query = random_instance(seed)
-            x, x0 = data.real_values, query.real_values
+            x, x0 = data.values, query.values
             model = classical_moments(data)
             z = x0 - model.mu
             lhs = z @ model.covariance @ z
@@ -78,7 +78,7 @@ class TestProximityEstimate:
         # exact amplitudes reproduce the classical proximity measure
         for seed in range(20):
             data, query = random_instance(seed)
-            x, x0 = data.real_values, query.real_values
+            x, x0 = data.values, query.values
             m, d = x.shape
             model = classical_moments(data)
             z = x0 - model.mu

@@ -420,13 +420,13 @@ class TestIndependentReferences:
                     phase_distributions(prep, t)[0], bhmt_distribution(a, t), rtol=0, atol=1e-12
                 )
 
-    def test_qpe_charges_the_cap_on_the_preparation(self, monkeypatch):
-        monkeypatch.setenv("QADSIM_QUBIT_CAP", "8")
+    def test_qpe_charges_the_cap_on_the_preparation(self):
+        # 5 + 22 qubits is one over the cap of 26: refused before any state is built.
         prep = interference_prep("cap", np.linspace(-0.7, 0.7, 8), {})
         assert prep.layout.n_qubits == 5
         assert qpe_state(prep, 3).layout.n_qubits == 8
-        with pytest.raises(SimulationError):
-            qpe_state(prep, 4)
+        with pytest.raises(LayoutError, match=r"^layout needs 27 qubits, exceeding the cap of 26$"):
+            qpe_state(prep, 22)
 
 
 class TestSubspacePath:
@@ -472,13 +472,11 @@ class TestSubspacePath:
                     if r in (1, 3):
                         np.testing.assert_array_equal(got, expected)
 
-    def test_phase_register_refusals_keep_the_layout_messages(self, monkeypatch):
+    def test_phase_register_refusals_keep_the_layout_messages(self):
         prep = interference_prep("cap", np.full(4, 0.3), {})  # 4 qubits
-        monkeypatch.setenv("QADSIM_QUBIT_CAP", "7")
-        phase_distributions(prep, 3)
-        with pytest.raises(LayoutError, match=r"^layout needs 8 qubits, exceeding the cap of 7$"):
-            phase_distributions(prep, 4)
-        monkeypatch.delenv("QADSIM_QUBIT_CAP")
+        _plane_masses(prep, 22)  # 26 qubits, at the cap: checked, not filled
+        with pytest.raises(LayoutError, match=r"^layout needs 27 qubits, exceeding the cap of 26$"):
+            phase_distributions(prep, 23)
         clash = StatePreparation(
             name="clash", layout=RegisterLayout([("k", 1), (PHASE_REGISTER, 1)]),
             ops=(ValueKeyedRotation(["k"], PHASE_REGISTER, np.array([0.6, 0.6])),),

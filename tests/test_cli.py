@@ -191,8 +191,8 @@ class TestErrorContract:
 
     def test_kpca_constant_violation_exit_2(self, tmp_path, capsys):
         data, query = random_instance(7)
-        np.savetxt(tmp_path / "d.csv", data.real_values, delimiter=",")
-        np.savetxt(tmp_path / "q.csv", query.real_values[None], delimiter=",")
+        np.savetxt(tmp_path / "d.csv", data.values, delimiter=",")
+        np.savetxt(tmp_path / "q.csv", query.values[None], delimiter=",")
         argv = ["kpca", "--data", str(tmp_path / "d.csv"), "--query", str(tmp_path / "q.csv"),
                 "--t-bits", "2"]
         assert main(argv) == 2

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qadsim.adde import GaussianModel, classical_fit
-from qadsim.config import SIGMA_MIN
+from qadsim.adde import GaussianModel, classical_fit, run_adde
+from qadsim.adkpca import run_adkpca
+from qadsim.config import SIGMA_MIN, QadsimError
 from qadsim.dataio import (
     Constants,
     DataError,
@@ -20,25 +21,33 @@ from qadsim.dataio import (
     load_csv,
     floor_variance,
     load_query_csv,
+    pad_width,
     power_of_two_at_least,
 )
+from qadsim.pipelines import PipelineConfig
 
 
 class TestDataMatrix:
     def test_padding_to_powers_of_two(self):
+        # The stages pad, not the data (`EstimatorRun.means`): a row of n
+        # values gets pad_width(n) labels.
+        assert [pad_width(n) for n in (3, 4, 5, 8, 9, 16, 17)] == [4, 4, 8, 8, 16, 16, 32]
         data = DataMatrix(np.ones((3, 5)))
-        assert (data.padded_rows, data.padded_cols) == (4, 8)
-        assert (data.row_bits, data.col_bits) == (2, 3)
+        assert data.values.shape == (data.n_rows, data.n_cols) == (3, 5)
 
     def test_minimum_padding_is_two(self):
-        data = DataMatrix(np.ones((1, 1)))
-        assert (data.padded_rows, data.padded_cols) == (2, 2)
+        assert pad_width(1) == pad_width(2) == 2
+        assert QueryPoint(np.ones(1)).values.shape == (1,)
 
-    def test_real_values_view(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        data = DataMatrix(x)
-        np.testing.assert_array_equal(data.real_values, x)
-        assert data.values[2:, :].sum() == 0.0 if data.padded_rows > 2 else True
+    def test_values_are_a_c_contiguous_copy(self):
+        x = np.asfortranarray([[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
+        x0 = np.array([[1], [2], [3]], dtype=np.int64)  # any shape, any real dtype
+        data, query = DataMatrix(x), QueryPoint(x0)
+        np.testing.assert_array_equal(data.values, x)
+        np.testing.assert_array_equal(query.values, [1.0, 2.0, 3.0])
+        for kept, given in ((data.values, x), (query.values, x0)):
+            assert kept.flags.c_contiguous and kept.dtype == np.float64
+            assert not np.shares_memory(kept, given)
 
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
@@ -66,7 +75,7 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("1,2\n3,4\n")
         data = load_csv(str(p))
-        np.testing.assert_array_equal(data.real_values, [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(data.values, [[1, 2], [3, 4]])
 
     def test_header_skipped(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -197,8 +206,8 @@ class TestConstants:
 def reference_constants(data, query, mu, sigma2, policy="error") -> Constants:
     """`compute_constants` as it was before it shared its deviations, the
     reference it must equal bit for bit: each max identity written out."""
-    x = data.real_values
-    x0 = query.real_values
+    x = data.values
+    x0 = query.values
     mu = np.asarray(mu, dtype=float)
     if x0.size != x.shape[1] or mu.size != x.shape[1]:
         raise DataError("query/model dimension does not match the data matrix")
@@ -303,11 +312,6 @@ def test_power_of_two_at_least():
 def _reports(data, query, mode) -> list:
     """The `run_adde` and `run_adkpca` reports as dicts, or the type and
     message of the error a run refuses with."""
-    from qadsim.adde import run_adde
-    from qadsim.adkpca import run_adkpca
-    from qadsim.config import QadsimError
-    from qadsim.pipelines import PipelineConfig
-
     config = PipelineConfig(t_bits=5, mode=mode, seed=17, policy="epsilon-floor")
     out = []
     for run in (run_adde, run_adkpca):

@@ -164,7 +164,7 @@ ANALOG_OPERAND = "chi state: amplitude-weighted superposition of residuals over 
 def _reference_rows(data):
     if data.n_rows > 4 or data.n_cols > 4:
         raise FlawLabError("toy constructions are limited to 4x4 data")
-    x = data.real_values
+    x = data.values
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
         raise FlawLabError("training rows must be non-zero to normalize")
@@ -181,7 +181,7 @@ def reference_flaw_suite(data, query) -> dict:
     rows = _reference_rows(data)
     mu = rows.mean(axis=0)
     chi = np.linalg.norm(rows - mu, axis=0)
-    x0 = np.asarray(query.real_values, dtype=float)
+    x0 = np.asarray(query.values, dtype=float)
     n0 = np.linalg.norm(x0)
     if n0 == 0.0:
         raise FlawLabError("query point must be non-zero to normalize")

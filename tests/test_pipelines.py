@@ -11,15 +11,15 @@ from qadsim.ae import (
     estimate_amplitude,
     grid_epsilon,
     label_is_zero,
+    _plane_masses,
     phase_distributions,
     row_amps,
 )
 from qadsim.arith import FixedPointFormat, RangeError
 from qadsim.config import MAX_PHASE_BITS, QadsimError
-from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint, floor_variance
+from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint, floor_variance, pad_width
 from qadsim.simcore import (
     LayoutError,
-    SimulationError,
     StateVector,
     new_state,
     operation_matrix,
@@ -47,7 +47,7 @@ class TestReportReferences:
         rep = run_adde(data, query, PipelineConfig(policy=policy, **precision)).as_dict()
         mu_hat, sigma2_hat = np.array(rep["mu_hat"]), np.array(rep["sigma2_hat"])
         floored = floor_variance(sigma2_hat, "epsilon-floor", "estimated variance")
-        p = np.mean(((query.real_values - mu_hat) / (np.sqrt(floored) * rep["T_used"])) ** 2)
+        p = np.mean(((query.values - mu_hat) / (np.sqrt(floored) * rep["T_used"])) ** 2)
         q = float(np.mean(np.log(floored))) / rep["E_used"] if rep["E_used"] else 0.0
         assert rep["observed_errors"]["p"] == abs(rep["p_hat"] - float(p))
         assert rep["observed_errors"]["q"] == abs(rep["q_hat"] - q)
@@ -56,9 +56,9 @@ class TestReportReferences:
     def test_adkpca_distance_and_b(self, seed, policy, precision):
         data, query = random_instance(seed)
         rep = run_adkpca(data, query, PipelineConfig(policy=policy, **precision)).as_dict()
-        x = data.real_values
+        x = data.values
         d, mu = x.shape[1], x.mean(axis=0)
-        z = query.real_values - mu
+        z = query.values - mu
         b = np.mean((((x - mu) @ z) / (d * rep["constants"]["C_dprime"])) ** 2)
         assert rep["observed_errors"]["distance_sq"] == abs(
             d * rep["C_prime_used"] ** 2 * rep["a_hat"] - float(z @ z))
@@ -199,15 +199,6 @@ class TestPreparations:
         again = build("y", np.full(4, 0.5), {})
         assert (again.name, again.rows, again.oracle_costs, prep.name) == ("y", 1, {}, "x")
 
-    def test_cached_layout_follows_the_qubit_cap(self, monkeypatch):
-        values = np.full(8, 0.3)  # s, 3 index qubits and anc: 5 qubits
-        assert interference_prep("a", values, costs={}).layout.n_qubits == 5
-        monkeypatch.setenv("QADSIM_QUBIT_CAP", "4")
-        with pytest.raises(LayoutError, match="cap of 4"):
-            interference_prep("a", values, costs={})
-        with pytest.raises(LayoutError, match="cap of 4"):
-            squared_mean_prep("a", np.full(16, 0.3), costs={})
-
     def test_signed_overlap_recovered(self):
         values = np.array([-0.3, -0.3])
         prep = interference_prep("t", values, costs={})
@@ -277,12 +268,31 @@ class TestMeans:
     def _rows(padded):
         return [np.append(row, np.zeros(padded - row.size)) for row in TestMeans.TABLE]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+    def test_each_row_is_padded_to_its_pad_width(self, monkeypatch, n):
+        # One label per index value: a row of n values runs on a register of
+        # pad_width(n) labels, and its mean is rescaled by pad_width(n) / n.
+        built = []
+        real = pipelines.phase_outcomes
+
+        def recorded(preps, config):
+            built.extend(preps)
+            return real(preps, config)
+
+        monkeypatch.setattr(pipelines, "phase_outcomes", recorded)
+        table = np.linspace(-0.9, 0.8, 2 * n).reshape(2, n)
+        t = 12
+        (got,) = EstimatorRun(PipelineConfig(t_bits=t)).means(Part("m", table, {}, t, signed=True))
+        assert [prep.layout.width("idx") for prep in built] == [pad_width(n).bit_length() - 1]
+        ratio = pad_width(n) / n
+        np.testing.assert_allclose(got, table.mean(axis=1), rtol=0, atol=2.0 * grid_epsilon(t) * ratio)
+
     @pytest.mark.parametrize("signed", [True, False])
     def test_ideal_rows_rescaled(self, signed):
         t, padded, scale = 12, 4, 2.5
         build = interference_prep if signed else squared_mean_prep
         runner = EstimatorRun(PipelineConfig(t_bits=t))
-        (got,) = runner.means(Part("m", self.TABLE, padded, {}, t, signed=signed, scale=scale))
+        (got,) = runner.means(Part("m", self.TABLE, {}, t, signed=signed, scale=scale))
         ratio = padded / 3
         tol = scale * (2.0 if signed else 1.0) * grid_epsilon(t) * ratio
         for row, value in zip(self._rows(padded), got):
@@ -301,7 +311,7 @@ class TestMeans:
         )
         for table in (self.TABLE, table5):
             runner = EstimatorRun(PipelineConfig(t_bits=t, mode="circuit", seed=seed))
-            (got,) = runner.means(Part("m", table, padded, {}, t, signed=True))
+            (got,) = runner.means(Part("m", table, {}, t, signed=True))
             rows = [np.append(row, np.zeros(padded - row.size)) for row in table]
 
             def outcomes(seeds):
@@ -365,22 +375,28 @@ class TestStacked:
             np.testing.assert_allclose(dist, phase_distributions(single, t)[0], rtol=0, atol=1e-12)
             assert good == pytest.approx(single.good_probability(), abs=1e-12)
 
-    def test_qubit_cap_is_charged_per_row(self, monkeypatch):
+    def test_qubit_cap_is_charged_per_row(self):
         # Five rows of a 5-qubit preparation share its 5-qubit layout, and each
-        # row's phase estimation is charged 5 + t, as alone.
-        monkeypatch.setenv("QADSIM_QUBIT_CAP", "8")
+        # row's phase estimation is charged 5 + t, as alone: 5 + 21 is the cap
+        # of 26 (checked, not filled), and 5 + 22 is refused.
         stacked = interference_prep("cap", np.full((5, 8), 0.3), {})
         assert stacked.layout.n_qubits == 5
         assert phase_distributions(stacked, 3).shape == (5, 8)
-        with pytest.raises(SimulationError):
-            phase_distributions(stacked, 4)
+        assert [side.shape for side in _plane_masses(stacked, 21)] == [(5,), (5,)]
+        with pytest.raises(LayoutError, match=r"^layout needs 27 qubits, exceeding the cap of 26$"):
+            phase_distributions(stacked, 22)
 
-    def test_ideal_stage_keeps_the_per_row_cap(self, monkeypatch):
-        # Each row of the stage is a 4-qubit preparation, over the cap of 3.
-        monkeypatch.setenv("QADSIM_QUBIT_CAP", "3")
-        runner = EstimatorRun(PipelineConfig(t_bits=4))
-        with pytest.raises(LayoutError):
-            runner.means(Part("m", np.full((3, 4), 0.3), 4, {}, 4, signed=True))
+    def test_circuit_stage_keeps_the_per_row_cap(self):
+        # Rows of 1024 values make 12-qubit preparations: at t = 14 each row's
+        # phase estimation needs the cap's 26 qubits, as alone, and three
+        # rows run as one stack. Rows of 2048 values need 27, which the stage
+        # refuses before it fills any phase state.
+        runner = EstimatorRun(PipelineConfig(t_bits=14, mode="circuit", seed=0))
+        (got,) = runner.means(Part("m", np.full((3, 1024), 0.3), {}, 14, signed=True))
+        assert len(got) == runner._run_index == 3
+        with pytest.raises(LayoutError, match=r"^layout needs 27 qubits, exceeding the cap of 26$"):
+            runner.means(Part("m", np.full((3, 2048), 0.3), {}, 14, signed=True))
+        assert runner._run_index == 3
 
     @pytest.mark.parametrize("mode", ["ideal", "circuit"])
     def test_stack_limit_splits_a_stage_without_changing_outcomes(self, monkeypatch, mode):
@@ -394,13 +410,13 @@ class TestStacked:
 
         monkeypatch.setattr(pipelines, "phase_outcomes", counted)
         got = []
-        # Rows of 4 * padded = 16 labels at t = 6: all 7 in one stack, then 2 a
-        # stack.
+        # Rows of 4 * pad_width(3) = 16 labels at t = 6: all 7 in one stack,
+        # then 2 a stack.
         row = row_amps(16, 6, mode)
         for limit, sizes in ((pipelines.MAX_STACK_AMPS, [7]), (2 * row, [2, 2, 2, 1])):
             monkeypatch.setattr(pipelines, "MAX_STACK_AMPS", limit)
             runner = EstimatorRun(PipelineConfig(t_bits=6, mode=mode, seed=11))
-            got.append(runner.means(Part("m", table, 4, {"oracle_data": 1}, 6, signed=True)))
+            got.append(runner.means(Part("m", table, {"oracle_data": 1}, 6, signed=True)))
             assert stacks == sizes
             stacks.clear()
             assert runner.ledger.grover == 7 * 63

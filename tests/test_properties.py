@@ -406,17 +406,17 @@ def test_grover_matrix_is_the_product_of_a_and_the_sign_flips(case):
 @st.composite
 def waves(draw):
     """One to four parts for `EstimatorRun.means`, each with 0 to 3 rows of
-    1 to 4 values padded to 4 or 8, at t = 2 or 3, signed or not, with its
-    own costs and scale; and a stack limit, the default or one small enough
-    to split a wave (a row holds 24 to 48 amplitudes in circuit mode)."""
+    1 to 8 values (so rows of every pad width, 2, 4 and 8), at t = 2 or 3,
+    signed or not, with its own costs and scale; and a stack limit, the
+    default or one small enough to split a wave (a row holds 16 to 48
+    amplitudes in circuit mode)."""
     parts = []
     for i in range(draw(st.integers(1, 4))):
-        n, k = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+        n, k = draw(st.integers(1, 8)), draw(st.integers(0, 3))
         rows = draw(st.lists(st.lists(unit_values, min_size=n, max_size=n), min_size=k, max_size=k))
         parts.append(Part(
-            f"part{i}", np.array(rows).reshape(k, n), draw(st.sampled_from([4, 8])),
-            {"oracle_data": i + 1}, draw(st.integers(2, 3)), draw(st.booleans()),
-            draw(st.floats(0.5, 2.0)),
+            f"part{i}", np.array(rows).reshape(k, n), {"oracle_data": i + 1},
+            draw(st.integers(2, 3)), draw(st.booleans()), draw(st.floats(0.5, 2.0)),
         ))
     return parts, draw(st.one_of(st.just(pipelines.MAX_STACK_AMPS), st.integers(1, 200)))
 
@@ -430,10 +430,10 @@ _TABLE = np.array([[0.3, -0.8, 0.5], [0.9, 0.1, -0.4], [-0.2, 0.6, 0.7]])
 # Every case at once: an empty part inside a wave, parts of two t, and a
 # limit of 50 amplitudes, which splits the t = 2 wave (rows of 16 or 24).
 @example(case=([
-    Part("m", _TABLE, 4, {"oracle_data": 1}, 2, True, 2.0),
-    Part("none", _TABLE[:0], 4, {"oracle_data": 2}, 2, False),
-    Part("sq", _TABLE[:2], 4, {"oracle_query": 1}, 2, False),
-    Part("t3", _TABLE, 4, {"arithmetic": 1}, 3, True),
+    Part("m", _TABLE, {"oracle_data": 1}, 2, True, 2.0),
+    Part("none", _TABLE[:0], {"oracle_data": 2}, 2, False),
+    Part("sq", _TABLE[:2], {"oracle_query": 1}, 2, False),
+    Part("t3", _TABLE, {"arithmetic": 1}, 3, True),
 ], 50), seed=7)
 def test_a_wave_equals_its_parts_read_one_after_another(mode, case, seed):
     parts, limit = case

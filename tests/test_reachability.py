@@ -108,3 +108,17 @@ def test_every_def_is_reached_or_allowlisted(tmp_path):
         "unreached, not allowlisted": sorted(never - set(NEVER_CALLED)),
         "allowlisted, but reached": sorted(set(NEVER_CALLED) - never),
     }
+
+
+def test_no_module_reads_the_environment():
+    # qadsim has no environment knobs: its limits are constants in `config`.
+    names = {"environ", "environb", "getenv", "getenvb"}
+    reads = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                reads.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                reads += [f"{path.name}:{node.lineno}: from os import {alias.name}"
+                          for alias in node.names if alias.name in names]
+    assert reads == []

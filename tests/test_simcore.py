@@ -70,11 +70,13 @@ class TestRegisterLayout:
         with pytest.raises(LayoutError):
             RegisterLayout([("a", 0)])
 
-    def test_qubit_cap(self, monkeypatch):
-        monkeypatch.setenv("QADSIM_QUBIT_CAP", "3")
-        with pytest.raises(LayoutError):
-            RegisterLayout([("a", 4)])
-        RegisterLayout([("a", 3)])
+    def test_qubit_cap(self):
+        # A layout holds no amplitudes, so the real cap of 26 is cheap to reach.
+        with pytest.raises(LayoutError, match=r"^layout needs 27 qubits, exceeding the cap of 26$"):
+            RegisterLayout([("a", 27)])
+        with pytest.raises(LayoutError, match="needs 27 qubits"):
+            RegisterLayout([("a", 20), ("b", 7)])
+        assert RegisterLayout([("a", 26)]).n_qubits == 26
 
     def test_unknown_register(self):
         lay = RegisterLayout([("a", 1)])

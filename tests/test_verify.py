@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from qadsim.dataio import DataMatrix
+from qadsim.flawlab import ROTATION_SITES
 from qadsim.verify import (
     SUITES,
+    _monolithic_mean_prep,
     bounds_suite,
     equivalence_suite,
     flaws_suite,
@@ -18,14 +21,14 @@ class TestRandomInstance:
             data, query = random_instance(seed)
             assert 2 <= data.n_rows <= 8
             assert 1 <= data.n_cols <= 4
-            assert query.real_values.shape == (data.n_cols,)
+            assert query.values.shape == (data.n_cols,)
             assert abs(data.values).max() <= 2.0
 
     def test_deterministic(self):
         d1, q1 = random_instance(7)
         d2, q2 = random_instance(7)
         assert (d1.values == d2.values).all()
-        assert (q1.real_values == q2.real_values).all()
+        assert (q1.values == q2.values).all()
 
     def test_infeasible_settings_raise(self):
         # uniform[-0.1, 0.1] has variance 1/300, never the required 0.05
@@ -48,8 +51,8 @@ class TestRandomInstance:
         for seed in range(40):
             data, query = random_instance(seed)
             x, x0 = unbounded(seed)
-            np.testing.assert_array_equal(data.real_values, x)
-            np.testing.assert_array_equal(query.real_values, x0)
+            np.testing.assert_array_equal(data.values, x)
+            np.testing.assert_array_equal(query.values, x0)
 
 
 class TestSuites:
@@ -75,6 +78,21 @@ class TestSuites:
         assert report["passed"]
         assert abs(report["m2_gap"] - 2.0) <= 1e-9
         assert report["normalization_discrepancy"] > 0.01
+        assert report["encoding"] == [dict(site) for site in ROTATION_SITES]  # echoed, not checked
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 5), (4, 3), (5, 1)])
+    def test_monolithic_table_equals_the_double_loop(self, shape):
+        # The padded matrix, read feature-major: label i + rows * j holds x_j^i / C.
+        x = np.random.default_rng(sum(shape)).uniform(-2.0, 2.0, size=shape)
+        rows, cols = (max(2, 1 << (n - 1).bit_length()) for n in shape)
+        want = np.zeros(rows * cols)
+        for j in range(shape[1]):
+            for i in range(shape[0]):
+                want[i + rows * j] = x[i, j] / 2.0
+        mono = _monolithic_mean_prep(DataMatrix(x), 2.0)
+        widths = [mono.layout.width(name) for name in ("idx", "j")]
+        assert widths == [rows.bit_length() - 1, cols.bit_length() - 1]
+        np.testing.assert_array_equal(mono.ops[3].inner.values, want)
 
 
 class TestDispatcher:
