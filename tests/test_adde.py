@@ -226,6 +226,55 @@ class TestEstimators:
         assert q_hat == pytest.approx(direct, abs=pad * (math.pi / 2**12 + math.pi**2 / 2**24))
 
 
+# Feature 0 has sigma^2 exactly SIGMA_MIN, so the fit passes the floor under
+# either policy, but at t = 10 the estimated variance quantizes to 0.
+FLOOR_DATA = [[0.0, 1.0], [0.002, -1.0], [0.0, 0.5], [0.002, -0.5]]
+FLOOR_QUERY = [0.001, 0.2]
+
+# The epsilon-floor report of that instance: p, q and the q reference all
+# read the estimated variances floored.
+FLOOR_REPORT = {
+    "config": {"t_bits": 10, "epsilon": None, "mode": "ideal", "seed": None,
+               "fp_int_bits": 8, "fp_frac_bits": 16, "policy": "epsilon-floor"},
+    "constants": {"C": 1.0, "D": 1.0, "T": 1.0, "E": 13.815510557964274, "C_prime": 0.2,
+                  "C_dprime": 0.2},
+    "budget": None,
+    "mu_hat": [0.0, 0.0],
+    "sigma2_hat": [0.0, 0.6244659423828125],
+    "p_hat": 0.5306603681511043,
+    "q_hat": -0.5193559901655895,
+    "lnP_hat": 4.806630730914242,
+    "lnP_classical": 5.272880027195659,
+    "bounds": {"mu": 0.006154747928003383, "sigma2": 0.030773739640016916,
+               "p": 0.0030773739640016914, "q": 0.0030773739640016914},
+    "observed_errors": {"mu": 0.001, "sigma2": 0.0005340576171875, "p": 0.001366998983898804,
+                        "q": 0.002315053287279545, "lnP": 0.46624929628141665},
+    "flag": False,
+    "delta": 0.01,
+    "ledger": {"oracle_data": 16376, "oracle_query": 4094, "grover": 6138, "arithmetic": 20470},
+    "T_used": 1.0,
+    "E_used": 13.815510557964274,
+}
+
+
+class TestEstimatedVarianceFloor:
+    def _run(self, policy):
+        data, query = DataMatrix(np.array(FLOOR_DATA)), QueryPoint(np.array(FLOOR_QUERY))
+        return run_adde(data, query, PipelineConfig(t_bits=10, policy=policy))
+
+    def test_fit_passes_the_floor(self):
+        model = classical_fit(DataMatrix(np.array(FLOOR_DATA)))
+        assert model.sigma2[0] == 1e-6
+
+    def test_error_policy_refuses_the_estimate(self):
+        with pytest.raises(DegenerateDataError) as exc:
+            self._run("error")
+        assert str(exc.value) == "estimated variance below floor for features [0]"
+
+    def test_epsilon_floor_report_is_pinned(self):
+        assert self._run("epsilon-floor").as_dict() == FLOOR_REPORT
+
+
 class TestEndToEnd:
     def test_report_bounds_hold_ideal(self):
         for seed in range(10):

@@ -199,6 +199,16 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert _one_line_error(err) and "exceeds constant" in err
 
+    def test_detect_estimated_variance_below_floor_exit_2(self, tmp_path, capsys):
+        # sigma^2 of feature 0 is exactly the floor, and its estimate quantizes to 0.
+        (tmp_path / "d.csv").write_text("0,1\n0.002,-1\n0,0.5\n0.002,-0.5\n")
+        (tmp_path / "q.csv").write_text("0.001,0.2\n")
+        argv = ["detect", "--data", str(tmp_path / "d.csv"), "--query", str(tmp_path / "q.csv"),
+                "--t-bits", "10", "--policy", "error"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: estimated variance below floor for features [0]\n"
+
     def test_kpca_one_row_exit_2(self, tmp_path, query_csv, capsys):
         (tmp_path / "one.csv").write_text("1,2\n")
         argv = ["kpca", "--data", str(tmp_path / "one.csv"), "--query", query_csv, "--t-bits", "4"]
