@@ -89,42 +89,31 @@ def budget_shares(
 # quantum estimators
 
 def estimate_means(
-    data: DataMatrix, constants: Constants, runner: EstimatorRun, t_bits: int
-) -> np.ndarray:
-    """Per-feature means via interference amplitude estimation.
-
-    For each feature the good probability is 1/2 + 1/2 <phi_j|h>, the overlap
-    being the column mean over x_j^i / C.
-    """
-    fmt = runner.config.fp_format
-    (means,) = runner.means(Part(
-        "mean", data.values.T / constants.C, {"oracle_data": 2, "arithmetic": 1}, t_bits,
-        signed=True, scale=constants.C,
-    ))
-    return np.array([fmt.quantize(v) for v in means])
+    data: DataMatrix, constants: Constants, t_bits: int
+) -> Part:
+    """Per-feature means via interference amplitude estimation, one row per
+    feature: the good probability is 1/2 + 1/2 <phi_j|h>, the overlap being
+    the column mean over x_j^i / C, read back in units of C."""
+    return Part("mean", data.values.T / constants.C, {"oracle_data": 2, "arithmetic": 1}, t_bits,
+                signed=True, scale=constants.C)
 
 
 def estimate_variances(
     data: DataMatrix,
     mu_hat: np.ndarray,
     constants: Constants,
-    runner: EstimatorRun,
     t_bits: int,
-) -> tuple[np.ndarray, float]:
-    """Per-feature variances about the estimated means.
+) -> Part:
+    """Per-feature variances about the estimated means, one row per feature.
 
-    The rotation normalizer is D, inflated only if an estimated residual
-    exceeds it (estimation noise can push |x - mu_hat| slightly past the
-    classical maximum).  Returns (sigma2_hat, normalizer).
+    The rotation normalizer d_used (the part's scale is its square) is D,
+    inflated only if an estimated residual exceeds it (estimation noise can
+    push |x - mu_hat| slightly past the classical maximum).
     """
-    fmt = runner.config.fp_format
     residuals = data.values - mu_hat
     d_used = max(constants.D, float(np.abs(residuals).max()))
-    (variances,) = runner.means(Part(
-        "variance", residuals.T / d_used, {"oracle_data": 2, "arithmetic": 2}, t_bits,
-        signed=False, scale=d_used**2,
-    ))
-    return np.array([fmt.quantize(v) for v in variances]), d_used
+    return Part("variance", residuals.T / d_used, {"oracle_data": 2, "arithmetic": 2}, t_bits,
+                signed=False, scale=d_used**2)
 
 
 def estimate_p(
@@ -132,17 +121,16 @@ def estimate_p(
     mu_hat: np.ndarray,
     sigma2_hat: np.ndarray,
     t_const: float,
-    policy: str,
     t_bits: int,
 ) -> tuple[Part, float]:
-    """Mean squared standardized residual of the query point, as the one-row
-    part that `EstimatorRun.means` reads (its mean is p_hat).
+    """Mean squared standardized residual of the query point, as a one-row
+    part (its mean is p_hat), from the floored estimated variances.
 
     Returns (part, T actually used).  If the estimated mean/variance break
     the rotation bound for the initial T, T is recomputed from the estimates
     and the rotations built with it.
     """
-    sigma_hat = np.sqrt(floor_variance(sigma2_hat, policy, "estimated variance"))
+    sigma_hat = np.sqrt(sigma2_hat)
     z = query.values - mu_hat
 
     t_used = t_const
@@ -158,18 +146,16 @@ def estimate_p(
 def estimate_q(
     sigma2_hat: np.ndarray,
     e_const: float,
-    policy: str,
     t_bits: int,
 ) -> tuple[Part, float]:
-    """Mean log-variance via the interference preparation, as the part that
-    `EstimatorRun.means` reads (its one mean is q_hat).
+    """Mean log-variance via the interference preparation, as a part (its one
+    mean is q_hat), from the floored estimated variances.
 
     Returns (part, E actually used); the normalizer E is inflated when an
     estimated log-variance exceeds the classical maximum. When every
     estimated variance is exactly 1, the sum is exactly zero: the part has
     no row and runs no AE, and q_hat is 0.
     """
-    sigma2_hat = floor_variance(sigma2_hat, policy, "estimated variance")
     logs = np.log(sigma2_hat)
     e_used = max(e_const, float(np.abs(logs).max()))
     rows = (logs / e_used)[None] if e_used else np.empty((0, logs.size))
@@ -226,10 +212,11 @@ def run_adde(
             d * ((1 << t_mean) - 1) + d * ((1 << t_var) - 1) + 2 * ((1 << t_tail) - 1)
         )
 
-    mu_hat = estimate_means(data, constants, runner, t_mean)
-    sigma2_hat, _d_used = estimate_variances(data, mu_hat, constants, runner, t_var)
-    p_part, t_used = estimate_p(query, mu_hat, sigma2_hat, constants.T, config.policy, t_tail)
-    q_part, e_used = estimate_q(sigma2_hat, constants.E, config.policy, t_tail)
+    mu_hat = runner.stored(*runner.means(estimate_means(data, constants, t_mean)))
+    sigma2_hat = runner.stored(*runner.means(estimate_variances(data, mu_hat, constants, t_var)))
+    sigma2_floored = floor_variance(sigma2_hat, config.policy, "estimated variance")
+    p_part, t_used = estimate_p(query, mu_hat, sigma2_floored, constants.T, t_tail)
+    q_part, e_used = estimate_q(sigma2_floored, constants.E, t_tail)
     (p_hat,), q_read = runner.means(p_part, q_part)  # one wave: p and q share t_tail
     q_hat = q_read[0] if q_read else 0.0
     ln_p_hat = log_density_estimate(p_hat, q_hat, d, t_used, e_used)
@@ -246,7 +233,6 @@ def run_adde(
         bounds["lnP"] = budget["epsilon"]
 
     # p's formula is the mean square of its stage's row, (x0 - mu_hat) / (sigma_hat T_used).
-    sigma2_floored = floor_variance(sigma2_hat, "epsilon-floor", "estimated variance")
     p_formula = float(mean_axis0(p_part.table[0] ** 2))
     q_formula = float(mean_axis0(np.log(sigma2_floored))) / e_used if e_used else 0.0
     observed = {

@@ -97,37 +97,34 @@ def _normalizer(classical: float, estimated_max: float, label: str) -> float:
 
 
 def estimate_a(
-    query: QueryPoint,
-    mu_hat: np.ndarray,
+    z0: np.ndarray,
     c_prime: float,
     t_bits: int,
 ) -> tuple[Part, float]:
-    """Mean squared normalized distance of the query from the estimated mean,
-    as the one-row part that `EstimatorRun.means` reads (its mean is a_hat).
+    """Mean squared normalized distance z0 = x0 - mu_hat of the query from
+    the estimated mean, as a one-row part (its mean is a_hat).
 
     Returns (part, normalizer actually used).
     """
-    z = query.values - mu_hat
-    used = _normalizer(c_prime, float(np.abs(z).max()), "C'")
-    part = Part("a", (z / used)[None], {"oracle_query": 2, "arithmetic": 2}, t_bits, signed=False)
+    used = _normalizer(c_prime, float(np.abs(z0).max()), "C'")
+    part = Part("a", (z0 / used)[None], {"oracle_query": 2, "arithmetic": 2}, t_bits, signed=False)
     return part, used
 
 
 def estimate_omegas(
     data: DataMatrix,
-    query: QueryPoint,
     mu_hat: np.ndarray,
+    z0: np.ndarray,
     c_dprime: float,
     t_bits: int,
 ) -> tuple[Part, float]:
-    """Per-point normalized inner products of centered vectors, as the part
-    that `EstimatorRun.means` reads, one row per training point.
+    """Per-point normalized inner products of the centered points with
+    z0 = x0 - mu_hat, as a part with one row per training point.
 
     omega_i is the overlap of the rotated point state with the flat state,
     recovered signed via 2 a - 1; `run_adkpca` stores it digitally (fixed
     point). Returns (part, normalizer actually used).
     """
-    z0 = query.values - mu_hat
     products = (data.values - mu_hat) * z0
     used = _normalizer(c_dprime, float(np.abs(products).max()), "C''")
     part = Part(
@@ -137,12 +134,9 @@ def estimate_omegas(
     return part, used
 
 
-def estimate_b(omegas_hat: np.ndarray, runner: EstimatorRun, t_bits: int) -> float:
-    """Mean of squared overlaps via one more amplitude estimation round."""
-    if np.abs(omegas_hat).max() > 1.0 + 1e-12:
-        raise ConstantViolationError("omega magnitude exceeds 1")
-    ((b_hat,),) = runner.means(Part("b", omegas_hat[None], {"arithmetic": 2}, t_bits, signed=False))
-    return b_hat
+def estimate_b(omegas_hat: np.ndarray, t_bits: int) -> Part:
+    """Mean of the squared stored overlaps, as a one-row part (its mean is b_hat)."""
+    return Part("b", omegas_hat[None], {"arithmetic": 2}, t_bits, signed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +177,15 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     plan, budget = runner.plan(STAGES, lambda epsilon: budget_shares(epsilon, d, constants))
     (t_mean, eps_mean), (t_dist, eps_dist), (t_omega, eps_omega), (t_bsum, eps_bsum) = plan
 
-    mu_hat = estimate_means(data, constants, runner, t_mean)
-    a_part, cp_used = estimate_a(query, mu_hat, constants.C_prime, t_dist)
-    omega_part, cdp_used = estimate_omegas(data, query, mu_hat, constants.C_dprime, t_omega)
+    mu_hat = runner.stored(*runner.means(estimate_means(data, constants, t_mean)))
+    z0 = query.values - mu_hat
+    a_part, cp_used = estimate_a(z0, constants.C_prime, t_dist)
+    omega_part, cdp_used = estimate_omegas(data, mu_hat, z0, constants.C_dprime, t_omega)
     # One wave when t_dist == t_omega (a configured t); under epsilon, one each.
     (a_hat,), omegas = runner.means(a_part, omega_part)
     # The true overlap is in [-1, 1]; clip away estimation/pad overshoot.
-    omegas_hat = np.maximum(np.minimum([config.fp_format.quantize(w) for w in omegas], 1.0), -1.0)
-    b_hat = estimate_b(omegas_hat, runner, t_bsum)
+    omegas_hat = np.maximum(np.minimum(runner.stored(omegas), 1.0), -1.0)
+    ((b_hat,),) = runner.means(estimate_b(omegas_hat, t_bsum))
     f_hat = proximity_estimate(a_hat, b_hat, d, m, cp_used, cdp_used)
 
     C, cp, cdp = constants.C, constants.C_prime, constants.C_dprime

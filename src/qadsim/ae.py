@@ -1,12 +1,12 @@
 """Canonical amplitude estimation on top of the statevector core.
 
 A :class:`StatePreparation` names a replayable pipeline A mapping |0...0> to a
-target state together with a predicate designating the good subspace.  The
-Grover operator is Q = -A S0 Adag Schi, and the estimator runs either the
-phase-estimation circuit's outcome distribution (`circuit` mode, stochastic
-under a seed) or a deterministic nearest-grid rounding of the exact angle
-(`ideal` mode).  Both modes charge the same 2^t - 1 Grover applications to
-the ledger.
+target state together with a one-qubit good register, whose label 0 is the
+good subspace.  The Grover operator is Q = -A S0 Adag Schi, and the estimator
+runs either the phase-estimation circuit's outcome distribution (`circuit`
+mode, stochastic under a seed) or a deterministic nearest-grid rounding of the
+exact angle (`ideal` mode).  Both modes charge the same 2^t - 1 Grover
+applications to the ledger.
 
 When S0 acts on every register, Q rotates the plane of the good and bad parts
 of A|0> by 2 theta, so the phase distribution depends on A only through their
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,13 +63,13 @@ MAX_GRID_BITS = 511
 
 
 def label_is_zero(label: int) -> bool:
-    """Good predicate "label 0"; one function, so its reflections share a cached diagonal."""
+    """Schi's predicate, the good label 0; one function, so every Schi shares a cached diagonal."""
     return label == 0
 
 
 @dataclass(frozen=True)
 class StatePreparation:
-    """Pipeline A plus the designation of the good subspace.
+    """Pipeline A plus its one-qubit good register, whose label 0 is good.
 
     `reflection_registers` are the registers the zero reflection S0 acts on;
     by default all of them.  When a pipeline is block diagonal in some passive
@@ -86,14 +86,13 @@ class StatePreparation:
     layout: RegisterLayout
     ops: tuple[Operation, ...]
     good_register: str
-    good_predicate: Callable[[int], bool]
     reflection_registers: tuple[str, ...] = ()
     oracle_costs: Mapping[str, int] = field(default_factory=dict)
     rows: int = 1
 
     def __post_init__(self):
-        if self.good_register not in self.layout:
-            raise SimulationError(f"good register {self.good_register!r} not in layout")
+        if (self.good_register, 1) not in self.layout.registers:
+            raise SimulationError(f"good register {self.good_register!r} is not one qubit of the layout")
         refl = self.reflection_registers or tuple(self.layout.names)
         for name in refl:
             if name not in self.layout:
@@ -118,24 +117,9 @@ class StatePreparation:
 
     def masses(self) -> tuple[np.ndarray, np.ndarray]:
         """Good and bad masses (g, b) of each row's A|0>, in one replay: the
-        two marginal columns of a one-qubit good register with one good label,
-        as they are; else the marginal summed label by label."""
+        two columns of the good register's marginal, labels 0 and 1."""
         probs = marginal_probs(self.prepare(), self.good_register)
-        hits = [self.good_predicate(b) for b in range(probs.shape[1])]
-        if len(hits) == 2 and hits[0] != hits[1]:
-            return (probs[:, 0], probs[:, 1]) if hits[0] else (probs[:, 1], probs[:, 0])
-        good, bad = np.zeros(self.rows), np.zeros(self.rows)
-        for b, hit in enumerate(hits):
-            if hit:
-                good += probs[:, b]
-            else:
-                bad += probs[:, b]
-        return good, bad
-
-    def reflections(self) -> tuple[ReflectWhere, ReflectAboutZero]:
-        """Q's two reflections: Schi on the good subspace and S0 about |0>."""
-        good_flip = ReflectWhere(self.good_register, self.good_predicate)
-        return good_flip, ReflectAboutZero(self.reflection_registers)
+        return probs[:, 0], probs[:, 1]
 
     def good_probability(self) -> float:
         """Exact probability of the good subspace in (row 0's) A|0>."""
@@ -155,7 +139,6 @@ class GroverOperator:
 
     def __init__(self, prep: StatePreparation):
         self.prep = prep
-        self.good_flip, self.zero_flip = prep.reflections()
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of Q on the preparation's layout (small layouts); for a
@@ -163,8 +146,10 @@ class GroverOperator:
         prep, lay = self.prep, self.prep.layout
         self._a = a = operation_matrix(prep.ops, lay, prep.rows)
         # Run as a stack of states, each row of a matrix M gets the diagonal: M diag(S).
-        q = self.zero_flip.apply(StateVector._of(lay, -a)).amps @ a.transpose(0, 2, 1)
-        q = self.good_flip.apply(StateVector._of(lay, q)).amps
+        # S0 flips |0> of the reflection registers, Schi the good label 0.
+        zero_flip = ReflectAboutZero(prep.reflection_registers)
+        q = zero_flip.apply(StateVector._of(lay, -a)).amps @ a.transpose(0, 2, 1)
+        q = ReflectWhere(prep.good_register, label_is_zero).apply(StateVector._of(lay, q)).amps
         check_unit_norms(q.transpose(0, 2, 1))  # its columns
         return q if prep.rows > 1 else q[0]
 

@@ -7,9 +7,10 @@ Every estimator reduces to one of two preparation shapes:
 * a squared-mean preparation whose good probability is the mean of squared
   rotation values, used for variances and quadratic sums.
 
-`EstimatorRun.means` is the one stage path: every estimator stage hands it a
-`Part`, a table of rotation values with one row per AE run (one per feature or
-point index), and it pads, runs and rescales the rows. It is the one place
+Every stage has one contract: an estimator builds its `Part`, a table of
+rotation values with one row per AE run (one per feature or point index); its
+pipeline reads it with `EstimatorRun.means`, the one stage path, which pads,
+runs and rescales the rows, and stores the estimates with `EstimatorRun.stored`. It is the one place
 that pads: each row of n values gets `pad_width(n)` labels, one per value of
 the index register, and its mean is rescaled by the pad ratio. The coherent
 index superposition of the full algorithm is block diagonal in the passive
@@ -41,7 +42,6 @@ from .ae import (
     check_mode,
     estimate_amplitude,
     grid_epsilon,
-    label_is_zero,
     phase_outcomes,
     row_amps,
 )
@@ -102,7 +102,7 @@ def report_dict(report, **renames: str) -> dict:
 def _shape(registers: tuple[tuple[str, int], ...], good_register: str) -> StatePreparation:
     """The checked preparation without ops that every build of one shape copies
     (`StatePreparation.restacked`), once per (registers, good register)."""
-    return StatePreparation("", RegisterLayout(registers), (), good_register, label_is_zero)
+    return StatePreparation("", RegisterLayout(registers), (), good_register)
 
 
 _H_S, _H_IDX = HadamardBlock("s"), HadamardBlock("idx")
@@ -247,3 +247,7 @@ class EstimatorRun:
                 a = self.run(prep, config, y).amplitude
                 means.append(part.scale * (2.0 * a - 1.0 if part.signed else a) * ratio)
         return out
+
+    def stored(self, values) -> np.ndarray:
+        """The values as digital registers hold them: `fp_format.quantize` of each."""
+        return np.array([self.config.fp_format.quantize(v) for v in values])

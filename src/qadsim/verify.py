@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .ae import AEConfig, estimate_amplitude, grid_epsilon, label_is_zero, phase_distributions
+from .ae import AEConfig, estimate_amplitude, grid_epsilon, phase_distributions
 from .adde import run_adde
 from .adkpca import run_adkpca
 from .dataio import DataMatrix, QueryLedger, QueryPoint, pad_width
@@ -120,7 +120,6 @@ def _monolithic_mean_prep(data: DataMatrix, c_const: float) -> StatePreparation:
         layout=layout,
         ops=ops,
         good_register="s",
-        good_predicate=label_is_zero,
         reflection_registers=("s", "idx", "anc"),
     )
 
@@ -201,7 +200,6 @@ def _fixed_amplitude_prep(a: float) -> StatePreparation:
         layout=layout,
         ops=ops,
         good_register="anc",
-        good_predicate=label_is_zero,
     )
 
 

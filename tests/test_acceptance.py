@@ -44,7 +44,6 @@ def _const_prep(a: float) -> StatePreparation:
         layout=RegisterLayout([("k", 1), ("anc", 1)]),
         ops=(ValueKeyedRotation(["k"], "anc", np.array([v, v])),),
         good_register="anc",
-        good_predicate=lambda label: label == 0,
     )
 
 

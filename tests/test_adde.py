@@ -154,13 +154,13 @@ class TestEstimators:
         data, query, model, constants, runner = self._setup(
             DataMatrix(x), QueryPoint(np.array([1.0, 1.0]))
         )
-        mu_hat = estimate_means(data, constants, runner, 12)
+        mu_hat = runner.stored(*runner.means(estimate_means(data, constants, 12)))
         assert mu_hat[0] == pytest.approx(2.0, abs=2 * constants.C * math.pi / 2**12 + 2**-16)
 
     def test_mean_grid_bound(self):
         for seed in range(10):
             data, query, model, constants, runner = self._setup(*random_instance(seed), t=10)
-            mu_hat = estimate_means(data, constants, runner, 10)
+            mu_hat = runner.stored(*runner.means(estimate_means(data, constants, 10)))
             eps = math.pi / 2**10 + math.pi**2 / 2**20
             assert np.max(np.abs(mu_hat - model.mu)) <= 2 * constants.C * eps
 
@@ -169,8 +169,9 @@ class TestEstimators:
         data, query, model, constants, runner = self._setup(
             DataMatrix(x), QueryPoint(np.array([2.5, 3.5])), t=14
         )
-        sigma2_hat, d_used = estimate_variances(data, model.mu, constants, runner, 14)
-        assert d_used == constants.D
+        part = estimate_variances(data, model.mu, constants, 14)
+        assert part.scale == constants.D**2  # d_used is D
+        sigma2_hat = runner.stored(*runner.means(part))
         np.testing.assert_allclose(sigma2_hat, [1.0, 1.0], atol=constants.D**2 * math.pi / 2**14 + 2**-15)
 
     def test_zero_variance_when_data_equals_mean(self):
@@ -178,8 +179,8 @@ class TestEstimators:
         data, query, model, constants, runner = self._setup(
             DataMatrix(x), QueryPoint(np.array([2.5, 3.5]))
         )
-        mu_hat = x[0]  # treat the first row as the estimate: residual 0 for row 0
-        sigma2_hat, _ = estimate_variances(data, model.mu * 0 + x.mean(0), constants, runner, 12)
+        part = estimate_variances(data, model.mu * 0 + x.mean(0), constants, 12)
+        sigma2_hat = runner.stored(*runner.means(part))
         assert np.all(sigma2_hat >= 0.0)
 
     def test_p_at_the_mean_is_zero(self):
@@ -188,7 +189,7 @@ class TestEstimators:
             DataMatrix(x), QueryPoint(np.array([2.0, 3.0]))
         )
         part, t_used = estimate_p(
-            QueryPoint(np.array([2.0, 3.0])), model.mu, model.sigma2, constants.T, "epsilon-floor", 12
+            QueryPoint(np.array([2.0, 3.0])), model.mu, model.sigma2, constants.T, 12
         )
         ((p_hat,),) = runner.means(part)
         assert p_hat == 0.0
@@ -201,7 +202,7 @@ class TestEstimators:
         )
         # a T too small for the query forces the retry path
         far_query = QueryPoint(np.array([8.0, 3.0]))
-        part, t_used = estimate_p(far_query, model.mu, model.sigma2, 1.0, "epsilon-floor", 12)
+        part, t_used = estimate_p(far_query, model.mu, model.sigma2, 1.0, 12)
         ((p_hat,),) = runner.means(part)
         assert t_used == 8.0  # smallest power of two >= |8-2|/1
         direct = float(np.mean(((far_query.values - model.mu) / (np.sqrt(model.sigma2) * t_used)) ** 2))
@@ -212,14 +213,14 @@ class TestEstimators:
         data, query, model, constants, runner = self._setup(
             DataMatrix(x), QueryPoint(np.array([2.5, 3.5]))
         )
-        part, e_used = estimate_q(np.array([1.0, 1.0]), 0.0, "epsilon-floor", 12)
+        part, e_used = estimate_q(np.array([1.0, 1.0]), 0.0, 12)
         assert e_used == 0.0 and part.table.shape == (0, 2)
         assert runner.means(part) == [[]]  # no row, so q_hat is 0
         assert runner.ledger.grover == 0  # no AE ran
 
     def test_q_direct_formula(self):
         data, query, model, constants, runner = self._setup(*random_instance(3), t=12)
-        part, e_used = estimate_q(model.sigma2, constants.E, "epsilon-floor", 12)
+        part, e_used = estimate_q(model.sigma2, constants.E, 12)
         ((q_hat,),) = runner.means(part)
         direct = float(np.mean(np.log(model.sigma2))) / e_used
         pad = pad_width(model.sigma2.size) / model.sigma2.size

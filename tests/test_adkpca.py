@@ -3,14 +3,20 @@ import pytest
 
 from qadsim.adkpca import (
     STAGES,
+    ConstantViolationError,
     InsufficientDataError,
     budget_shares,
     classical_moments,
     classical_proximity,
+    estimate_a,
+    estimate_b,
+    estimate_omegas,
     proximity_estimate,
     run_adkpca,
 )
-from qadsim.dataio import Constants, DataMatrix, QueryPoint
+from qadsim.ae import grid_epsilon
+from qadsim.dataio import Constants, DataMatrix, QueryPoint, pad_width
+from qadsim.simcore import SimulationError
 from qadsim.pipelines import EstimatorRun, PipelineConfig
 
 from qadsim.verify import random_instance
@@ -123,6 +129,50 @@ class TestBudget:
     def test_epsilon_range(self):
         with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
             PipelineConfig(epsilon=0.0)
+
+
+class TestEstimators:
+    """Each builder's part, read through `EstimatorRun.means` at t = 12."""
+
+    def _means(self, *parts):
+        return EstimatorRun(PipelineConfig(t_bits=12)).means(*parts)
+
+    def test_a_at_the_mean_is_zero_and_keeps_c_prime(self):
+        part, used = estimate_a(np.zeros(3), 0.5, 12)
+        assert used == 0.5 and part.table.shape == (1, 3)
+        assert self._means(part) == [[0.0]]
+
+    def test_a_inflates_c_prime_within_half_again(self):
+        z0 = np.array([0.6, -0.2])
+        part, used = estimate_a(z0, 0.5, 12)
+        assert used == 0.6
+        ((a_hat,),) = self._means(part)
+        assert a_hat == pytest.approx(np.mean((z0 / 0.6) ** 2), abs=np.pi / 2**11)
+        with pytest.raises(ConstantViolationError, match="C': estimated magnitude"):
+            estimate_a(z0, 0.3, 12)
+
+    def test_omegas_are_the_normalized_overlaps(self):
+        data, query = random_instance(2)
+        model = classical_moments(data)
+        z0 = query.values - model.mu
+        cdp = float(np.abs(model.centered * z0).max())
+        part, used = estimate_omegas(data, model.mu, z0, cdp, 12)
+        assert used == cdp and part.table.shape == data.values.shape
+        (omegas,) = self._means(part)
+        d = data.n_cols
+        # a signed mean is read as 2a - 1, rescaled by the pad ratio of its row
+        atol = 2 * grid_epsilon(12) * pad_width(d) / d
+        np.testing.assert_allclose(omegas, model.centered @ z0 / (d * cdp), rtol=0, atol=atol)
+
+    def test_b_is_the_mean_square_of_the_stored_overlaps(self):
+        ((b_hat,),) = self._means(estimate_b(np.array([1.0, -1.0, 1.0]), 12))
+        assert b_hat == pytest.approx(1.0, abs=np.pi / 2**11)
+
+    def test_b_past_one_is_refused_by_the_rotation(self):
+        # run_adkpca clips the stored overlaps to [-1, 1]; any other caller's
+        # overlap past 1 is refused when its rotation is built.
+        with pytest.raises(SimulationError, match="not at most 1"):
+            self._means(estimate_b(np.array([0.5, 1.0 + 1e-9]), 12))
 
 
 class TestEndToEnd:

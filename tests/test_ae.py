@@ -50,7 +50,6 @@ def const_prep(a: float) -> StatePreparation:
         layout=RegisterLayout([("k", 1), ("anc", 1)]),
         ops=(ValueKeyedRotation(["k"], "anc", np.array([v, v])),),
         good_register="anc",
-        good_predicate=lambda label: label == 0,
     )
 
 
@@ -65,26 +64,26 @@ class TestStatePreparation:
                 layout=RegisterLayout([("a", 1)]),
                 ops=(),
                 good_register="zz",
-                good_predicate=lambda label: True,
             )
 
-    @pytest.mark.parametrize("register, good_labels", [
-        ("anc", {0}),     # one good label of a one-qubit register: its two columns, read directly
-        ("anc", {1}),
-        ("anc", {0, 1}),  # every label good, and a two-qubit register: summed label by label
-        ("idx", {1, 2}),
-    ])
-    def test_masses_equal_the_label_by_label_sums(self, register, good_labels):
+    @pytest.mark.parametrize("build", [interference_prep, squared_mean_prep])
+    def test_masses_are_the_two_marginal_columns(self, build):
+        # The good subspace is label 0 of the one-qubit good register, bad is label 1.
         table = np.random.default_rng(5).uniform(-0.9, 0.9, size=(3, 4))
-        prep = dataclasses.replace(squared_mean_prep("m", table, {}), good_register=register,
-                                   good_predicate=lambda label: label in good_labels)
-        probs = marginal_probs(prep.prepare(), register)
-        want = {True: np.zeros(3), False: np.zeros(3)}
-        for label in range(probs.shape[1]):
-            want[label in good_labels] += probs[:, label]
+        prep = build("m", table, {})
+        probs = marginal_probs(prep.prepare(), prep.good_register)
+        assert probs.shape == (3, 2)
         good, bad = prep.masses()
-        np.testing.assert_array_equal(good, want[True])
-        np.testing.assert_array_equal(bad, want[False])
+        np.testing.assert_array_equal(good, probs[:, 0])
+        np.testing.assert_array_equal(bad, probs[:, 1])
+
+    def test_a_good_register_of_two_qubits_is_refused(self):
+        prep = squared_mean_prep("m", np.full((3, 4), 0.5), {})
+        assert prep.layout.width("idx") == 2
+        with pytest.raises(SimulationError, match=r"^good register 'idx' is not one qubit of the layout$"):
+            dataclasses.replace(prep, good_register="idx")
+        with pytest.raises(SimulationError, match="is not one qubit of the layout"):
+            StatePreparation(name="wide", layout=RegisterLayout([("a", 2)]), ops=(), good_register="a")
 
 
 class TestGroverOperator:
@@ -160,7 +159,6 @@ class TestIdealMode:
             layout=const_prep(0.3).layout,
             ops=const_prep(0.3).ops,
             good_register="anc",
-            good_predicate=lambda label: label == 0,
             oracle_costs={"oracle_data": 2},
         )
         ledger = QueryLedger()
@@ -315,7 +313,7 @@ def reference_grover(prep: StatePreparation) -> np.ndarray:
     """-A diag(S0) Adag diag(Schi)."""
     lay = prep.layout
     labels = np.arange(lay.dim)
-    good = [prep.good_predicate(int(v)) for v in extract(lay, labels, prep.good_register)]
+    good = extract(lay, labels, prep.good_register) == 0
     at_zero = np.all([extract(lay, labels, r) == 0 for r in prep.reflection_registers], axis=0)
     a = prep_matrix(prep)
     return -a @ np.diag(np.where(at_zero, -1.0, 1.0)) @ a.conj().T @ np.diag(
@@ -391,7 +389,6 @@ class TestIndependentReferences:
             layout=RegisterLayout([("a", 1), ("b", 1)]),
             ops=(HadamardBlock("b"), _Merge("a")),
             good_register="b",
-            good_predicate=lambda label: label == 0,
         )
         operation_matrix(prep.ops, prep.layout)
         with pytest.raises(SimulationError, match="norm drifted"):
@@ -480,7 +477,7 @@ class TestSubspacePath:
         clash = StatePreparation(
             name="clash", layout=RegisterLayout([("k", 1), (PHASE_REGISTER, 1)]),
             ops=(ValueKeyedRotation(["k"], PHASE_REGISTER, np.array([0.6, 0.6])),),
-            good_register=PHASE_REGISTER, good_predicate=lambda label: label == 0,
+            good_register=PHASE_REGISTER,
         )
         names = ["k", PHASE_REGISTER, PHASE_REGISTER]
         with pytest.raises(LayoutError, match=rf"^duplicate register names in {re.escape(str(names))}$"):

@@ -180,7 +180,7 @@ class TestPreparations:
 
         def flips(prep):  # the diagonals Q's two reflections multiply by
             lay = prep.layout
-            return lay.sign_flips((prep.good_register,), prep.good_predicate), lay.sign_flips(
+            return lay.sign_flips((prep.good_register,), label_is_zero), lay.sign_flips(
                 prep.reflection_registers
             )
 
@@ -194,7 +194,7 @@ class TestPreparations:
         costs = {"oracle_data": 2}
         prep = build("x", np.full((3, 4), 0.25), costs)
         want = StatePreparation(name="x", layout=prep.layout, ops=prep.ops, good_register=good,
-                                good_predicate=label_is_zero, oracle_costs=costs, rows=3)
+                                oracle_costs=costs, rows=3)
         assert vars(prep) == vars(want)
         again = build("y", np.full(4, 0.5), {})
         assert (again.name, again.rows, again.oracle_costs, prep.name) == ("y", 1, {}, "x")
@@ -256,6 +256,14 @@ class TestEstimatorRun:
         runner.run(prep, runner._next_config(4))
         assert runner.ledger.grover == 2 * 15
         assert runner.ledger.oracle_data == 2 * (2 * 15 + 1)
+
+    def test_stored_quantizes_each_value(self):
+        fmt = FixedPointFormat(int_bits=2, frac_bits=3)
+        runner = EstimatorRun(PipelineConfig(t_bits=4, fp_format=fmt))
+        stored = runner.stored([0.0625, 0.1875, -1.3, 2.0])
+        assert isinstance(stored, np.ndarray) and stored.tolist() == [0.0, 0.25, -1.25, 2.0]
+        with pytest.raises(RangeError):
+            runner.stored([0.5, 8.0])
 
 
 class TestMeans:

@@ -370,7 +370,7 @@ def prefixed_preparations(draw):
         else:
             rest.append(ReflectAboutZero([draw(st.sampled_from(layout.names))]))
     prep = StatePreparation(name="prefixed", layout=layout, ops=(*prefix, *rest),
-                            good_register="t", good_predicate=label_is_zero, rows=max(k, 1))
+                            good_register="t", rows=max(k, 1))
     return prep, len(prefix), k or None
 
 
@@ -398,7 +398,7 @@ def test_grover_matrix_is_the_product_of_a_and_the_sign_flips(case):
     lay = prep.layout
     a = operation_matrix(prep.ops, lay, prep.rows)
     zero = lay.sign_flips(prep.reflection_registers)
-    good = lay.sign_flips((prep.good_register,), prep.good_predicate)
+    good = lay.sign_flips((prep.good_register,), label_is_zero)
     want = (a * -zero) @ a.transpose(0, 2, 1) * good
     np.testing.assert_array_equal(GroverOperator(prep).matrix(), want if prep.rows > 1 else want[0])
 

@@ -1,6 +1,8 @@
 """Every function and method defined under `src/qadsim` is reached by a
 product path, or is on a named allowlist with its reason.
 
+The same holds for imports: a module imports only names it uses.
+
 The product paths are the CLI commands, run in process through `cli.main`
 under `sys.setprofile`: `detect` and `kpca` in both modes, each under
 `--t-bits` and under `--epsilon`; `fit`; `flaws`; and the four `verify`
@@ -122,3 +124,25 @@ def test_no_module_reads_the_environment():
                 reads += [f"{path.name}:{node.lineno}: from os import {alias.name}"
                           for alias in node.names if alias.name in names]
     assert reads == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """'file:line: name' of each name `path` imports and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # `__init__.py` imports to re-export, so it is not scanned.
+    unused = [entry for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+              for entry in _unused_imports(path)]
+    assert unused == []

@@ -82,6 +82,9 @@ def test_a_traced_run_equals_the_untraced_one():
         tracer.uninstall()
         probe.uninstall()
     assert traced == untraced
-    assert tracer.stats["dataio.compute_constants"][0] > 0
-    assert tracer.stats["simcore.reflect"][0] > 0
+    # Every layer the tracer names is reached, so a refactor that inlines a
+    # stage's builder or bypasses a wrapped name fails here, not only in the
+    # benchmark's per-layer table. The QFT and `measure` serve no path.
+    layers = {layer for layer, *_ in module.targets()} - {"simcore.qft", "simcore.measure"}
+    assert sorted(layer for layer in layers if tracer.stats.get(layer, [0])[0] == 0) == []
     assert probe.qpe_amps > 0 and len(probe.raw) > 0
