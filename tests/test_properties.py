@@ -396,9 +396,14 @@ def test_a_replay_from_the_walsh_start_equals_the_op_by_op_replay(case):
 def test_grover_matrix_is_the_product_of_a_and_the_sign_flips(case):
     prep = case[0]
     lay = prep.layout
+    labels = np.arange(lay.dim)
+
+    def extract(name):  # a register's field of each label, by bit arithmetic
+        return (labels >> lay.offset(name)) & ((1 << lay.width(name)) - 1)
+
     a = operation_matrix(prep.ops, lay, prep.rows)
-    zero = lay.sign_flips(prep.reflection_registers)
-    good = lay.sign_flips((prep.good_register,), label_is_zero)
+    zero = np.where(np.all([extract(name) == 0 for name in prep.reflection_registers], axis=0), -1.0, 1.0)
+    good = np.where(extract(prep.good_register) == 0, -1.0, 1.0)
     want = (a * -zero) @ a.transpose(0, 2, 1) * good
     np.testing.assert_array_equal(GroverOperator(prep).matrix(), want if prep.rows > 1 else want[0])
 
