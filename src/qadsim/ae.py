@@ -22,7 +22,8 @@ finish it. A pipeline hands it a wave, the rows of its stages that share a t
 once per wave, not once per stage. The dense path (`GroverOperator.matrix`
 and `qpe_state`) simulates the whole circuit; it is the reference the
 `equivalence` suite and the tests compare against. Q is only a dense matrix,
-A's with the two reflections run on its rows, never run op by op.
+A's with the two reflections run on its rows, never run op by op. Both are
+zero reflections: S0 on the reflection registers, Schi on the good qubit.
 The benchmark's tracer (`perfbench/tracer.py`) wraps `qpe_state`,
 `GroverOperator.matrix` and `good_probability` by name, and reads
 `AEResult.raw_outcome`, which nothing else does.
@@ -41,7 +42,6 @@ from .simcore import (
     _SQRT2_INV,
     Operation,
     ReflectAboutZero,
-    ReflectWhere,
     RegisterLayout,
     SimulationError,
     StateVector,
@@ -60,11 +60,6 @@ MODES = ("circuit", "ideal")  # the phase-estimation circuit, or nearest-grid ro
 
 # Widest phase grid in either mode: 4^t must stay a finite double.
 MAX_GRID_BITS = 511
-
-
-def label_is_zero(label: int) -> bool:
-    """Schi's predicate, the good label 0; one function, so every Schi shares a cached diagonal."""
-    return label == 0
 
 
 @dataclass(frozen=True)
@@ -146,10 +141,10 @@ class GroverOperator:
         prep, lay = self.prep, self.prep.layout
         self._a = a = operation_matrix(prep.ops, lay, prep.rows)
         # Run as a stack of states, each row of a matrix M gets the diagonal: M diag(S).
-        # S0 flips |0> of the reflection registers, Schi the good label 0.
+        # S0 flips |0> of the reflection registers, Schi |0> of the good register.
         zero_flip = ReflectAboutZero(prep.reflection_registers)
         q = zero_flip.apply(StateVector._of(lay, -a)).amps @ a.transpose(0, 2, 1)
-        q = ReflectWhere(prep.good_register, label_is_zero).apply(StateVector._of(lay, q)).amps
+        q = ReflectAboutZero((prep.good_register,)).apply(StateVector._of(lay, q)).amps
         check_unit_norms(q.transpose(0, 2, 1))  # its columns
         return q if prep.rows > 1 else q[0]
 

@@ -140,6 +140,12 @@ def mean_axis0(x: np.ndarray) -> np.ndarray:
 POLICIES = ("error", "epsilon-floor")
 
 
+def check_policy(policy: str) -> None:
+    """Refuse (ValueError) a degenerate-data policy outside POLICIES."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown degenerate-data policy {policy!r}")
+
+
 def floor_variance(sigma2: np.ndarray, policy: str, label: str) -> np.ndarray:
     """Variances with every entry below SIGMA_MIN handled by the policy.
 
@@ -148,8 +154,7 @@ def floor_variance(sigma2: np.ndarray, policy: str, label: str) -> np.ndarray:
     Callers take sigma as the square root of the result, so the floored
     sigma and sigma^2 always agree.
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown degenerate-data policy {policy!r}")
+    check_policy(policy)
     low = sigma2 < SIGMA_MIN
     if not low.any():
         return sigma2
@@ -197,8 +202,7 @@ def compute_constants(data: DataMatrix, query: QueryPoint, fit, policy: str = "e
     mu, sigma2 = fit.mu, fit.sigma2
     if x0.size != x.shape[1] or mu.size != x.shape[1]:
         raise DataError("query/model dimension does not match the data matrix")
-    if policy not in POLICIES:
-        raise ValueError(f"unknown degenerate-data policy {policy!r}")
+    check_policy(policy)
 
     def floored(value: float, label: str) -> float:
         if value > 0.0:

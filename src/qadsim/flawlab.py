@@ -160,9 +160,8 @@ def expectation_audit(
     actual = float(np.sum(logs**2))
     if np.all(np.abs(logs) <= 1.0):
         # Evaluate from a concrete statevector, not just arithmetic.
-        bits = max(1, (d - 1).bit_length())
-        d_pad = 1 << bits
-        layout = RegisterLayout([("anc", 1), ("j", bits)])
+        d_pad = pad_width(d)
+        layout = RegisterLayout([("anc", 1), ("j", d_pad.bit_length() - 1)])
         amps = np.zeros((d_pad, 2))
         amps[:d, 0] = logs
         amps[:d, 1] = np.sqrt(1.0 - logs**2)

@@ -47,7 +47,7 @@ from .ae import (
 )
 from .arith import FixedPointFormat
 from .config import MAX_PHASE_BITS
-from .dataio import QueryLedger, pad_width
+from .dataio import QueryLedger, check_policy, pad_width
 from .simcore import Controlled, HadamardBlock, RegisterLayout, ValueKeyedRotation
 
 # Most amplitudes (16 MiB) a stack of rows may hold at once (see `row_amps`).
@@ -71,6 +71,7 @@ class PipelineConfig:
         if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must be in (0, 1)")
         check_mode(self.mode, self.seed)
+        check_policy(self.policy)
 
     def echo(self) -> dict:
         return {

@@ -18,9 +18,12 @@ exact sign flips that cannot change it. No op has an inverse: Q is only a
 dense matrix, from A's (`operation_matrix`) with the reflections run on its
 rows. The one complex step, the inverse QFT of phase estimation, is never
 applied to a state: `readout_rows` reads the register's outcome distribution
-off real states with a half-spectrum FFT. :class:`Qft` and `measure` (with
-`draw` and `StateVector.norm_sq`) serve no product path; the benchmark's
-tracer (`perfbench/tracer.py`) wraps them by name.
+off real states with a half-spectrum FFT. :class:`Qft`, :class:`ReflectWhere`
+and `measure` (with `draw` and `StateVector.norm_sq`) serve no product path;
+the benchmark's tracer (`perfbench/tracer.py`) wraps them by name.
+Only the stage path's layout-only data is cached (`RegisterLayout._shared`):
+keyed rotations' plans and Walsh starts. Label fields and reflection
+diagonals, which no estimator stage reads, are built on each call.
 Digital arithmetic is not simulated gate by gate: an oracle write, a
 controlled rotation on the written value and the uncompute collapse into one
 :class:`ValueKeyedRotation` on the index.
@@ -92,67 +95,29 @@ class RegisterLayout:
         return self._offsets[name]
 
     def field(self, *names: str) -> np.ndarray:
-        """Joint field of the named registers for every basis label.
+        """Joint field of the named registers for every basis label, a new
+        array on each call. The first name is the least significant part."""
+        labels = np.arange(self.dim)
+        joint = np.zeros(self.dim, dtype=labels.dtype)
+        shift = 0
+        for name in names:
+            joint |= ((labels >> self.offset(name)) & ((1 << self.width(name)) - 1)) << shift
+            shift += self._widths[name]
+        return joint
 
-        The first name is the least significant part of the joint value. The
-        array is read-only. For layouts of at most _FIELD_CACHE_MAX_DIM labels
-        it is shared: it comes from a cache keyed on the layout's registers, so
-        equal layouts share it. Larger layouts compute it on every call.
-        """
-        return self._shared(_label_field, names)
-
-    def sign_flips(self, names: tuple[str, ...], predicate: Callable | None = None) -> np.ndarray:
-        """Read-only +-1 diagonal of a reflection: -1 where the joint field of
-        the named registers satisfies the predicate (None: where it is 0).
-        Shared as `field` is, keyed on the registers, names and predicate."""
-        return self._shared(_flip_table, names, predicate)
-
-    def _shared(self, build, names: tuple[str, ...], *key) -> np.ndarray:
+    def _shared(self, build, names: tuple[str, ...]):
+        """`build(registers, names)` from its cache, keyed on the registers so
+        that equal layouts share it; a layout of more than 4,096 labels builds
+        it on every call, so a cache of 64 8-byte arrays holds at most 2 MiB."""
         for name in names:
             self._require(name)
-        if self.dim > _FIELD_CACHE_MAX_DIM:
-            build = build.__wrapped__  # a large layout's array is built on every call
-        return build(self.registers, names, *key)
+        if self.dim > 1 << 12:
+            build = build.__wrapped__
+        return build(self.registers, names)
 
     def _require(self, name: str) -> None:
         if name not in self._widths:
             raise UnknownRegisterError(f"no register named {name!r} (have {self.names})")
-
-
-# Cached label fields, sign flips and Walsh starts are 8-byte arrays of at most
-# this many entries, and each cache keeps at most 64, so none holds more than 2 MiB.
-_FIELD_CACHE_MAX_DIM = 1 << 12
-
-
-@lru_cache(maxsize=64)
-def _label_field(registers: tuple[tuple[str, int], ...], names: tuple[str, ...]) -> np.ndarray:
-    widths = dict(registers)
-    offsets = {}
-    n_qubits = 0
-    for name, width in registers:
-        offsets[name] = n_qubits
-        n_qubits += width
-    labels = np.arange(1 << n_qubits)
-    joint = np.zeros(labels.size, dtype=labels.dtype)
-    shift = 0
-    for name in names:
-        joint |= ((labels >> offsets[name]) & ((1 << widths[name]) - 1)) << shift
-        shift += widths[name]
-    joint.flags.writeable = False
-    return joint
-
-
-@lru_cache(maxsize=64)
-def _flip_table(registers, names, predicate) -> np.ndarray:
-    field = _label_field.__wrapped__(registers, names)
-    if predicate is None:
-        hits = field == 0
-    else:
-        width = sum(dict(registers)[name] for name in names)
-        hits = np.fromiter((predicate(v) for v in range(1 << width)), dtype=bool)[field]
-    diagonal = np.where(hits, -1.0, 1.0)
-    diagonal.flags.writeable = False
-    return diagonal
 
 
 class StateVector:
@@ -388,7 +353,9 @@ def _rotation_plan(registers, names) -> tuple[int, int, np.ndarray | None]:
     labels, lo = 1 << sum(widths[name] for name in keys), 1 << sum(widths[name] for name in below)
     if keys == below:
         return labels, lo, None
-    return labels, lo, _label_field.__wrapped__(registers, tuple(keys)).reshape(-1, 2, lo)[:, :1, :]
+    key = RegisterLayout(registers).field(*keys).reshape(-1, 2, lo)[:, :1, :]
+    key.flags.writeable = False  # cached, so shared by every rotation of this shape
+    return labels, lo, key
 
 
 class Controlled(Operation):
@@ -429,7 +396,7 @@ class ReflectAboutZero(Operation):
         self.registers = tuple(registers)
 
     def kernel(self, state: StateVector) -> None:
-        state.amps *= state.layout.sign_flips(self.registers)
+        state.amps *= np.where(state.layout.field(*self.registers) == 0, -1.0, 1.0)
 
 
 class ReflectWhere(Operation):
@@ -440,7 +407,9 @@ class ReflectWhere(Operation):
         self.predicate = predicate
 
     def kernel(self, state: StateVector) -> None:
-        state.amps *= state.layout.sign_flips((self.register,), self.predicate)
+        lay = state.layout
+        hits = np.fromiter(map(self.predicate, range(1 << lay.width(self.register))), dtype=bool)
+        state.amps *= np.where(hits[lay.field(self.register)], -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -529,23 +498,18 @@ def operation_matrix(ops: Sequence[Operation], layout: RegisterLayout, rows=None
 def walsh_start(ops: Sequence[Operation], layout: RegisterLayout) -> tuple[np.ndarray, Sequence[Operation]]:
     """The leading HadamardBlocks of `ops` applied to |0> (shape (dim,)), and
     the ops after them. The result is read-only. It depends on no value, so
-    starts of at most _FIELD_CACHE_MAX_DIM entries are cached, keyed on the
-    layout's registers (equal layouts share them) and the blocks' registers;
-    the blocks' norm checks run when an entry is built."""
+    it is shared (`RegisterLayout._shared`), keyed on the layout's registers
+    and the blocks' registers; the blocks' norm checks run when it is built."""
     lead = 0
     while lead < len(ops) and type(ops[lead]) is HadamardBlock:
         lead += 1
-    registers = tuple(op.register for op in ops[:lead])
-    build = _walsh_start
-    if layout.dim > _FIELD_CACHE_MAX_DIM:
-        build = build.__wrapped__  # a large start is built on every call
-    return build(layout, registers), ops[lead:]
+    return layout._shared(_walsh_start, tuple(op.register for op in ops[:lead])), ops[lead:]
 
 
 @lru_cache(maxsize=64)
-def _walsh_start(layout: RegisterLayout, registers: tuple[str, ...]) -> np.ndarray:
-    state = new_state(layout)
-    for register in registers:
+def _walsh_start(registers, names: tuple[str, ...]) -> np.ndarray:
+    state = new_state(RegisterLayout(registers))
+    for register in names:
         HadamardBlock(register).apply(state)
     state.amps.flags.writeable = False
     return state.amps

@@ -10,14 +10,13 @@ from qadsim.ae import (
     StatePreparation,
     estimate_amplitude,
     grid_epsilon,
-    label_is_zero,
     _plane_masses,
     phase_distributions,
     row_amps,
 )
 from qadsim.arith import FixedPointFormat, RangeError
 from qadsim.config import MAX_PHASE_BITS, QadsimError
-from qadsim.dataio import DataMatrix, QueryLedger, QueryPoint, floor_variance, pad_width
+from qadsim.dataio import POLICIES, DataMatrix, QueryLedger, QueryPoint, floor_variance, pad_width
 from qadsim.simcore import (
     LayoutError,
     StateVector,
@@ -85,6 +84,13 @@ class TestPipelineConfig:
                 make(t_bits=6, mode="circuit", seed=-5)
             make(t_bits=6, mode="circuit", seed=0)
         PipelineConfig(t_bits=6, seed=-5)  # ideal mode ignores the seed
+
+    def test_an_unknown_policy_is_refused(self):
+        # run_adkpca never reads the policy, so only the config can refuse it.
+        with pytest.raises(ValueError, match="^unknown degenerate-data policy 'bogus'$"):
+            PipelineConfig(t_bits=6, policy="bogus")
+        for policy in POLICIES:
+            assert PipelineConfig(t_bits=6, policy=policy).echo()["policy"] == policy
 
     def test_an_unknown_mode_is_refused_before_the_fit(self, monkeypatch):
         fitted = []
@@ -173,19 +179,10 @@ class TestPreparations:
         prep = squared_mean_prep("t", values, costs={})
         assert prep.good_probability() == pytest.approx(np.mean(values**2), abs=1e-12)
 
-    def test_preparations_of_one_shape_share_layout_and_diagonals(self):
+    def test_preparations_of_one_shape_share_layout(self):
         one = interference_prep("a", np.full((2, 4), 0.3), costs={})
         two = interference_prep("b", np.full((3, 4), -0.2), costs={})
         assert one.layout is two.layout
-
-        def flips(prep):  # the diagonals Q's two reflections multiply by
-            lay = prep.layout
-            return lay.sign_flips((prep.good_register,), label_is_zero), lay.sign_flips(
-                prep.reflection_registers
-            )
-
-        for flip_one, flip_two in zip(flips(one), flips(two)):
-            assert flip_one is flip_two
 
     @pytest.mark.parametrize("build, good", [(interference_prep, "s"), (squared_mean_prep, "anc")])
     def test_a_build_equals_the_checked_construction(self, build, good):

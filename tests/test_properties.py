@@ -6,8 +6,8 @@ on its own.
 
 Layouts, register order, widths (1 to 6 qubits), rotation values, control
 values and reflection predicates are drawn at random. The keyed rotation's
-one-pass kernel is held bit for bit to its two-line form, the cached
-reflection diagonals to a label-by-label evaluation, a replay that starts
+one-pass kernel is held bit for bit to its two-line form, the reflections
+to a label-by-label evaluation of their diagonals, a replay that starts
 from the cached Hadamard prefix to the op-by-op replay, Q's dense matrix to
 the product of A's matrix and the reflections' sign flips, and the
 fixed-point `quantize` to decode(encode(x)).
@@ -23,7 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 from test_arith import decode  # noqa: E402
 
 from qadsim import pipelines  # noqa: E402
-from qadsim.ae import GroverOperator, StatePreparation, label_is_zero  # noqa: E402
+from qadsim.ae import GroverOperator, StatePreparation  # noqa: E402
 from qadsim.arith import FixedPointFormat, RangeError  # noqa: E402
 from qadsim.pipelines import (  # noqa: E402
     EstimatorRun,
@@ -41,7 +41,6 @@ from qadsim.simcore import (  # noqa: E402
     SimulationError,
     StateVector,
     ValueKeyedRotation,
-    _flip_table,
     new_state,
     operation_matrix,
     walsh_start,
@@ -306,7 +305,8 @@ def reflections(draw):
 
 @settings(deadline=None, max_examples=80)
 @given(reflections())
-def test_cached_diagonals_equal_a_fresh_evaluation(case):
+@example((RegisterLayout([("a", 6), ("b", 7)]), "b", lambda label: label == 3, ["a"]))  # 8192 labels
+def test_reflections_equal_a_fresh_diagonal(case):
     layout, register, predicate, zero = case
     labels = np.arange(layout.dim)
 
@@ -316,32 +316,10 @@ def test_cached_diagonals_equal_a_fresh_evaluation(case):
     where = np.array([predicate(v) for v in extract(register)])
     at_zero = np.all([extract(name) == 0 for name in zero], axis=0)
     amps = np.random.default_rng(layout.dim).normal(size=(2, layout.dim))
-    for op, names, key, hits in (
-        (ReflectWhere(register, predicate), (register,), (predicate,), where),
-        (ReflectAboutZero(zero), tuple(zero), (), at_zero),
-    ):
-        diagonal = layout.sign_flips(names, *key)
-        np.testing.assert_array_equal(diagonal, np.where(hits, -1.0, 1.0))
-        assert not diagonal.flags.writeable
-        assert RegisterLayout(layout.registers).sign_flips(names, *key) is diagonal  # shared by equal layouts
-        # The reflection's kernel multiplies each state of a stack by it.
-        np.testing.assert_array_equal(op.apply(StateVector(layout, amps.copy())).amps, amps * diagonal)
-
-
-def test_diagonals_of_large_layouts_are_not_cached():
-    layout = RegisterLayout([("a", 6), ("b", 7)])  # 8192 labels
-    before = _flip_table.cache_info().currsize
-    amps = np.full(layout.dim, layout.dim**-0.5)
-    for op, names, key in (
-        (ReflectWhere("b", lambda label: label == 3), ("b",), (lambda label: label == 3,)),
-        (ReflectAboutZero(["a"]), ("a",), ()),
-    ):
-        diagonal = layout.sign_flips(names, *key)
-        assert not diagonal.flags.writeable
-        assert layout.sign_flips(names, *key) is not diagonal
-        np.testing.assert_array_equal(diagonal, layout.sign_flips(names, *key))
-        np.testing.assert_array_equal(op.apply(StateVector(layout, amps.copy())).amps, amps * diagonal)
-    assert _flip_table.cache_info().currsize == before
+    for op, hits in ((ReflectWhere(register, predicate), where), (ReflectAboutZero(zero), at_zero)):
+        # The reflection's kernel multiplies each state of a stack by its +-1 diagonal.
+        want = amps * np.where(hits, -1.0, 1.0)
+        np.testing.assert_array_equal(op.apply(StateVector(layout, amps.copy())).amps, want)
 
 
 @st.composite

@@ -10,6 +10,8 @@ suites. The recording keeps the code object of every Python call; a def
 whose code object never ran is never called. The bounded caches are cleared
 first, so a cached builder runs even when an earlier test filled its cache.
 A def that no path reaches is deleted, or named here with the reason it stays.
+So does a cache: those commands, run on cleared caches, hit every `lru_cache`d
+function at least once, or the function belongs on its path uncached.
 """
 import ast
 import sys
@@ -29,13 +31,15 @@ TRACER_PINNED = "wrapped by name by perfbench/tracer.py"
 NEVER_CALLED = {
     "simcore.Qft.__init__": TRACER_PINNED,
     "simcore.Qft.apply": TRACER_PINNED,
+    "simcore.ReflectWhere.__init__": TRACER_PINNED,
+    "simcore.ReflectWhere.kernel": TRACER_PINNED,
     "simcore.measure": TRACER_PINNED,
     "simcore.draw": "called only by measure (tracer-pinned)",
     "simcore.StateVector.norm_sq": "called only by measure (tracer-pinned)",
     "ae.AEResult.raw_outcome": "read off every result by the benchmark's Probe",
     "simcore.Operation.kernel": "abstract: every op overrides it",
     "simcore.RegisterLayout.__eq__": "the contract for cache keys: equal layouts share "
-                                     "cached fields, diagonals and Walsh starts",
+                                     "their `_without` entries",
 }
 
 
@@ -58,12 +62,19 @@ def _defs() -> set[str]:
     return found
 
 
+def _caches() -> dict:
+    """'module.name' of every `lru_cache`d function defined in the package."""
+    return {
+        f"{name.removeprefix('qadsim.')}.{attr}": value
+        for name, module in list(sys.modules.items()) if name.startswith("qadsim.")
+        for attr, value in vars(module).items()
+        if callable(getattr(value, "cache_info", None)) and value.__module__ == name
+    }
+
+
 def _clear_caches() -> None:
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qadsim."):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
+    for cache in _caches().values():
+        cache.cache_clear()
 
 
 def _commands(tmp_path) -> list[list[str]]:
@@ -80,6 +91,11 @@ def _commands(tmp_path) -> list[list[str]]:
     return runs
 
 
+def _run(commands) -> None:
+    exits = [cli.main(argv) for argv in commands]
+    assert all(code in (0, 1) for code in exits), list(zip(commands, exits))
+
+
 def _called(commands) -> set[str]:
     codes = set()
 
@@ -91,10 +107,9 @@ def _called(commands) -> set[str]:
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
-        exits = [cli.main(argv) for argv in commands]
+        _run(commands)
     finally:
         sys.setprofile(previous)
-    assert all(code in (0, 1) for code in exits), list(zip(commands, exits))
     return {
         f"{Path(code.co_filename).stem}.{code.co_qualname}"
         for code in codes
@@ -110,6 +125,14 @@ def test_every_def_is_reached_or_allowlisted(tmp_path):
         "unreached, not allowlisted": sorted(never - set(NEVER_CALLED)),
         "allowlisted, but reached": sorted(set(NEVER_CALLED) - never),
     }
+
+
+def test_every_cache_is_hit_by_a_product_path(tmp_path):
+    _clear_caches()
+    _run(_commands(tmp_path))
+    caches = _caches()
+    assert caches
+    assert sorted(name for name, cache in caches.items() if cache.cache_info().hits == 0) == []
 
 
 def test_no_module_reads_the_environment():

@@ -20,7 +20,6 @@ from qadsim.simcore import (
     StateVector,
     UnknownRegisterError,
     ValueKeyedRotation,
-    _label_field,
     _walsh_start,
     check_unit_norms,
     draw,
@@ -83,33 +82,17 @@ class TestRegisterLayout:
         with pytest.raises(UnknownRegisterError):
             lay.width("zz")
 
-    def test_field_matches_extract_and_is_read_only(self):
+    def test_field_matches_extract(self):
         lay = RegisterLayout([("a", 2), ("b", 1), ("c", 3)])
         labels = np.arange(lay.dim)
         for name in lay.names:
-            field = lay.field(name)
-            np.testing.assert_array_equal(field, extract(lay, labels, name))
-            assert not field.flags.writeable
-            with pytest.raises(ValueError):
-                field[0] = 1
+            np.testing.assert_array_equal(lay.field(name), extract(lay, labels, name))
         joint = extract(lay, labels, "c") | (extract(lay, labels, "a") << 3)
         np.testing.assert_array_equal(lay.field("c", "a"), joint)
-
-    def test_field_is_shared_by_equal_layouts(self):
-        one = RegisterLayout([("a", 2), ("b", 1)])
-        two = RegisterLayout([("a", 2), ("b", 1)])
-        assert one.field("b") is two.field("b")
+        large = RegisterLayout([("a", 6), ("b", 7)])  # 8192 labels
+        np.testing.assert_array_equal(large.field("b"), extract(large, np.arange(large.dim), "b"))
         with pytest.raises(UnknownRegisterError):
-            one.field("zz")
-
-    def test_field_of_large_layout_is_not_cached(self):
-        lay = RegisterLayout([("a", 6), ("b", 7)])
-        before = _label_field.cache_info().currsize
-        field = lay.field("b")
-        np.testing.assert_array_equal(field, extract(lay, np.arange(lay.dim), "b"))
-        assert not field.flags.writeable
-        assert lay.field("b") is not field
-        assert _label_field.cache_info().currsize == before
+            lay.field("zz")
 
 
 class TestHadamard:
@@ -393,12 +376,7 @@ class TestReflections:
 
     def test_unknown_register_is_refused_by_both_reflections(self):
         lay = RegisterLayout([("a", 1), ("b", 1)])
-        for op, names in (
-            (ReflectWhere("zz", lambda v: v == 0), ("zz",)),
-            (ReflectAboutZero(["a", "zz"]), ("a", "zz")),
-        ):
-            with pytest.raises(UnknownRegisterError):
-                lay.sign_flips(names)
+        for op in (ReflectWhere("zz", lambda v: v == 0), ReflectAboutZero(["a", "zz"])):
             with pytest.raises(UnknownRegisterError):
                 op.apply(new_state(lay))
 
