@@ -22,6 +22,7 @@ from qadsim.ae import (
 )
 from qadsim.adde import run_adde
 from qadsim.adkpca import run_adkpca
+from qadsim.config import MAX_PHASE_BITS, NORM_TOL
 from qadsim.dataio import DataMatrix, QueryLedger
 from qadsim.pipelines import EstimatorRun, PipelineConfig, interference_prep, squared_mean_prep
 from qadsim.simcore import (
@@ -540,3 +541,55 @@ class TestSubspacePath:
         data, query = random_instance(1)
         report = run(data, query, PipelineConfig(t_bits=6, mode="circuit", seed=3))
         assert report.ledger["grover"] > 0
+
+
+EDGE_AMPLITUDES = (0.0, 1e-12, 0.25, 0.5, 0.75, 1.0 - 1e-12, 1.0)
+
+
+class TestCircuitDraw:
+    """A circuit wave's outcomes are `draw` on the full readout of its rows,
+    seed for seed, whatever path `phase_outcomes` takes to them."""
+
+    @pytest.mark.parametrize("t", range(1, MAX_PHASE_BITS + 1))
+    def test_outcomes_equal_draw_on_the_readout(self, monkeypatch, t):
+        # Seeded stacks of 1-9 rows, about a quarter of the rows at an edge
+        # amplitude, some split over two preparations. (g, b) pairs stand in
+        # for the preparations. Over every t: 18,060 ordinary and 6,272 edge rows.
+        monkeypatch.setattr(ae, "_plane_masses", lambda masses, t: masses)
+        rng = np.random.default_rng(t)
+        plain = edge = 0
+        while plain < 1290 or edge < 448:
+            k = int(rng.integers(1, 10))
+            at_edge = rng.random(k) < 0.26
+            good = np.where(at_edge, rng.choice(EDGE_AMPLITUDES, k), rng.random(k))
+            bad = 1.0 - good
+            cut = int(rng.integers(1, k)) if k > 1 and rng.random() < 0.5 else k
+            preps = [(good[:cut], bad[:cut]), (good[cut:], bad[cut:])][: 1 + (cut < k)]
+            seed = int(rng.integers(0, 1 << 31))
+            got = ae.phase_outcomes(preps, AEConfig(t, "circuit", seed))
+            probs = readout_rows(_mass_rows(good, bad, t), PHASE_REGISTER)
+            assert got == draw(probs, range(seed, seed + k)), (t, seed, good.tolist())
+            assert probs[np.arange(k), got].min() > 0.0
+            edge += int(at_edge.sum())
+            plain += k - int(at_edge.sum())
+
+    @pytest.mark.parametrize("off", [2 * NORM_TOL, -2 * NORM_TOL])
+    def test_a_row_off_the_norm_is_refused(self, monkeypatch, off):
+        # One row of the wave's fill is scaled so that its readout sums to
+        # 1 + off: refused by the readout's sum check. A quarter of off passes.
+        fill = ae._mass_rows
+
+        def skewed(scale):
+            def rows(good, bad, t):
+                lines = fill(good, bad, t)
+                lines[1] *= math.sqrt(scale)
+                return lines
+            return rows
+
+        prep = interference_prep("off", np.random.default_rng(3).uniform(-0.9, 0.9, (3, 4)), {})
+        config = AEConfig(4, "circuit", 0)
+        monkeypatch.setattr(ae, "_mass_rows", skewed(1.0 + off / 4))
+        assert len(ae.phase_outcomes([prep], config)) == 3
+        monkeypatch.setattr(ae, "_mass_rows", skewed(1.0 + off))
+        with pytest.raises(SimulationError, match=r"^readout of '__phase' drifted: sum P = "):
+            ae.phase_outcomes([prep], config)

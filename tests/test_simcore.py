@@ -198,6 +198,22 @@ class TestQft:
         with pytest.raises(SimulationError, match="readout of 'y' drifted"):
             readout_rows(rows, "y")
 
+    @pytest.mark.parametrize("seed", range(24))
+    def test_readout_rows_equals_its_frozen_copy(self, seed):
+        # Random real stacks of 1-5 rows, N = 2..1024 and 1-8 columns beside
+        # the register: bit for bit the full-length readout it was written as.
+        def frozen(amps):
+            n = amps.shape[1]
+            parts = np.fft.rfft(amps, axis=1).view(np.float64)
+            half = np.einsum("kyl,kyl->ky", parts, parts) / n
+            return np.concatenate([half, half[:, n - half.shape[1] : 0 : -1]], axis=1)
+
+        rng = np.random.default_rng(seed)
+        k, n, rest = int(rng.integers(1, 6)), 2 << seed % 10, 1 << int(rng.integers(0, 4))
+        amps = rng.normal(size=(k, n, rest))
+        amps /= np.sqrt(np.einsum("kyl,kyl->k", amps, amps))[:, None, None]
+        np.testing.assert_array_equal(readout_rows(amps, "y"), frozen(amps))
+
     def test_acts_only_on_named_register(self):
         lay = RegisterLayout([("a", 1), ("b", 2)])
         state = new_state(lay)
