@@ -15,11 +15,13 @@ Both modes replay A once per preparation, on |0> (`StatePreparation.masses`).
 `phase_outcomes` reads the rows of several preparations at once: in circuit
 mode `_plane_masses` checks each preparation and returns its rows' (g, b),
 `_mass_rows` writes every row's real pre-QFT state in that plane from the
-concatenated masses as one stack, and one readout (`simcore._readout`, which
-reads the phase register off it exactly) and one draw, row i with seed + i,
-finish it. A pipeline hands it a wave, the rows of its stages that share a t
-(`pipelines.EstimatorRun.means`), so a run pays the stack's fixed NumPy cost
-once per wave, not once per stage. The dense path (`GroverOperator.matrix`
+masses as one stack, and one readout and one draw, row i with seed + i,
+finish it. The readout (`simcore.readout_half`) reads the phase register's
+outcomes y = 0..2^(t-1) off the stack exactly, and the draw
+(`simcore.draw_half`) takes the rest from P(y) = P(2^t - y), so no
+full-length distribution is built. A pipeline hands it a wave, the rows of
+its stages that share a t (`pipelines.EstimatorRun.means`), so a run pays the
+stack's fixed NumPy cost once per wave, not once per stage. The dense path (`GroverOperator.matrix`
 and `qpe_state`) simulates the whole circuit; it is the reference the
 `equivalence` suite and the tests compare against. Q is only a dense matrix,
 A's with the two reflections run on its rows, never run op by op. Both are
@@ -45,11 +47,11 @@ from .simcore import (
     RegisterLayout,
     SimulationError,
     StateVector,
-    _readout,
-    _sample,
     check_unit_norms,
+    draw_half,
     marginal_probs,
     operation_matrix,
+    readout_half,
     readout_rows,
     walsh_start,
 )
@@ -282,7 +284,7 @@ def _mass_rows(good: np.ndarray, bad: np.ndarray, t: int) -> np.ndarray:
     factors = np.array(squares).T[:, :, None]
     fill = np.empty((len(total), 1 << t), dtype=complex)
     lines = fill.view(np.float64).reshape(len(total), 1 << t, 2)
-    lines[:, 0] = np.sqrt(np.stack([good, bad], axis=1) / total[:, None]) * _SQRT2_INV**t
+    lines[:, 0] = (np.sqrt(np.array([good, bad]) / total) * _SQRT2_INV**t).T
     for k in range(t):
         half = 1 << k
         np.multiply(fill[:, :half], factors[k], out=fill[:, half : 2 * half])
@@ -301,14 +303,18 @@ def phase_outcomes(preps: Sequence[StatePreparation], config: AEConfig) -> list[
 
     Ideal mode takes the grid point nearest each row's exact angle, read from
     the good masses. Circuit mode reads every row as one stack: one fill of
-    the preparations' masses, one readout and one draw, row i (counted over
-    all the preparations) with seed config.seed + i.
+    the preparations' masses, one half-spectrum readout and one draw by the
+    inverse CDF, row i (counted over all the preparations) with seed
+    config.seed + i. That is `draw` on the row's full `readout_rows`
+    distribution, seed for seed but for a uniform within rounding of a
+    step of the CDF.
     """
     t = config.t_bits
     if config.mode == "circuit":
-        good, bad = (np.concatenate(side) for side in zip(*(_plane_masses(p, t) for p in preps)))
-        probs, total = _readout(_mass_rows(good, bad, t), PHASE_REGISTER)
-        return _sample(probs, total, range(config.seed, config.seed + len(good)))
+        masses = [_plane_masses(p, t) for p in preps]
+        good, bad = masses[0] if len(masses) == 1 else (np.concatenate(side) for side in zip(*masses))
+        half, total = readout_half(_mass_rows(good, bad, t), PHASE_REGISTER)
+        return draw_half(half, total, range(config.seed, config.seed + len(good)))
     thetas = [math.asin(math.sqrt(min(max(a, 0.0), 1.0)))
               for prep in preps for a in prep.masses()[0].tolist()]
     return [min(max(round(theta * (1 << t) / math.pi), 0), 1 << (t - 1)) for theta in thetas]

@@ -17,8 +17,9 @@ reflections). Each op re-checks the norm invariant except the reflections,
 exact sign flips that cannot change it. No op has an inverse: Q is only a
 dense matrix, from A's (`operation_matrix`) with the reflections run on its
 rows. The one complex step, the inverse QFT of phase estimation, is never
-applied to a state: `readout_rows` reads the register's outcome distribution
-off real states with a half-spectrum FFT. :class:`Qft`, :class:`ReflectWhere`
+applied to a state: `readout_half` reads the register's outcomes y = 0..N/2
+off real states with a half-spectrum FFT, since P(y) = P(N - y). `draw_half`
+samples off that half; `readout_rows` mirrors it into full rows. :class:`Qft`, :class:`ReflectWhere`
 and `measure` (with `draw` and `StateVector.norm_sq`) serve no product path;
 the benchmark's tracer (`perfbench/tracer.py`) wraps them by name.
 Only the stage path's layout-only data is cached (`RegisterLayout._shared`):
@@ -265,26 +266,31 @@ class Qft:
 
 def readout_rows(amps: np.ndarray, register: str) -> np.ndarray:
     """(k, N) outcome distributions of a register after the inverse QFT, one
-    per real state of a (k, N, rest) stack whose axis 1 is the register.
+    per real state of a (k, N, rest) stack whose axis 1 is the register:
+    `readout_half`'s y = 0..N/2, with y = N/2 + 1..N - 1 mirrored from
+    P(y) = P(N - y).
+    """
+    half = readout_half(amps, register)[0]
+    return np.concatenate([half, half[:, amps.shape[1] - half.shape[1] : 0 : -1]], axis=1)
+
+
+def readout_half(amps: np.ndarray, register: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, N/2 + 1) outcome probabilities y = 0..N/2 of a register after
+    the inverse QFT, one row per real state of a (k, N, rest) stack whose axis
+    1 is the register, and the (k,) sums of the full rows, each checked to be
+    1 within NORM_TOL.
 
     The transformed amplitudes at y and N - y are complex conjugates, so
-    P(y) = P(N - y) exactly: y = 0..N/2 come from `np.fft.rfft`, the rest are
-    mirrored, and each row must sum to 1 within NORM_TOL.
+    P(y) = P(N - y) exactly: y = 0..N/2 come from `np.fft.rfft`, and a full
+    row holds y = 1..N/2 - 1 twice.
     """
-    return _readout(amps, register)[0]
-
-
-def _readout(amps: np.ndarray, register: str) -> tuple[np.ndarray, np.ndarray]:
-    """`readout_rows` and its checked (k,) row sums, which `_sample` takes."""
     n = amps.shape[1]
-    spectrum = np.fft.rfft(amps, axis=1)
-    parts = spectrum.view(np.float64)  # re and im of each entry, side by side
+    parts = np.fft.rfft(amps, axis=1).view(np.float64)  # re and im of each entry, side by side
     half = np.einsum("kyl,kyl->ky", parts, parts) / n
-    probs = np.concatenate([half, half[:, n - half.shape[1] : 0 : -1]], axis=1)
-    total = probs.sum(axis=1)
+    total = half.sum(axis=1) + half[:, 1:-1].sum(axis=1)
     if not np.abs(total - 1.0).max() <= NORM_TOL:
         raise SimulationError(f"readout of {register!r} drifted: sum P = {total}")
-    return probs, total
+    return half, total
 
 
 class ValueKeyedRotation(Operation):
@@ -433,20 +439,40 @@ def draw(probs: np.ndarray, rngs: Sequence[np.random.Generator | int]) -> list[i
     choice rejects is rejected: one with a negative or NaN entry, or with a
     sum that is not finite and positive, the one way a row normalised here
     can miss choice's check that it sums to 1. So is a count of rngs not k.
+    It serves `measure`. The circuit stages draw with `draw_half`, which
+    gives the same outcome but for a uniform within rounding of a CDF step.
     """
     total = probs.sum(axis=1)
     if not (probs.min() >= 0.0 and total.min() > 0.0 and total.max() < np.inf):
         raise SimulationError("outcome probabilities must be finite, >= 0 and sum to 1")
-    return _sample(probs, total, rngs)
-
-
-def _sample(probs: np.ndarray, total: np.ndarray, rngs: Sequence[np.random.Generator | int]) -> list[int]:
-    """`draw` on rows whose (k,) sums `total` are known finite and positive."""
     if len(rngs) != len(probs):
         raise SimulationError(f"{len(rngs)} generators or seeds for {len(probs)} rows")
     cdf = np.cumsum(probs / total[:, None], axis=1)
     cdf /= cdf[:, -1:]
     return [int(row.searchsorted(uniform(rng), side="right")) for row, rng in zip(cdf, rngs)]
+
+
+def draw_half(half: np.ndarray, total: np.ndarray, seeds: Sequence[int]) -> list[int]:
+    """One outcome per row of `readout_half`'s (k, N/2 + 1) halves and full
+    sums `total`, by the inverse CDF: row i's is the smallest y with
+    C(y) > u total[i], u = uniform(seeds[i]) and C the cumulative of the full
+    row, P(y) = P(N - y). Its cumulative c of y = 0..N/2 gives C(y) = c[y]
+    there; past N/2, C(y) = c[N/2] + c[N/2 - 1] - c[N - 1 - y], searched on c
+    from the other end. A target past the rounded C(N - 1) takes the last y
+    of non-zero probability, so no y of probability 0 is drawn.
+    """
+    n2 = half.shape[1] - 1
+    cdf = np.cumsum(half, axis=1)
+    out = []
+    for c, mid, sum_p, seed in zip(cdf, cdf[:, n2].tolist(), total.tolist(), seeds, strict=True):
+        target = uniform(seed) * sum_p
+        if target < mid:
+            out.append(int(c.searchsorted(target, side="right")))
+            continue
+        low = c[:n2]  # N - y is the count of low's entries below c[N/2 - 1] - (target - c[N/2])
+        k = int(low.searchsorted(low[-1] - (target - mid)) or low.searchsorted(low[0], side="right"))
+        out.append(2 * n2 - k if k < n2 else int(c.searchsorted(mid)))
+    return out
 
 
 def uniform(rng: np.random.Generator | int) -> float:

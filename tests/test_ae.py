@@ -33,11 +33,11 @@ from qadsim.simcore import (
     SimulationError,
     StateVector,
     ValueKeyedRotation,
-    _readout,
-    _sample,
     draw,
+    draw_half,
     marginal_probs,
     operation_matrix,
+    readout_half,
     readout_rows,
 )
 from qadsim.verify import _monolithic_mean_prep, random_instance
@@ -514,16 +514,18 @@ class TestSubspacePath:
 
     @pytest.mark.parametrize("k", [1, 3, 8])
     def test_the_stage_draws_are_draw_on_the_readout(self, k):
-        # The stage samples with the row sums its readout checked; `draw` sums
-        # and guards them again. Both give the same outcome for every seed.
+        # The stage draws off the half spectrum with the row sums its readout
+        # checked; `draw` takes the mirrored full rows and sums them again.
+        # Both give the same outcome for every seed.
         prep = interference_prep("draws", np.random.default_rng(k).uniform(-0.95, 0.95, (k, 8)), {})
         for t in (1, 4, 10):
             lines = _mass_rows(*_plane_masses(prep, t), t)
-            probs, total = _readout(lines, PHASE_REGISTER)
-            np.testing.assert_array_equal(probs, readout_rows(lines, PHASE_REGISTER))
+            half, total = readout_half(lines, PHASE_REGISTER)
+            probs = readout_rows(lines, PHASE_REGISTER)
+            np.testing.assert_array_equal(probs[:, : half.shape[1]], half)
             for seed in range(1000):
                 seeds = range(seed, seed + k)
-                assert _sample(probs, total, seeds) == draw(probs, seeds)
+                assert draw_half(half, total, seeds) == draw(probs, seeds)
             for seed in (0, 7, 999):
                 want = draw(probs, range(seed, seed + k))
                 assert ae.phase_outcomes([prep], AEConfig(t, "circuit", seed)) == want

@@ -23,6 +23,7 @@ from qadsim.simcore import (
     _walsh_start,
     check_unit_norms,
     draw,
+    draw_half,
     marginal_probs,
     measure,
     new_state,
@@ -517,6 +518,35 @@ class TestDraw:
         for seeds in (range(2), range(4), []):
             with pytest.raises(SimulationError, match=f"^{len(seeds)} generators or seeds for 3 rows$"):
                 draw(probs, seeds)
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 64, 1024])
+    def test_draw_half_equals_draw_on_the_mirrored_rows(self, n):
+        # Halves with zero entries, mass at both ends and one-hot rows: the
+        # half draw is `draw` on the full rows P(y) = P(n - y), seed for seed.
+        half = self._distributions(300, n // 2 + 1)
+        full = np.concatenate([half, half[:, n // 2 - 1 : 0 : -1]], axis=1)
+        seeds = range(77, 77 + len(half))
+        got = draw_half(half, full.sum(axis=1), seeds)
+        assert got == draw(full, seeds)
+        assert full[np.arange(len(full)), got].min() > 0.0
+        assert len(set(got)) > min(n // 2, 3)
+
+    def test_draw_half_past_the_end_takes_the_last_possible_outcome(self):
+        # A sum twice the row's puts every target 2u with u >= 1/2 past the
+        # cumulative's end: it lands on the last y of non-zero probability,
+        # which lies past n/2, at n/2, or at 0 when the row is one-hot there.
+        # Below the end, y is the count of the (exact) cumulative's entries <= 2u.
+        half = np.array([[0.5, 0.0, 0.25, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0]])
+        u = [uniform(s) for s in range(200)]
+        assert 50 < sum(v >= 0.5 for v in u) < 150
+        for row, last in zip(half, (6, 4, 0)):
+            cdf = np.cumsum(np.concatenate([row, row[3:0:-1]]))
+            want = [last if v >= 0.5 else int(cdf.searchsorted(2.0 * v, side="right")) for v in u]
+            assert draw_half(np.repeat(row[None], 200, axis=0), np.full(200, 2.0), range(200)) == want
+
+    def test_draw_half_refuses_a_count_of_seeds_other_than_the_rows(self):
+        with pytest.raises(ValueError):
+            draw_half(np.full((3, 3), 0.25), np.ones(3), range(2))
 
     @pytest.mark.parametrize(
         "bad", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.0, 0.0, 0.0], [np.inf, 0.0, 1.0]]
