@@ -337,11 +337,7 @@ def estimate_amplitude(
     grover_count = (1 << t) - 1
     if ledger is not None:
         # Each Q uses A and its inverse; one extra A prepares the initial state.
-        a_applications = 2 * grover_count + 1
-        ledger.add(
-            grover=grover_count,
-            **{kind: per_a * a_applications for kind, per_a in prep.oracle_costs.items()},
-        )
+        ledger.charge(grover_count, prep.oracle_costs, 2 * grover_count + 1)
     y = phase_outcomes([prep], config)[0] if outcome is None else outcome
     return AEResult(_fold_outcome(y, t), _grid_amplitude(y, t), t, config.mode, grover_count, y)
 

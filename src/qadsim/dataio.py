@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -41,6 +42,9 @@ def pad_width(n: int) -> int:
     return max(2, 1 << (n - 1).bit_length())
 
 
+_MONOTONE = "ledger counters are monotone; negative increments rejected"
+
+
 @dataclass
 class QueryLedger:
     """Monotone counters standing in for the asymptotic query-cost model."""
@@ -50,13 +54,19 @@ class QueryLedger:
     grover: int = 0
     arithmetic: int = 0
 
-    def add(self, *, oracle_data=0, oracle_query=0, grover=0, arithmetic=0) -> None:
-        if min(oracle_data, oracle_query, grover, arithmetic) < 0:
-            raise ValueError("ledger counters are monotone; negative increments rejected")
-        self.oracle_data += oracle_data
-        self.oracle_query += oracle_query
+    def charge(self, grover: int, per_a: Mapping[str, int], applications: int) -> None:
+        """One AE run: `grover` Grover applications, and per_a[kind] of each
+        other counter for each of the `applications` applications of A. A
+        negative count is refused before it is added, so no counter decreases;
+        a kind that names no counter raises KeyError."""
+        if grover < 0 or applications < 0:
+            raise ValueError(_MONOTONE)
+        counters = vars(self)
+        for kind, n in per_a.items():
+            if n < 0:
+                raise ValueError(_MONOTONE)
+            counters[kind] += n * applications
         self.grover += grover
-        self.arithmetic += arithmetic
 
     def snapshot(self) -> dict:
         return dict(vars(self))  # every field is a scalar

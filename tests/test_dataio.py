@@ -117,26 +117,34 @@ class TestCsv:
 
 class TestLedger:
     def test_monotone(self):
+        # A negative count is refused before it is added: no counter decreases.
         ledger = QueryLedger()
-        with pytest.raises(ValueError):
-            ledger.add(grover=-1)
+        ledger.charge(3, {"oracle_data": 1, "arithmetic": 2}, 7)
+        before = ledger.snapshot()
+        for args in ((-1, {}, 1), (1, {}, -1), (1, {"oracle_data": 1, "arithmetic": -1}, 1)):
+            with pytest.raises(ValueError, match="monotone"):
+                ledger.charge(*args)
+            assert all(ledger.snapshot()[kind] >= count for kind, count in before.items())
+        with pytest.raises(KeyError):
+            ledger.charge(1, {"oracle": 1}, 1)
 
     def test_snapshot_equals_asdict(self):
         ledger = QueryLedger()
-        ledger.add(grover=7, oracle_query=2)
+        ledger.charge(7, {"oracle_query": 2}, 1)
         snap = ledger.snapshot()
         assert list(snap.items()) == list(dataclasses.asdict(ledger).items())
-        ledger.add(grover=1)
+        ledger.charge(1, {}, 1)
         assert snap["grover"] == 7  # a copy, not a view of the ledger
 
     def test_snapshot(self):
         ledger = QueryLedger()
-        ledger.add(oracle_data=3, arithmetic=2)
+        ledger.charge(0, {"oracle_data": 1, "arithmetic": 2}, 3)
+        ledger.charge(0, {"arithmetic": 4}, 0)
         assert ledger.snapshot() == {
             "oracle_data": 3,
             "oracle_query": 0,
             "grover": 0,
-            "arithmetic": 2,
+            "arithmetic": 6,
         }
 
 

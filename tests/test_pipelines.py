@@ -116,7 +116,7 @@ class TestFixedPointRange:
     @pytest.fixture
     def charged(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(QueryLedger, "add", lambda self, **kw: calls.append(kw))
+        monkeypatch.setattr(QueryLedger, "charge", lambda self, *args: calls.append(args))
         monkeypatch.setattr(pipelines, "estimate_amplitude", lambda *a, **k: calls.append(a))
         return calls
 
