@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qadsim import adde, pipelines
-from qadsim.adde import run_adde
-from qadsim.adkpca import run_adkpca
+from qadsim.adde import classical_fit, classical_log_density, fit_about, run_adde
+from qadsim.adkpca import classical_moments, classical_proximity, run_adkpca
 from qadsim.ae import (
     AEConfig,
     GroverOperator,
@@ -16,7 +16,15 @@ from qadsim.ae import (
 )
 from qadsim.arith import FixedPointFormat, RangeError
 from qadsim.config import MAX_PHASE_BITS, QadsimError
-from qadsim.dataio import POLICIES, DataMatrix, QueryLedger, QueryPoint, floor_variance, pad_width
+from qadsim.dataio import (
+    POLICIES,
+    DataMatrix,
+    QueryLedger,
+    QueryPoint,
+    compute_constants,
+    floor_variance,
+    pad_width,
+)
 from qadsim.simcore import (
     LayoutError,
     StateVector,
@@ -62,6 +70,22 @@ class TestReportReferences:
         assert rep["observed_errors"]["distance_sq"] == abs(
             d * rep["C_prime_used"] ** 2 * rep["a_hat"] - float(z @ z))
         assert rep["observed_errors"]["b"] == abs(rep["b_hat"] - float(b))
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_constants_and_classical_values_equal_the_public_calls(self, seed, policy):
+        # A run's constants and classical reference, bit for bit those of the
+        # public calls on a fresh fit of the data, in both pipelines.
+        data, query = random_instance(seed)
+        rep = run_adde(data, query, PipelineConfig(t_bits=4, policy=policy))
+        fit = classical_fit(data, policy)
+        assert rep.constants == compute_constants(data, query, fit, policy).as_dict()
+        assert rep.ln_p_classical == classical_log_density(fit, query)
+        rep = run_adkpca(data, query, PipelineConfig(t_bits=4, policy=policy))
+        model = classical_moments(data)
+        fit = fit_about(model.mu, model.centered, "epsilon-floor")
+        assert rep.constants == compute_constants(data, query, fit, "epsilon-floor").as_dict()
+        assert rep.f_classical == classical_proximity(model, query)
 
 
 class TestPipelineConfig:
