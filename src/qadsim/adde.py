@@ -23,6 +23,7 @@ from .dataio import (
     mean_axis0,
     pad_width,
     power_of_two_at_least,
+    query_offset,
 )
 from .pipelines import EstimatorRun, Part, PipelineConfig, report_dict
 
@@ -51,14 +52,16 @@ def fit_about(mu: np.ndarray, centered: np.ndarray, policy: str) -> GaussianMode
     return GaussianModel(mu=mu, sigma2=sigma2, centered=centered)
 
 
-def classical_log_density(model: GaussianModel, query: QueryPoint) -> float:
-    """ln P(x0) for the independent-feature Gaussian model."""
+def classical_log_density(model: GaussianModel, query: QueryPoint, offset: np.ndarray | None = None) -> float:
+    """ln P(x0) for the independent-feature Gaussian model; `offset` is the
+    run's x0 - mu (`dataio.query_offset`), worked out here if not given."""
     x0 = query.values
     mu, sigma2 = model.mu, model.sigma2
     if x0.size != mu.size:
         raise ValueError("query dimension does not match the model")
+    z = x0 - mu if offset is None else offset
     d = mu.size
-    return float(-0.5 * d * LOG_2PI - 0.5 * np.log(sigma2).sum() - ((x0 - mu) ** 2 / (2.0 * sigma2)).sum())
+    return float(-0.5 * d * LOG_2PI - 0.5 * np.log(sigma2).sum() - (z**2 / (2.0 * sigma2)).sum())
 
 
 def flag_anomaly(ln_p: float, delta: float) -> bool:
@@ -197,9 +200,10 @@ def run_adde(
 ) -> ADDEReport:
     """Full detection run: fit, quantum estimation, budget checks, flag."""
     model = classical_fit(data, policy=config.policy)
-    constants = compute_constants(data, query, model, policy=config.policy)
+    offset = query_offset(data, query, model.mu)
+    constants = compute_constants(data, query, model, config.policy, offset)
     config.check_range(constants.C, constants.D**2, constants.T, constants.E)
-    ln_p_classical = classical_log_density(model, query)
+    ln_p_classical = classical_log_density(model, query, offset)
     d = data.n_cols
 
     runner = EstimatorRun(config)

@@ -21,6 +21,7 @@ from .dataio import (
     QueryPoint,
     compute_constants,
     mean_axis0,
+    query_offset,
 )
 from .pipelines import EstimatorRun, Part, PipelineConfig, report_dict
 from .adde import estimate_means, fit_about
@@ -56,9 +57,10 @@ def classical_moments(data: DataMatrix) -> MomentModel:
     return MomentModel(mu=mu, covariance=cov, centered=centered)
 
 
-def classical_proximity(model: MomentModel, query: QueryPoint) -> float:
-    """|x0 - mu|^2 - (x0 - mu)^T Sigma (x0 - mu); larger is more anomalous."""
-    z = query.values - model.mu
+def classical_proximity(model: MomentModel, query: QueryPoint, offset: np.ndarray | None = None) -> float:
+    """|x0 - mu|^2 - (x0 - mu)^T Sigma (x0 - mu); larger is more anomalous.
+    `offset` is the run's x0 - mu (`dataio.query_offset`), worked out here if not given."""
+    z = query.values - model.mu if offset is None else offset
     return float(z @ z - z @ model.covariance @ z)
 
 
@@ -167,9 +169,10 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     """Full proximity-measure run with bound checks against the baseline."""
     model = classical_moments(data)
     fit = fit_about(model.mu, model.centered, "epsilon-floor")
-    constants = compute_constants(data, query, fit, policy="epsilon-floor")
+    z = query_offset(data, query, model.mu)
+    constants = compute_constants(data, query, fit, "epsilon-floor", z)
     config.check_range(constants.C)  # the means are the only unclipped values it quantizes
-    f_classical = classical_proximity(model, query)
+    f_classical = classical_proximity(model, query, z)
     d = data.n_cols
     m = data.n_rows
 
@@ -196,7 +199,6 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     if budget is not None:
         bounds["f"] = 2.0 * budget["epsilon"]
 
-    z = query.values - model.mu
     b_target = float(mean_axis0(((model.centered @ z) / (d * cdp)) ** 2))
     observed = {
         "distance_sq": abs(d * cp_used**2 * a_hat - float(z @ z)),

@@ -195,24 +195,34 @@ class Constants:
         return dict(vars(self))  # every field is a scalar
 
 
-def compute_constants(data: DataMatrix, query: QueryPoint, fit, policy: str = "error") -> Constants:
+def query_offset(data: DataMatrix, query: QueryPoint, mu: np.ndarray) -> np.ndarray:
+    """x0 - mu, for a query and a fitted mean of the data's width; either of
+    another width is refused (DataError). A run works it out once and hands it
+    to `compute_constants` and to its classical reference."""
+    if query.values.size != data.n_cols or mu.size != data.n_cols:
+        raise DataError("query/model dimension does not match the data matrix")
+    return query.values - mu
+
+
+def compute_constants(
+    data: DataMatrix, query: QueryPoint, fit, policy: str = "error", offset: np.ndarray | None = None
+) -> Constants:
     """Evaluate the defining max-identities on the data.
 
     `fit` is the data's Gaussian fit (`adde.GaussianModel`): its mean mu,
     its deviations x - mu (`centered`) and its variances, which the fit has
-    already floored by the same policy.
+    already floored by the same policy. `offset` is the run's x0 - mu from
+    `query_offset`; without one, it is worked out (and checked) here.
 
     policy: "error" raises on a zero C or D, the normalizers ADDE's
     rotations and error budget divide by; it keeps a zero E, C' or C''
     (ADDE never reads C' or C'', and a zero E leaves q with no AE to run).
     "epsilon-floor" substitutes SIGMA_MIN for each instead.
     """
-    x = data.values
-    x0 = query.values
-    mu, sigma2 = fit.mu, fit.sigma2
-    if x0.size != x.shape[1] or mu.size != x.shape[1]:
-        raise DataError("query/model dimension does not match the data matrix")
+    if offset is None:
+        offset = query_offset(data, query, fit.mu)
     check_policy(policy)
+    sigma2 = fit.sigma2
 
     def floored(value: float, label: str) -> float:
         if value > 0.0:
@@ -225,13 +235,13 @@ def compute_constants(data: DataMatrix, query: QueryPoint, fit, policy: str = "e
 
     # Each deviation once. |a| |b| is |a b| exactly: rounding is symmetric in sign.
     spread = np.abs(fit.centered)
-    offset = np.abs(x0 - mu)
-    C = floored(np.abs(x).max(), "C")
+    distance = np.abs(offset)
+    C = floored(np.abs(data.values).max(), "C")
     D = floored(spread.max(), "D")
-    T = power_of_two_at_least((offset / np.sqrt(sigma2)).max())
+    T = power_of_two_at_least((distance / np.sqrt(sigma2)).max())
     E = floored(np.abs(np.log(sigma2)).max(), "E")
-    C_prime = floored(offset.max(), "C'")
-    C_dprime = floored((spread * offset).max(), "C''")
+    C_prime = floored(distance.max(), "C'")
+    C_dprime = floored((spread * distance).max(), "C''")
     return Constants(C=C, D=D, T=T, E=E, C_prime=C_prime, C_dprime=C_dprime)
 
 
