@@ -556,7 +556,8 @@ class TestCircuitDraw:
     def test_outcomes_equal_draw_on_the_readout(self, monkeypatch, t):
         # Seeded stacks of 1-9 rows, about a quarter of the rows at an edge
         # amplitude, some split over two preparations. (g, b) pairs stand in
-        # for the preparations. Over every t: 18,060 ordinary and 6,272 edge rows.
+        # for the preparations. At least 1,290 ordinary and 448 edge rows at
+        # each t, so 18,060 and 6,272 over every t.
         monkeypatch.setattr(ae, "_plane_masses", lambda masses, t: masses)
         rng = np.random.default_rng(t)
         plain = edge = 0

@@ -544,6 +544,17 @@ class TestDraw:
             want = [last if v >= 0.5 else int(cdf.searchsorted(2.0 * v, side="right")) for v in u]
             assert draw_half(np.repeat(row[None], 200, axis=0), np.full(200, 2.0), range(200)) == want
 
+    def test_draw_half_lands_after_a_step_the_uniform_hits(self, monkeypatch):
+        # Uniforms that hit a step of the cdf exactly, 0 and the middle among
+        # them, land after it on both halves, as choice's steps do: never on
+        # an outcome of probability 0.
+        full = np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.0, 0.25])
+        monkeypatch.setattr(simcore, "uniform", lambda seed: seed / 8)
+        seeds = range(8)
+        want = [1, 1, 4, 4, 4, 4, 7, 7]
+        assert draw_half(np.repeat(full[None, :5], 8, axis=0), np.ones(8), seeds) == want
+        assert draw(np.repeat(full[None], 8, axis=0), seeds) == want
+
     def test_draw_half_refuses_a_count_of_seeds_other_than_the_rows(self):
         with pytest.raises(ValueError):
             draw_half(np.full((3, 3), 0.25), np.ones(3), range(2))
