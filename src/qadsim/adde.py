@@ -6,6 +6,11 @@ amplitude estimation, feeds those estimates (not the classical values) into
 the variance stage, and finally reads off the two scalar sums that assemble
 the log density.  All rotations use digitally quantized estimates, so no
 hidden classical information leaks into the quantum stages.
+
+Each stage bound is its part's `Part.bound` under the error the plan charged
+the stage, plus half an ulp for a stored estimate: mu is that alone, p and q
+are their terms, and sigma2 adds mu^2, since the variance stage reads
+mean (x - mu_hat)^2 = sigma^2 + (mu_hat - mu)^2.
 """
 from __future__ import annotations
 
@@ -21,7 +26,6 @@ from .dataio import (
     compute_constants,
     floor_variance,
     mean_axis0,
-    pad_width,
     power_of_two_at_least,
     query_offset,
 )
@@ -216,8 +220,10 @@ def run_adde(
             d * ((1 << t_mean) - 1) + d * ((1 << t_var) - 1) + 2 * ((1 << t_tail) - 1)
         )
 
-    mu_hat = runner.stored(*runner.means(estimate_means(data, constants, t_mean)))
-    sigma2_hat = runner.stored(*runner.means(estimate_variances(data, mu_hat, constants, t_var)))
+    mean_part = estimate_means(data, constants, t_mean)
+    mu_hat, mu_err = runner.stored(*runner.means(mean_part), mean_part.bound(eps_mean))
+    var_part = estimate_variances(data, mu_hat, constants, t_var)
+    sigma2_hat, var_err = runner.stored(*runner.means(var_part), var_part.bound(eps_var))
     sigma2_floored = floor_variance(sigma2_hat, config.policy, "estimated variance")
     p_part, t_used = estimate_p(query, mu_hat, sigma2_floored, constants.T, t_tail)
     q_part, e_used = estimate_q(sigma2_floored, constants.E, t_tail)
@@ -226,12 +232,10 @@ def run_adde(
     ln_p_hat = log_density_estimate(p_hat, q_hat, d, t_used, e_used)
 
     bounds = {
-        "mu": 2.0 * constants.C * eps_mean,
-        "sigma2": 2.0 * constants.D * eps_var + 8.0 * constants.C**2 * eps_mean,
-        "p": eps_tail,
-        # q is an overlap (2a - 1), so the zero-padding rescale amplifies its
-        # grid error by the pad ratio.
-        "q": eps_tail * (pad_width(d) / d),
+        "mu": mu_err,
+        "sigma2": var_err + mu_err**2,  # mean (x - mu_hat)^2 = sigma^2 + (mu_hat - mu)^2
+        "p": p_part.bound(eps_tail),
+        "q": q_part.bound(eps_tail),
     }
     if budget is not None:
         bounds["lnP"] = budget["epsilon"]

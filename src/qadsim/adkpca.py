@@ -7,6 +7,11 @@ pipeline reads both terms off amplitude estimates: the squared distance from a
 squared-mean preparation, and the covariance quadratic form from per-point
 inner-product overlaps (omega_i) that are squared and averaged in a second
 estimation round.
+
+Each stage bound is its parts' `Part.bound` terms plus the propagation of the
+stored mu_hat, off by at most mu (its term plus half an ulp): distance_sq =
+d C'_used^2 (a term) + d mu (2 C' + mu), and b = b term + 2 (omega term +
+half ulp + mu (D + C' + mu) / C''_used + 1 - C''/C''_used); README derives both.
 """
 from __future__ import annotations
 
@@ -180,21 +185,25 @@ def run_adkpca(data: DataMatrix, query: QueryPoint, config: PipelineConfig) -> A
     plan, budget = runner.plan(STAGES, lambda epsilon: budget_shares(epsilon, d, constants))
     (t_mean, eps_mean), (t_dist, eps_dist), (t_omega, eps_omega), (t_bsum, eps_bsum) = plan
 
-    mu_hat = runner.stored(*runner.means(estimate_means(data, constants, t_mean)))
+    mean_part = estimate_means(data, constants, t_mean)
+    mu_hat, mu_err = runner.stored(*runner.means(mean_part), mean_part.bound(eps_mean))
     z0 = query.values - mu_hat
     a_part, cp_used = estimate_a(z0, constants.C_prime, t_dist)
     omega_part, cdp_used = estimate_omegas(data, mu_hat, z0, constants.C_dprime, t_omega)
     # One wave when t_dist == t_omega (a configured t); under epsilon, one each.
     (a_hat,), omegas = runner.means(a_part, omega_part)
+    omegas_hat, omega_err = runner.stored(omegas, omega_part.bound(eps_omega))
     # The true overlap is in [-1, 1]; clip away estimation/pad overshoot.
-    omegas_hat = np.maximum(np.minimum(runner.stored(omegas), 1.0), -1.0)
-    ((b_hat,),) = runner.means(estimate_b(omegas_hat, t_bsum))
+    omegas_hat = np.maximum(np.minimum(omegas_hat, 1.0), -1.0)
+    b_part = estimate_b(omegas_hat, t_bsum)
+    ((b_hat,),) = runner.means(b_part)
     f_hat = proximity_estimate(a_hat, b_hat, d, m, cp_used, cdp_used)
 
-    C, cp, cdp = constants.C, constants.C_prime, constants.C_dprime
+    cp, cdp = constants.C_prime, constants.C_dprime
     bounds = {
-        "distance_sq": d * cp**2 * eps_dist + 4.0 * d * cp * C * eps_mean,
-        "b": eps_bsum + eps_omega + 16.0 * C**2 * eps_mean / cdp,
+        "distance_sq": d * cp_used**2 * a_part.bound(eps_dist) + d * mu_err * (2.0 * cp + mu_err),
+        "b": b_part.bound(eps_bsum)
+        + 2.0 * (omega_err + mu_err * (constants.D + cp + mu_err) / cdp_used + 1.0 - cdp / cdp_used),
     }
     if budget is not None:
         bounds["f"] = 2.0 * budget["epsilon"]

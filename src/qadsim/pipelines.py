@@ -12,7 +12,10 @@ rotation values with one row per AE run (one per feature or point index); its
 pipeline reads it with `EstimatorRun.means`, the one stage path, which pads,
 runs and rescales the rows, and stores the estimates with `EstimatorRun.stored`. It is the one place
 that pads: each row of n values gets `pad_width(n)` labels, one per value of
-the index register, and its mean is rescaled by the pad ratio. The coherent
+the index register, and its mean is rescaled by the pad ratio. `Part.read`
+and `Part.bound` state a row's read and its error from the same fields,
+`EstimatorRun.stored` adds the store's half-ulp, and the pipelines add only
+the propagation of the stored estimates a stage reads. The coherent
 index superposition of the full algorithm is block diagonal in the passive
 index, so a stage's rows run exactly as one stacked AE, in both modes: a
 (k, pad_width(n)) rotation table on a (k, dim) stack of states. The verification
@@ -148,6 +151,20 @@ class Part(NamedTuple):
     signed: bool
     scale: float = 1.0
 
+    def read(self, a: float) -> float:
+        """A row's mean from its amplitude a: scale * (2a - 1 or a) * pad_width(n) / n,
+        the mean over the row's n real entries, the pad's zeros taken out."""
+        n = self.table.shape[1]
+        return self.scale * (2.0 * a - 1.0 if self.signed else a) * (pad_width(n) / n)
+
+    def bound(self, epsilon: float) -> float:
+        """The most `read` moves when a is off by at most epsilon, the error the
+        run's plan charged the stage (`grid_epsilon(t)` under a configured t,
+        its share under epsilon): the read's slope in a, from the same fields,
+        scale * (2 if signed else 1) * pad_width(n) / n, times epsilon; 0 with no rows."""
+        n = self.table.shape[1]
+        return self.scale * (2.0 if self.signed else 1.0) * (pad_width(n) / n) * epsilon if len(self.table) else 0.0
+
 
 class EstimatorRun:
     """Plans each stage's phase grid and error charge, runs the stages' AEs
@@ -209,8 +226,7 @@ class EstimatorRun:
         Each row of a part's (k, n) `table` is zero-padded to `pad_width(n)`
         entries. A signed row drives an interference preparation and reads its
         mean as 2 a - 1; otherwise a squared-mean preparation reads the mean of
-        its squares as a. A part's list holds scale * that mean * pad_width(n) / n
-        per row: the mean over the n real entries, the pad's zeros taken out.
+        its squares as a. A part's list holds `Part.read` of each row's a.
 
         The rows of consecutive parts that share a t are read as one stack, a
         wave: each part's rows in the wave make one stacked preparation, and
@@ -222,7 +238,7 @@ class EstimatorRun:
         row draws with the seed it would draw with if each part were read
         alone, in order. A part with no rows runs no AE and splits no wave.
         """
-        waves, held, out = [], 0, []  # (t, preparations, (preparation, part, pad ratio, means) per row)
+        waves, held, out = [], 0, []  # (t, preparations, (preparation, part, means) per row)
         for part in parts:
             (k, n), t = part.table.shape, part.t_bits
             width = pad_width(n)
@@ -239,16 +255,18 @@ class EstimatorRun:
                 hi = min(k, lo + max(1, (MAX_STACK_AMPS - held) // cost))
                 prep = build(f"{part.name}[{lo}]", values[lo:hi], part.costs)
                 waves[-1][1].append(prep)
-                waves[-1][2].extend([(prep, part, width / n, means)] * (hi - lo))
+                waves[-1][2].extend([(prep, part, means)] * (hi - lo))
                 held += (hi - lo) * cost
                 lo = hi
         for t, preps, rows in waves:
             config = self._next_config(t)
-            for (prep, part, ratio, means), y in zip(rows, phase_outcomes(preps, config), strict=True):
-                a = self.run(prep, config, y).amplitude
-                means.append(part.scale * (2.0 * a - 1.0 if part.signed else a) * ratio)
+            for (prep, part, means), y in zip(rows, phase_outcomes(preps, config), strict=True):
+                means.append(part.read(self.run(prep, config, y).amplitude))
         return out
 
-    def stored(self, values) -> np.ndarray:
-        """The values as digital registers hold them: `fp_format.quantize` of each."""
-        return np.array([self.config.fp_format.quantize(v) for v in values])
+    def stored(self, values, bound: float = 0.0) -> tuple[np.ndarray, float]:
+        """The values as digital registers hold them, `fp_format.quantize` of
+        each, and the bound on their error: `bound`, the error before the
+        store, plus the store's rounding, half an ulp, 2^-(frac_bits + 1)."""
+        fmt = self.config.fp_format
+        return np.array([fmt.quantize(v) for v in values]), bound + 2.0 ** -(fmt.frac_bits + 1)

@@ -154,13 +154,13 @@ class TestEstimators:
         data, query, model, constants, runner = self._setup(
             DataMatrix(x), QueryPoint(np.array([1.0, 1.0]))
         )
-        mu_hat = runner.stored(*runner.means(estimate_means(data, constants, 12)))
+        mu_hat, _ = runner.stored(*runner.means(estimate_means(data, constants, 12)))
         assert mu_hat[0] == pytest.approx(2.0, abs=2 * constants.C * math.pi / 2**12 + 2**-16)
 
     def test_mean_grid_bound(self):
         for seed in range(10):
             data, query, model, constants, runner = self._setup(*random_instance(seed), t=10)
-            mu_hat = runner.stored(*runner.means(estimate_means(data, constants, 10)))
+            mu_hat, _ = runner.stored(*runner.means(estimate_means(data, constants, 10)))
             eps = math.pi / 2**10 + math.pi**2 / 2**20
             assert np.max(np.abs(mu_hat - model.mu)) <= 2 * constants.C * eps
 
@@ -171,7 +171,7 @@ class TestEstimators:
         )
         part = estimate_variances(data, model.mu, constants, 14)
         assert part.scale == constants.D**2  # d_used is D
-        sigma2_hat = runner.stored(*runner.means(part))
+        sigma2_hat, _ = runner.stored(*runner.means(part))
         np.testing.assert_allclose(sigma2_hat, [1.0, 1.0], atol=constants.D**2 * math.pi / 2**14 + 2**-15)
 
     def test_zero_variance_when_data_equals_mean(self):
@@ -180,7 +180,7 @@ class TestEstimators:
             DataMatrix(x), QueryPoint(np.array([2.5, 3.5]))
         )
         part = estimate_variances(data, model.mu * 0 + x.mean(0), constants, 12)
-        sigma2_hat = runner.stored(*runner.means(part))
+        sigma2_hat, _ = runner.stored(*runner.means(part))
         assert np.all(sigma2_hat >= 0.0)
 
     def test_p_at_the_mean_is_zero(self):
@@ -217,6 +217,7 @@ class TestEstimators:
         assert e_used == 0.0 and part.table.shape == (0, 2)
         assert runner.means(part) == [[]]  # no row, so q_hat is 0
         assert runner.ledger.grover == 0  # no AE ran
+        assert part.bound(0.5) == 0.0  # and q's stated bound is 0
 
     def test_q_direct_formula(self):
         data, query, model, constants, runner = self._setup(*random_instance(3), t=12)
@@ -246,8 +247,8 @@ FLOOR_REPORT = {
     "q_hat": -0.5193559901655895,
     "lnP_hat": 4.806630730914242,
     "lnP_classical": 5.272880027195659,
-    "bounds": {"mu": 0.006154747928003383, "sigma2": 0.030773739640016916,
-               "p": 0.0030773739640016914, "q": 0.0030773739640016914},
+    "bounds": {"mu": 0.006162377322534633, "sigma2": 0.0031229782527982305,
+               "p": 0.0030773739640016914, "q": 0.006154747928003383},
     "observed_errors": {"mu": 0.001, "sigma2": 0.0005340576171875, "p": 0.001366998983898804,
                         "q": 0.002315053287279545, "lnP": 0.46624929628141665},
     "flag": False,
@@ -285,8 +286,9 @@ class TestEndToEnd:
                 query,
                 PipelineConfig(t_bits=10, mode="ideal", policy="epsilon-floor"),
             )
-            for key in ("mu", "sigma2", "p", "q"):
-                assert report.observed_errors[key] <= report.bounds[key], (seed, key)
+            assert report.bounds  # every bound the report states, none skipped
+            for key, bound in report.bounds.items():
+                assert report.observed_errors[key] <= bound, (seed, key)
 
     def test_third_term_sign(self):
         data, query = random_instance(7)

@@ -281,8 +281,9 @@ class TestEstimatorRun:
     def test_stored_quantizes_each_value(self):
         fmt = FixedPointFormat(int_bits=2, frac_bits=3)
         runner = EstimatorRun(PipelineConfig(t_bits=4, fp_format=fmt))
-        stored = runner.stored([0.0625, 0.1875, -1.3, 2.0])
+        stored, err = runner.stored([0.0625, 0.1875, -1.3, 2.0], 0.5)
         assert isinstance(stored, np.ndarray) and stored.tolist() == [0.0, 0.25, -1.25, 2.0]
+        assert err == 0.5 + 2**-4  # the bound handed in, plus half of the 2^-3 ulp
         with pytest.raises(RangeError):
             runner.stored([0.5, 8.0])
 
